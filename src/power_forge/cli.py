@@ -322,13 +322,33 @@ _DISPATCH = {
 }
 
 
+# options whose value is rational and so may start with a minus sign
+_SIGNED_VALUE_OPTIONS = frozenset(("--set", "--gamma", "--x", "--a", "--b", "--alpha", "--beta"))
+
+
 def _positional_guard(argv: list[str]) -> list[str]:
-    """Insert "--" so ``power -8/27`` is not read as an option flag."""
+    """Keep values that start with a minus sign from reading as option flags.
+
+    ``--set -1/8,4/25`` becomes ``--set=-1/8,4/25``, and ``power -8/27``
+    gets a "--" before its value.
+    """
     if argv and argv[0] == "power" and "--" not in argv:
         for i, tok in enumerate(argv[1:], 1):
             if tok.startswith("-") and tok not in ("-h", "--help"):
                 return argv[:i] + ["--"] + argv[i:]
-    return argv
+    joined: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            return joined + argv[i:]
+        if tok in _SIGNED_VALUE_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            joined.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(tok)
+            i += 1
+    return joined
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -4,7 +4,8 @@ Encoding rules, applied uniformly:
 
 * rationals and unbounded integers (coefficients, trace quantities) are
   decimal strings, e.g. "-3/2", "7", so nothing is squeezed through a
-  float on the way out;
+  float on the way out.  ``_int_text`` and ``_parse_int`` write and read
+  them at any size, whatever ``sys.get_int_max_str_digits()`` allows;
 * small structural integers (exponents, degrees, bounds, counts, scan
   indices) are plain JSON numbers;
 * every top-level document carries ``schema`` ("power-forge/v1") and a
@@ -51,34 +52,76 @@ __all__ = [
 SCHEMA = "power-forge/v1"
 
 
+# Ints of at most this many bits have at most 603 digits, below the 640
+# that ``sys.set_int_max_str_digits`` accepts as its least nonzero limit,
+# so ``str`` and ``int`` convert them under any setting.
+_DIRECT_BITS = 2000
+_DIRECT_DIGITS = 603
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` at any size: larger ints are split at a power of 10."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` at any size, for the strings ``_int_text`` writes."""
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:40]}...")
+    k = len(digits) // 2
+    return sign * (_parse_int(digits[:-k]) * 10**k + _parse_int(digits[-k:]))
+
+
+def _rational_text(q: Fraction | int) -> str:
+    """``str(Fraction(q))`` at any size."""
+    q = Fraction(q)
+    text = _int_text(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_int_text(q.denominator)}"
+
+
+def _parse_rational(text: str) -> Fraction:
+    """The rational ``_rational_text`` wrote as text."""
+    num, slash, den = text.partition("/")
+    return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
+
+
 def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
 def poly_to_json(p: IntPoly) -> list[str]:
     """Coefficients ascending, as decimal strings."""
-    return [str(c) for c in p.coeffs]
+    return [_int_text(c) for c in p.coeffs]
 
 
 def poly_from_json(data: list[str]) -> IntPoly:
-    return IntPoly(int(c) for c in data)
+    return IntPoly(_parse_int(c) for c in data)
 
 
 def decomposition_to_json(dec: Optional[PowerDecomposition]) -> Optional[dict]:
     if dec is None:
         return None
-    return {"base": str(dec.base), "exponent": dec.exponent}
+    return {"base": _rational_text(dec.base), "exponent": dec.exponent}
 
 
 def decomposition_from_json(obj: Optional[dict]) -> Optional[PowerDecomposition]:
     if obj is None:
         return None
-    return PowerDecomposition(Fraction(obj["base"]), int(obj["exponent"]))
+    return PowerDecomposition(_parse_rational(obj["base"]), int(obj["exponent"]))
 
 
 def _estimate_to_json(e: CapacityEstimate) -> dict:
     return {
-        "gamma": str(e.gamma),
+        "gamma": _rational_text(e.gamma),
         "log2_bound": e.log2_bound,
         "last_power_index": e.last_power_index,
         "value": e.value,
@@ -87,7 +130,7 @@ def _estimate_to_json(e: CapacityEstimate) -> dict:
 
 def _estimate_from_json(obj: dict) -> CapacityEstimate:
     return CapacityEstimate(
-        gamma=Fraction(obj["gamma"]),
+        gamma=_parse_rational(obj["gamma"]),
         log2_bound=int(obj["log2_bound"]),
         last_power_index=None
         if obj["last_power_index"] is None
@@ -101,11 +144,11 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
         "schema": SCHEMA,
         "kind": "construction",
         "variant": art.input.variant,
-        "elements": [str(e) for e in art.input.elements],
+        "elements": [_rational_text(e) for e in art.input.elements],
         "k": art.k,
         "kappa": art.kappa,
         "s": art.s,
-        "deltas": None if art.deltas is None else [str(d) for d in art.deltas],
+        "deltas": None if art.deltas is None else [_rational_text(d) for d in art.deltas],
         "capacity_estimates": None
         if art.estimates is None
         else [_estimate_to_json(e) for e in art.estimates],
@@ -120,7 +163,9 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
 def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
     if obj.get("schema") != SCHEMA or obj.get("kind") != "construction":
         raise ValueError("not a construction document")
-    inp = PowerSetInput.from_values(obj["elements"], variant=obj["variant"])
+    inp = PowerSetInput.from_values(
+        [_parse_rational(e) for e in obj["elements"]], variant=obj["variant"]
+    )
     return ConstructionArtifacts(
         input=inp,
         f=poly_from_json(obj["f"]),
@@ -131,7 +176,7 @@ def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
         s=None if obj["s"] is None else int(obj["s"]),
         deltas=None
         if obj["deltas"] is None
-        else tuple(Fraction(d) for d in obj["deltas"]),
+        else tuple(_parse_rational(d) for d in obj["deltas"]),
         estimates=None
         if obj["capacity_estimates"] is None
         else tuple(_estimate_from_json(e) for e in obj["capacity_estimates"]),
@@ -141,8 +186,8 @@ def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
 
 def _hit_to_json(h: Hit) -> dict:
     return {
-        "x": str(h.x),
-        "value": str(h.value),
+        "x": _rational_text(h.x),
+        "value": _rational_text(h.value),
         "power": decomposition_to_json(h.power),
     }
 
@@ -157,7 +202,7 @@ def report_to_json(rep: VerificationReport) -> dict:
         "verdict": rep.verdict,
         "hits": [_hit_to_json(h) for h in rep.hits],
         "extras": [_hit_to_json(h) for h in rep.extras],
-        "missing": [str(b) for b in rep.missing],
+        "missing": [_rational_text(b) for b in rep.missing],
         "notes": rep.notes,
     }
 
@@ -166,14 +211,14 @@ def trace_to_json(rec: TraceRecord) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "trace",
-        "x": str(rec.x),
+        "x": _rational_text(rec.x),
         "k": rec.k,
-        "u": str(rec.u),
-        "v": str(rec.v),
-        "A": str(rec.A),
-        "B": str(rec.B),
-        "w": str(rec.w),
-        "power_sum": str(rec.power_sum),
+        "u": _int_text(rec.u),
+        "v": _int_text(rec.v),
+        "A": _int_text(rec.A),
+        "B": _int_text(rec.B),
+        "w": _int_text(rec.w),
+        "power_sum": _int_text(rec.power_sum),
         "checks": {
             "coprime_pair": rec.coprime_pair_ok,
             "gcd_power_of_two": rec.gcd_power_of_two_ok,
@@ -209,7 +254,7 @@ def power_hits_to_json(hits: tuple[PowerHit, ...], sequence: str, params: dict) 
         "hits": [
             {
                 "index": h.index,
-                "value": str(h.value),
+                "value": _rational_text(h.value),
                 "power": decomposition_to_json(h.power),
             }
             for h in hits
@@ -221,9 +266,9 @@ def power_query_to_json(value: Fraction, dec: Optional[PowerDecomposition]) -> d
     return {
         "schema": SCHEMA,
         "kind": "power",
-        "value": str(value),
+        "value": _rational_text(value),
         "is_power": dec is not None,
-        "base": None if dec is None else str(dec.base),
+        "base": None if dec is None else _rational_text(dec.base),
         "exponent": None if dec is None else dec.exponent,
     }
 

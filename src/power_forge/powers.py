@@ -11,16 +11,33 @@ once and reused everywhere:
 ``decompose_*`` functions return the decomposition with the largest
 attainable exponent (so the base itself is never again a perfect power,
 apart from the fixed points 0, 1, -1), or None when the value is not a
-perfect power at all.
+perfect power at all.  Both are thin callers of one recursion over the
+(numerator, denominator) pair: u/v in lowest terms is a p-th power exactly
+when |u| and v are (p odd if u < 0).
+
+Almost every value a scan meets is no perfect power, so each candidate
+prime exponent p first faces a power-residue sieve (Bernstein, "Detecting
+perfect powers in essentially linear time", Math. Comp. 67, 1998;
+Bernstein, Lenstra and Pila, Math. Comp. 76, 2007).  For a prime
+q = 1 (mod p) the multiplicative group mod q is cyclic of order q - 1, so
+its p-th powers are exactly the residues r with r**((q-1)/p) = 1 (mod q).
+Hence if r = m mod q is nonzero and r**((q-1)/p) != 1 (mod q), m is no
+p-th power.  The sieve only ever rejects, so it cannot lose a power.  An
+exponent it lets through is still settled by ``integer_nth_root`` and its
+exact ``root**p == m`` check, so every accepted decomposition is witnessed
+exactly and no float takes part.  The moduli q for each p are the eight
+smallest primes q = 1 (mod p), found on the first use of p and cached;
+nothing is computed at import.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .ntheory import integer_nth_root
+from .ntheory import integer_nth_root, is_prime, primes_up_to
 
 __all__ = [
     "PowerDecomposition",
@@ -34,18 +51,45 @@ __all__ = [
 # e <= log_17(|m|) once m is coprime to all of them.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
-_ODD_PRIMES_CACHE = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+# A non-p-th power slips past one modulus with chance about 1/p, so past
+# all of them with chance about p**-8 for random input.
+_RESIDUE_PRIMES_PER_EXPONENT = 8
+
+# p -> ((q, (q - 1) // p), ...), filled by _residue_table on first use of p
+_RESIDUE_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
+
+# every prime up to _PRIMES[-1]; _primes_through re-sieves it when outgrown
+_PRIMES = [2]
 
 
-def _odd_primes_below(limit: int) -> list[int]:
-    """Odd primes p <= limit, extending a shared cache on demand."""
-    cache = _ODD_PRIMES_CACHE
-    candidate = cache[-1] + 2
-    while cache[-1] < limit:
-        if all(candidate % p for p in cache if p * p <= candidate):
-            cache.append(candidate)
-        candidate += 2
-    return [p for p in cache if p <= limit]
+def _primes_through(limit: int) -> list[int]:
+    """All primes <= limit, ascending."""
+    if limit > _PRIMES[-1]:
+        _PRIMES[:] = primes_up_to(2 * limit)
+    return _PRIMES[: bisect_right(_PRIMES, limit)]
+
+
+def _residue_table(p: int) -> tuple[tuple[int, int], ...]:
+    """(q, (q - 1) // p) for the smallest primes q = 1 (mod p)."""
+    table = _RESIDUE_TABLES.get(p)
+    if table is None:
+        moduli: list[tuple[int, int]] = []
+        q = 1
+        while len(moduli) < _RESIDUE_PRIMES_PER_EXPONENT:
+            q += p
+            if is_prime(q):
+                moduli.append((q, (q - 1) // p))
+        table = _RESIDUE_TABLES[p] = tuple(moduli)
+    return table
+
+
+def _may_be_power(m: int, p: int) -> bool:
+    """False when some residue proves m >= 0 is no p-th power; True otherwise."""
+    for q, cofactor in _residue_table(p):
+        r = m % q
+        if r and pow(r, cofactor, q) != 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,11 +114,11 @@ class PowerDecomposition:
 
 
 def _candidate_prime_exponents(m: int) -> list[int]:
-    """Primes p that could divide the maximal exponent of |m| >= 2.
+    """Primes p that could divide the maximal exponent of |m| >= 2, ascending.
 
     Strips the small primes, intersecting the valuation gcd; whatever
-    survives coprime to them has every prime factor >= 17, bounding the
-    exponent by 17**p <= survivor.
+    survives coprime to them has every prime factor >= 17, so
+    16**p < 17**p <= survivor bounds the exponent by bit_length // 4.
     """
     residual = m
     val_gcd = 0
@@ -88,24 +132,43 @@ def _candidate_prime_exponents(m: int) -> list[int]:
             if val_gcd == 1:
                 return []
     if residual == 1:
-        if val_gcd < 2:
-            return []
-        return [p for p in _odd_primes_below(val_gcd) if val_gcd % p == 0] + (
-            [2] if val_gcd % 2 == 0 else []
-        )
-    # residual has only prime factors >= 17
-    bound = 1
-    seventeen = 17
-    while seventeen <= residual:
-        seventeen *= 17
-        bound += 1
-    bound -= 1  # largest p with 17**p <= residual
-    if bound < 2:
-        return []
-    cands = [2] + _odd_primes_below(bound)
+        return [p for p in _primes_through(val_gcd) if val_gcd % p == 0]
+    cands = _primes_through(residual.bit_length() // 4)
     if val_gcd:
         cands = [p for p in cands if val_gcd % p == 0]
     return cands
+
+
+def _decompose(u: int, v: int) -> PowerDecomposition | None:
+    """Maximal-exponent decomposition of u/v (lowest terms, v >= 1), or None."""
+    if v == 1 and u in (0, 1):
+        return PowerDecomposition(Fraction(u), 2)
+    if v == 1 and u == -1:
+        return PowerDecomposition(Fraction(-1), 3)
+    sign = 1 if u > 0 else -1
+    mu = abs(u)
+    best: PowerDecomposition | None = None
+    # p must divide the maximal exponent of v; when v == 1, that of |u|
+    for p in _candidate_prime_exponents(v if v > 1 else mu):
+        if sign < 0 and p == 2:
+            continue
+        if not ((v == 1 or _may_be_power(v, p)) and _may_be_power(mu, p)):
+            continue
+        vroot, exact = (1, True) if v == 1 else integer_nth_root(v, p)
+        if not exact:
+            continue
+        uroot, exact = integer_nth_root(mu, p)
+        if not exact:
+            continue
+        # a negative root is never -1 here and so decomposes with an odd exponent
+        inner = _decompose(sign * uroot, vroot)
+        if inner is not None:
+            base, exp = inner.base, inner.exponent * p
+        else:
+            base, exp = Fraction(sign * uroot, vroot), p
+        if best is None or exp > best.exponent:
+            best = PowerDecomposition(base, exp)
+    return best
 
 
 def decompose_integer_power(n: int) -> PowerDecomposition | None:
@@ -118,38 +181,11 @@ def decompose_integer_power(n: int) -> PowerDecomposition | None:
     >>> decompose_integer_power(12) is None
     True
     """
-    if n == 0:
-        return PowerDecomposition(Fraction(0), 2)
-    if n == 1:
-        return PowerDecomposition(Fraction(1), 2)
-    if n == -1:
-        return PowerDecomposition(Fraction(-1), 3)
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    best_base, best_exp = None, 1
-    for p in _candidate_prime_exponents(m):
-        if sign < 0 and p == 2:
-            continue
-        root, exact = integer_nth_root(m, p)
-        if exact:
-            inner = decompose_integer_power(sign * root)
-            if inner is not None and (sign > 0 or inner.exponent % 2 == 1):
-                base, exp = inner.base, inner.exponent * p
-            else:
-                base, exp = Fraction(sign * root), p
-            if exp > best_exp:
-                best_base, best_exp = base, exp
-    if best_base is None:
-        return None
-    return PowerDecomposition(best_base, best_exp)
+    return _decompose(n, 1)
 
 
 def decompose_rational_power(q: Fraction | int) -> PowerDecomposition | None:
     """Maximal-exponent decomposition of a rational, or None.
-
-    A rational u/v in lowest terms is a p-th power exactly when u and v
-    are both (with matching sign handling); v >= 2 caps usable primes at
-    log2(v), so the search is cheap even for huge numerators.
 
     >>> decompose_rational_power(Fraction(9, 25))
     PowerDecomposition(base=Fraction(3, 5), exponent=2)
@@ -158,33 +194,7 @@ def decompose_rational_power(q: Fraction | int) -> PowerDecomposition | None:
     >>> decompose_rational_power(Fraction(2, 3)) is None
     True
     """
-    q = Fraction(q)
-    u, v = q.numerator, q.denominator
-    if v == 1:
-        return decompose_integer_power(u)
-    sign = 1 if u > 0 else -1
-    mu = abs(u)
-    # usable prime exponents divide valuations of v, all <= log2(v)
-    best: tuple[Fraction, int] | None = None
-    for p in [2] + _odd_primes_below(v.bit_length()):
-        if sign < 0 and p == 2:
-            continue
-        vroot, vexact = integer_nth_root(v, p)
-        if not vexact:
-            continue
-        uroot, uexact = integer_nth_root(mu, p)
-        if not uexact:
-            continue
-        inner = decompose_rational_power(Fraction(sign * uroot, vroot))
-        if inner is not None and (sign > 0 or inner.exponent % 2 == 1):
-            base, exp = inner.base, inner.exponent * p
-        else:
-            base, exp = Fraction(sign * uroot, vroot), p
-        if best is None or exp > best[1]:
-            best = (base, exp)
-    if best is None:
-        return None
-    return PowerDecomposition(best[0], best[1])
+    return _decompose(*Fraction(q).as_integer_ratio())
 
 
 def is_integer_perfect_power(n: int) -> bool:

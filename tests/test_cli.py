@@ -223,3 +223,25 @@ def test_usage_errors(capsys):
     assert main(["--help"]) == 0
     assert main(["oracle"]) == 2
     capsys.readouterr()
+
+
+def test_huge_coefficients_write_and_reload(capsys, tmp_path):
+    # f has coefficients of about 16,000 bits, past str()'s 4,300-digit limit
+    target = tmp_path / "pow2.json"
+    code, out, _ = run(capsys, "construct", "--set", f"1/{2**2000}", "--out", str(target))
+    assert code == 0 and "coeff_bits<=16002" in out
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (("construct", "--set", "-1/8,4/25"), "construction"),
+    (("verify", "--set", "-1/8,4/25", "--height", "4"), "verification"),
+    (("trace", "--set", "-1/8,4/25", "--x", "-1/2"), "trace"),
+    (("oracle", "gamma", "--gamma", "-3/2", "--t-max", "6"), "power-scan"),
+])
+def test_values_with_a_leading_minus(capsys, argv, kind):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["kind"] == kind

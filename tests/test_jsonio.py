@@ -154,3 +154,14 @@ def test_ascii_negative_fractions():
     text = jsonio.dumps(jsonio.artifacts_to_json(art))
     assert '"-8/27"' in text
     assert text.isascii()
+
+
+def test_integers_past_the_str_digit_limit_roundtrip():
+    big = 10**20000 - 7  # 20,000 digits, far past the default limit of 4,300
+    p = IntPoly([-big, 0, big // 3, 10**640])
+    data = jsonio.poly_to_json(p)
+    assert len(data[0]) == 20001 and data[0].startswith("-9999") and data[0].endswith("93")
+    assert data[3] == "1" + "0" * 640
+    assert jsonio.poly_from_json(data) == p
+    dec = PowerDecomposition(Fraction(-big, 3**9000), 3)
+    assert jsonio.decomposition_from_json(jsonio.decomposition_to_json(dec)) == dec

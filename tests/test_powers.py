@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from power_forge import enumerate_rationals
+from power_forge import enumerate_rationals, powers
+from power_forge.ntheory import primes_up_to
 from power_forge.powers import (
     PowerDecomposition,
     decompose_integer_power,
@@ -10,6 +12,8 @@ from power_forge.powers import (
     is_integer_perfect_power,
     is_rational_perfect_power,
 )
+
+EXPONENTS = primes_up_to(97)
 
 
 def bruteforce_power_table(limit):
@@ -120,3 +124,77 @@ def test_power_decomposition_validation():
     assert dec.value == Fraction(9, 25)
     assert not dec.is_integral()
     assert PowerDecomposition(Fraction(7), 3).is_integral()
+
+
+def _signed(rng, base, p):
+    return -base if p % 2 and rng.random() < 0.5 else base
+
+
+def differential_inputs(rng):
+    """Random values, near-powers, true and nested powers, rational powers."""
+    values = []
+    for _ in range(150):
+        n = rng.getrandbits(rng.randint(2, 4000))
+        values.append(n if rng.random() < 0.5 else -n)
+    for p in EXPONENTS:
+        for _ in range(3):
+            r = rng.randint(3, 2 ** rng.randint(2, 4000 // p))
+            values += [_signed(rng, r, p) ** p, r**p + 1, r**p - 1]
+    for inner, outer in ((3, 5), (2, 2), (2, 3), (5, 7), (3, 3), (2, 11)):
+        r = rng.randint(2, 10**6)
+        values.append((_signed(rng, r, inner * outer) ** inner) ** outer)
+    for p in EXPONENTS[:12]:
+        for _ in range(4):
+            a, c = rng.randint(1, 10**12), rng.randint(2, 10**12)
+            base = Fraction(_signed(rng, a, p), c)
+            values += [base**p, base**p + Fraction(1, c)]
+    return [Fraction(v) for v in values if v not in (0, 1, -1)]
+
+
+def test_decompose_matches_sympy_perfect_power(rng):
+    sympy = pytest.importorskip("sympy")
+    for value in differential_inputs(rng):
+        got = decompose_rational_power(value)
+        if value.denominator == 1:
+            assert decompose_integer_power(value.numerator) == got, value
+        want = sympy.perfect_power(sympy.Rational(value.numerator, value.denominator))
+        if want is False:
+            assert got is None, value
+        else:
+            base, exponent = sympy.Rational(want[0]), want[1]
+            assert got == PowerDecomposition(Fraction(int(base.p), int(base.q)), exponent), value
+
+
+def test_residue_sieve_passes_every_true_power(rng):
+    for p in EXPONENTS + [1009]:
+        for _ in range(40):
+            r = rng.getrandbits(rng.randint(1, 200))
+            assert powers._may_be_power(r**p, p), (r, p)
+    for p, table in powers._RESIDUE_TABLES.items():
+        assert len(table) == powers._RESIDUE_PRIMES_PER_EXPONENT
+        for q, cofactor in table:
+            assert all(q % d for d in range(2, isqrt(q) + 1)), (p, q)
+            assert q % p == 1 and cofactor * p == q - 1, (p, q)
+            for r in range(40):
+                assert powers._may_be_power(r**p, p)
+
+
+def test_non_powers_extract_almost_no_roots(rng, monkeypatch):
+    calls = []
+    real_root = powers.integer_nth_root
+
+    def counted(n, e):
+        calls.append(e)
+        return real_root(n, e)
+
+    monkeypatch.setattr(powers, "integer_nth_root", counted)
+    # 17 * m with 17 not dividing m is no power; m has no prime factor up to
+    # 13 by which the decomposer could narrow the candidate exponents
+    values = []
+    for _ in range(20):
+        m = 30030 * rng.getrandbits(4000) + 1
+        if m % 17 == 0:
+            m += 30030  # 30030 = 8 (mod 17)
+        values.append(17 * m)
+    assert all(decompose_integer_power(n) is None for n in values)
+    assert len(calls) <= 2, calls

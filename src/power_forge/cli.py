@@ -42,7 +42,7 @@ PROG = "power-forge"
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return jsonio.parse_rational(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {text!r} as a rational") from exc
 

@@ -15,6 +15,15 @@ for b in S).  Two variants:
   prod(c_i X - a_i) -+ 1.  Then g = prod (c_i X - a_i)**k + 1 and
   h = (X - 2**s) g + 2**s.
 
+Both variants are built from the same recipe.  With P = prod (c_i X - a_i)
+(c_i = 1 and k = 2, s = 0 in the integer variant),
+
+    f = g h = (X - 2**s) (P**(2k) + 2 P**k + 1) + 2**s (P**k + 1),
+
+and the powers of P come from J.C.P. Miller's recurrence
+(``IntPoly.__pow__``), which spends O(|S|) big-int operations on each
+coefficient; multiplying out g * h costs O(k |S|) per coefficient.
+
 The empty set gets the constant polynomial 2, which is never a perfect
 power; the product formulas degenerate there (they would give a linear f
 hitting every rational).
@@ -53,6 +62,7 @@ __all__ = [
     "estimate_capacity",
     "select_offset_exponent",
     "build_g_h_f",
+    "check_recipe",
     "construct",
     "construct_integer",
 ]
@@ -232,29 +242,30 @@ def select_offset_exponent(
     )
 
 
-def _linear_power(c: int, a: int, k: int) -> IntPoly:
-    """(c X - a)**k expanded by binomials."""
-    from math import comb
-
-    neg = -a
-    coeffs = [comb(k, j) * pow(c, j) * pow(neg, k - j) for j in range(k + 1)]
-    return IntPoly(coeffs)
-
-
 def build_g_h_f(
     pairs: Iterable[tuple[int, int]], k: int, s: int
 ) -> tuple[IntPoly, IntPoly, IntPoly]:
-    """g = prod (c_i X - a_i)**k + 1, h = (X - 2**s) g + 2**s, f = g h."""
+    """g = P**k + 1, h = (X - 2**s) g + 2**s and f = g h, with P = prod (c_i X - a_i).
+
+    f is expanded from the recipe rather than multiplied out as g * h:
+
+        f = (X - 2**s) (P**(2k) + 2 P**k + 1) + 2**s (P**k + 1),
+
+    where both powers of P come from Miller's recurrence in
+    ``IntPoly.__pow__``, so the build costs O(|S|) big-int operations per
+    coefficient of f instead of the O(k |S|) of the product g * h.
+    """
     pairs = tuple(pairs)
     if not pairs:
         raise ValueError("empty set has no product construction; use construct()")
-    g = IntPoly((1,))
-    for a, c in pairs:
-        g = g * _linear_power(c, a, k)
-    g = g + 1
+    P = build_root_product(pairs)
+    Pk = P**k
+    g = Pk + 1
     offset = 1 << s
-    h = IntPoly.linear(1, offset) * g + offset
-    return g, h, g * h
+    shift = IntPoly.linear(1, offset)  # X - 2**s
+    h = shift * g + offset
+    f = shift * (P ** (2 * k) + 2 * Pk + 1) + offset * g
+    return g, h, f
 
 
 @dataclass(frozen=True)
@@ -275,6 +286,36 @@ class ConstructionArtifacts:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return element_pairs(self.input)
+
+
+def check_recipe(art: ConstructionArtifacts) -> None:
+    """Raise ValidationError unless the stored f, g and h are those of k and s.
+
+    Artifacts without k and s have no recipe and pass.  Two cheap tests
+    refuse a tampered k or s before anything is built: deg f must be
+    2k|S| + 1, and s must be below the bit length of the largest
+    coefficient of f.  The second holds for every genuine k (k is even):
+    with P = X**z R and R(0) != 0, the X**(zk) coefficient of f is
+    -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when z = 0.
+    Then f, g and h are rebuilt and compared; the error names the fields
+    that differ.
+    """
+    k, s = art.k, art.s
+    if k is None or s is None:
+        return
+    recipe = f"the recipe of k={k}, s={s}"
+    if k < 1 or art.f.degree != 2 * k * len(art.input) + 1:
+        raise ValidationError(f"stored f has degree {art.f.degree}, not that of {recipe}")
+    bits = max(abs(c).bit_length() for c in art.f.coeffs)
+    if not 0 <= s < bits:
+        raise ValidationError(
+            f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"
+        )
+    g, h, f = build_g_h_f(art.pairs, k, s)
+    stored = {"f": (art.f, f), "g": (art.g, g), "h": (art.h, h)}
+    wrong = [name for name, (was, built) in stored.items() if was is not None and was != built]
+    if wrong:
+        raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
 
 
 def construct_integer(values: Iterable[int]) -> tuple[IntPoly, IntPoly, IntPoly]:

@@ -26,6 +26,7 @@ from .construct import (
     CapacityEstimate,
     ConstructionArtifacts,
     PowerSetInput,
+    check_recipe,
 )
 from .oracles import PowerHit, SolutionList
 from .poly import IntPoly
@@ -35,6 +36,7 @@ from .verify import Hit, TraceRecord, VerificationReport
 __all__ = [
     "SCHEMA",
     "dumps",
+    "parse_rational",
     "poly_to_json",
     "poly_from_json",
     "decomposition_to_json",
@@ -58,16 +60,47 @@ SCHEMA = "power-forge/v1"
 _DIRECT_BITS = 2000
 _DIRECT_DIGITS = 603
 
+# Larger ints are split at the rungs 10**(600 * 2**i) of one fixed ladder,
+# so only O(log digits) distinct powers of ten ever exist; each is built
+# once, by squaring the rung below it, and kept.
+_RUNG_DIGITS = 600
+_RUNGS = [10**_RUNG_DIGITS]
+
+
+def _rung(i: int) -> int:
+    """10**(_RUNG_DIGITS << i)."""
+    while len(_RUNGS) <= i:
+        _RUNGS.append(_RUNGS[-1] ** 2)
+    return _RUNGS[i]
+
 
 def _int_text(n: int) -> str:
-    """``str(n)`` at any size: larger ints are split at a power of 10."""
+    """``str(n)`` at any size: larger ints are split at a rung of the ladder."""
     if n < 0:
         return "-" + _int_text(-n)
     if n.bit_length() <= _DIRECT_BITS:
         return str(n)
-    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
-    high, low = divmod(n, 10**k)
-    return _int_text(high) + _int_text(low).zfill(k)
+    i = 0  # the highest rung <= n, so the high part is nonzero
+    while _rung(i + 1) <= n:
+        i += 1
+    high, low = divmod(n, _rung(i))
+    return _int_text(high) + _int_text(low).zfill(_RUNG_DIGITS << i)
+
+
+def _digits_value(digits: str) -> int:
+    """The value of a string of ASCII digits, split at rungs of the ladder."""
+    if len(digits) <= _DIRECT_DIGITS:
+        return int(digits)
+    i = 0  # the highest rung with fewer digits than the string
+    while (_RUNG_DIGITS << (i + 1)) < len(digits):
+        i += 1
+    cut = len(digits) - (_RUNG_DIGITS << i)
+    return _digits_value(digits[:cut]) * _rung(i) + _digits_value(digits[cut:])
+
+
+def _is_digits(text: str) -> bool:
+    # bytes.isdigit is ASCII-only and several times faster than str.isdigit
+    return text.isascii() and text.encode().isdigit()
 
 
 def _parse_int(text: str) -> int:
@@ -75,10 +108,25 @@ def _parse_int(text: str) -> int:
     if len(text) <= _DIRECT_DIGITS:
         return int(text)
     sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_digits(digits):
         raise ValueError(f"not a decimal integer: {text[:40]}...")
-    k = len(digits) // 2
-    return sign * (_parse_int(digits[:-k]) * 10**k + _parse_int(digits[-k:]))
+    return sign * _digits_value(digits)
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` at any size: the inverse of ``_rational_text``.
+
+    Long text of the form ``int`` or ``int/int`` is read without the
+    ``int()`` digit limit; everything else goes to ``Fraction`` itself.
+    """
+    num, slash, den = text.partition("/")
+    if (
+        len(text) > _DIRECT_DIGITS
+        and _is_digits(num.removeprefix("-"))
+        and (not slash or _is_digits(den))
+    ):
+        return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
+    return Fraction(text)
 
 
 def _rational_text(q: Fraction | int) -> str:
@@ -86,12 +134,6 @@ def _rational_text(q: Fraction | int) -> str:
     q = Fraction(q)
     text = _int_text(q.numerator)
     return text if q.denominator == 1 else f"{text}/{_int_text(q.denominator)}"
-
-
-def _parse_rational(text: str) -> Fraction:
-    """The rational ``_rational_text`` wrote as text."""
-    num, slash, den = text.partition("/")
-    return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
 
 
 def dumps(obj: Any) -> str:
@@ -116,7 +158,7 @@ def decomposition_to_json(dec: Optional[PowerDecomposition]) -> Optional[dict]:
 def decomposition_from_json(obj: Optional[dict]) -> Optional[PowerDecomposition]:
     if obj is None:
         return None
-    return PowerDecomposition(_parse_rational(obj["base"]), int(obj["exponent"]))
+    return PowerDecomposition(parse_rational(obj["base"]), int(obj["exponent"]))
 
 
 def _estimate_to_json(e: CapacityEstimate) -> dict:
@@ -130,7 +172,7 @@ def _estimate_to_json(e: CapacityEstimate) -> dict:
 
 def _estimate_from_json(obj: dict) -> CapacityEstimate:
     return CapacityEstimate(
-        gamma=_parse_rational(obj["gamma"]),
+        gamma=parse_rational(obj["gamma"]),
         log2_bound=int(obj["log2_bound"]),
         last_power_index=None
         if obj["last_power_index"] is None
@@ -161,12 +203,17 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
 
 
 def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
+    """The artifacts a construction document holds, checked against their recipe.
+
+    ``construct.check_recipe`` raises ``ValidationError`` when the stored
+    f, g and h are not those of the stored k and s.
+    """
     if obj.get("schema") != SCHEMA or obj.get("kind") != "construction":
         raise ValueError("not a construction document")
     inp = PowerSetInput.from_values(
-        [_parse_rational(e) for e in obj["elements"]], variant=obj["variant"]
+        [parse_rational(e) for e in obj["elements"]], variant=obj["variant"]
     )
-    return ConstructionArtifacts(
+    art = ConstructionArtifacts(
         input=inp,
         f=poly_from_json(obj["f"]),
         g=None if obj["g"] is None else poly_from_json(obj["g"]),
@@ -176,12 +223,14 @@ def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
         s=None if obj["s"] is None else int(obj["s"]),
         deltas=None
         if obj["deltas"] is None
-        else tuple(_parse_rational(d) for d in obj["deltas"]),
+        else tuple(parse_rational(d) for d in obj["deltas"]),
         estimates=None
         if obj["capacity_estimates"] is None
         else tuple(_estimate_from_json(e) for e in obj["capacity_estimates"]),
         notes=obj.get("notes", ""),
     )
+    check_recipe(art)
+    return art
 
 
 def _hit_to_json(h: Hit) -> dict:

@@ -21,6 +21,7 @@ __all__ = [
     "factor_integer",
     "divisors",
     "padic_valuation",
+    "strip_prime",
     "primes_up_to",
 ]
 
@@ -197,9 +198,9 @@ def factor_integer(n: int) -> tuple[tuple[int, int], ...]:
     for p in _TRIAL_PRIMES:
         if p * p > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        v, m = strip_prime(m, p)
+        if v:
+            counts[p] = v
     if m > 1:
         pending = [m]
         while pending:
@@ -226,13 +227,37 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _int_valuation(m: int, p: int) -> int:
-    """Exponent of p in nonzero m."""
+def strip_prime(m: int, p: int) -> tuple[int, int]:
+    """(v, m // p**v) for nonzero m, where v is the exponent of the prime p in m.
+
+    Two is counted off the low bits.  An odd p is divided out by the
+    squaring ladder p, p**2, p**4, ... while each rung divides, then by the
+    same rungs in descending order, so v costs O(log v) divisions, not v.
+
+    >>> strip_prime(48, 2)
+    (4, 3)
+    >>> strip_prime(-3**1200 * 10, 3)
+    (1200, -10)
+    """
+    if m == 0:
+        raise ValueError("valuation of 0 is undefined")
+    if p == 2:
+        v = (m & -m).bit_length() - 1
+        return v, m >> v
     v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+    rungs = []
+    rung = p
+    while not m % rung:
+        m //= rung
+        v += 1 << len(rungs)
+        rungs.append(rung)
+        rung *= rung
+    # what is left is not divisible by the last rung, so each rung divides at most once
+    for i in range(len(rungs) - 1, -1, -1):
+        if not m % rungs[i]:
+            m //= rungs[i]
+            v += 1 << i
+    return v, m
 
 
 def padic_valuation(q: Fraction | int, p: int) -> int:
@@ -248,4 +273,4 @@ def padic_valuation(q: Fraction | int, p: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
+    return strip_prime(q.numerator, p)[0] - strip_prime(q.denominator, p)[0]

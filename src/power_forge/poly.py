@@ -178,16 +178,47 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
+        """self**n by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        For P = sum p_i X**i of degree m with p_0 != 0, Q = P**n satisfies
+        P Q' = n P' Q; comparing coefficients of X**(j-1) gives q_0 = p_0**n
+        and
+
+            q_j = sum_{i=1..min(m,j)} ((n+1) i - j) p_i q_{j-i} / (j p_0),
+
+        O(m) big-int operations per coefficient instead of the O(m n) of a
+        schoolbook product.  The division is exact over the integers; a
+        remainder raises ArithmeticError.  A zero constant term is handled
+        by factoring out X**z first and shifting the result by z n.
+
+        >>> (IntPoly([-1, 1]) ** 3).coeffs             # (X - 1)**3
+        (-1, 3, -3, 1)
+        >>> (IntPoly([0, 0, 2, 1]) ** 2).coeffs        # (X**3 + 2 X**2)**2
+        (0, 0, 0, 0, 4, 4, 1)
+        """
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return IntPoly((1,))
+        if not self.coeffs:
+            return IntPoly()
+        z = 0
+        while self.coeffs[z] == 0:
+            z += 1
+        p0, *rest = self.coeffs[z:]
+        terms = [(i, c) for i, c in enumerate(rest, 1) if c]
+        q = [p0**n]
+        for j in range(1, len(rest) * n + 1):
+            acc = 0
+            for i, c in terms:
+                if i > j:
+                    break
+                acc += ((n + 1) * i - j) * c * q[j - i]
+            quo, rem = divmod(acc, j * p0)
+            if rem:
+                raise ArithmeticError(f"inexact division in Miller's recurrence at X**{j}")
+            q.append(quo)
+        return IntPoly((0,) * (z * n) + tuple(q))
 
     # -- evaluation ------------------------------------------------------
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .ntheory import integer_nth_root, is_prime, primes_up_to
+from .ntheory import integer_nth_root, is_prime, primes_up_to, strip_prime
 
 __all__ = [
     "PowerDecomposition",
@@ -124,10 +124,7 @@ def _candidate_prime_exponents(m: int) -> list[int]:
     val_gcd = 0
     for p in _SMALL_PRIMES:
         if residual % p == 0:
-            v = 0
-            while residual % p == 0:
-                residual //= p
-                v += 1
+            v, residual = strip_prime(residual, p)
             val_gcd = gcd(val_gcd, v)
             if val_gcd == 1:
                 return []
@@ -147,7 +144,6 @@ def _decompose(u: int, v: int) -> PowerDecomposition | None:
         return PowerDecomposition(Fraction(-1), 3)
     sign = 1 if u > 0 else -1
     mu = abs(u)
-    best: PowerDecomposition | None = None
     # p must divide the maximal exponent of v; when v == 1, that of |u|
     for p in _candidate_prime_exponents(v if v > 1 else mu):
         if sign < 0 and p == 2:
@@ -160,15 +156,15 @@ def _decompose(u: int, v: int) -> PowerDecomposition | None:
         uroot, exact = integer_nth_root(mu, p)
         if not exact:
             continue
-        # a negative root is never -1 here and so decomposes with an odd exponent
+        # The first root found settles it: if u/v = b**e with e maximal (odd
+        # when u < 0), every prime p admitted here divides e, and the root
+        # b**(e/p) has maximal exponent e/p.  A negative root is never -1
+        # here and so decomposes with an odd exponent.
         inner = _decompose(sign * uroot, vroot)
-        if inner is not None:
-            base, exp = inner.base, inner.exponent * p
-        else:
-            base, exp = Fraction(sign * uroot, vroot), p
-        if best is None or exp > best.exponent:
-            best = PowerDecomposition(base, exp)
-    return best
+        if inner is None:
+            return PowerDecomposition(Fraction(sign * uroot, vroot), p)
+        return PowerDecomposition(inner.base, inner.exponent * p)
+    return None
 
 
 def decompose_integer_power(n: int) -> PowerDecomposition | None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from power_forge import jsonio
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import ConstructionArtifacts, PowerSetInput
 from power_forge.jsonio import artifacts_to_json, dumps
@@ -233,6 +234,47 @@ def test_huge_coefficients_write_and_reload(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+def test_verify_artifacts_checks_the_recipe(capsys, tmp_path):
+    target = tmp_path / "art.json"
+    assert main(["construct", "--set", "1/49,8/27", "--out", str(target)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "3")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    doc = json.loads(target.read_text())
+    doc["f"][7] = str(int(doc["f"][7]) - 1)
+    target.write_text(dumps(doc))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "3")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation" and error["message"].endswith("stored f")
+    doc["f"][7] = str(int(doc["f"][7]) + 1)
+    doc["s"] = 10**12
+    target.write_text(dumps(doc))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "3")
+    assert code == 2 and out == ""
+    assert "out of range" in json.loads(err)["error"]["message"]
+
+
+def test_power_past_the_str_digit_limit(capsys):
+    value = 3**9500  # 4,533 digits
+    code, out, _ = run(capsys, "power", jsonio._int_text(value))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["base"] == "3" and doc["exponent"] == 9500
+    code, _, err = run(capsys, "power", jsonio._int_text(value) + "/0x")
+    assert code == 2 and json.loads(err)["error"]["code"] == "validation"
+
+
+def test_long_decimal_arguments(capsys):
+    # long text that is not int or int/int is still read by Fraction
+    code, out, _ = run(capsys, "power", "0.25" + "0" * 700)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["base"] == "1/2" and doc["exponent"] == 2
+    code, out, _ = run(capsys, "oracle", "gamma", "--gamma", "-1.5" + "0" * 700, "--t-max", "6")
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv, kind", [

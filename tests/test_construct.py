@@ -185,3 +185,11 @@ def test_construct_degree_formula_and_pairs_property():
     art = construct(PowerSetInput.from_values(["4", "-8/27"]))
     assert art.pairs == ((-8, 27), (4, 1))
     assert art.f.degree == 2 * art.k * 2 + 1
+
+
+def test_construct_large_k_builds_with_fixed_point():
+    # k = 1008 and degree 2017: multiplying out g * h takes minutes at this size
+    b = Fraction(1, 1009**2)
+    art = construct(PowerSetInput((b,)))
+    assert art.k == 1008 and art.f.degree == 2017
+    assert art.g(b) == 1 and art.h(b) == b and art.f(b) == b

@@ -1,10 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from power_forge import jsonio
-from power_forge.construct import PowerSetInput, construct
+from power_forge.construct import PowerSetInput, ValidationError, construct
 from power_forge.oracles import scan_gamma_minus_pow2, search_catalan
 from power_forge.poly import IntPoly
 from power_forge.powers import PowerDecomposition, decompose_integer_power
@@ -165,3 +166,45 @@ def test_integers_past_the_str_digit_limit_roundtrip():
     assert jsonio.poly_from_json(data) == p
     dec = PowerDecomposition(Fraction(-big, 3**9000), 3)
     assert jsonio.decomposition_from_json(jsonio.decomposition_to_json(dec)) == dec
+
+
+def test_conversions_ignore_the_str_digit_limit(rng):
+    # 640 is the least nonzero limit Python accepts
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        values = [0, -1, 10**603 - 1, 10**603, -(10**1200), 10**2400 + 1]
+        for bits in (2001, 4000, 9000, 40000):
+            values.append(rng.getrandbits(bits) * rng.choice((1, -1)))
+        for n in values:
+            text = jsonio._int_text(n)
+            assert jsonio._parse_int(text) == n
+            q = Fraction(n, 3**700)
+            assert jsonio.parse_rational(jsonio._rational_text(q)) == q
+        sys.set_int_max_str_digits(0)
+        assert all(jsonio._int_text(n) == str(n) for n in values)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    with pytest.raises(ValueError):
+        jsonio._parse_int("1" * 700 + "_1")
+    with pytest.raises(ValueError):
+        jsonio.parse_rational("1" * 700 + "/-3")
+
+
+def test_artifacts_are_checked_against_their_recipe():
+    doc = jsonio.artifacts_to_json(construct(PowerSetInput.from_values(["9/25", "4"])))
+    assert jsonio.artifacts_from_json(doc).f.degree == doc["degree"]
+    for field in ("f", "g", "h"):
+        bad = dict(doc, **{field: list(doc[field])})
+        bad[field][1] = str(int(bad[field][1]) + 1)
+        with pytest.raises(ValidationError, match=f"stored {field}$"):
+            jsonio.artifacts_from_json(bad)
+    # a tampered k is refused by the degree of f, before any rebuild
+    with pytest.raises(ValidationError, match="degree"):
+        jsonio.artifacts_from_json(dict(doc, k=10**9))
+    with pytest.raises(ValidationError, match="stored f, h$"):  # g does not involve s
+        jsonio.artifacts_from_json(dict(doc, s=doc["s"] + 2))
+    # a tampered s is refused by the size of f's coefficients, before 2**s is built
+    for s in (10**12, -1):
+        with pytest.raises(ValidationError, match="out of range"):
+            jsonio.artifacts_from_json(dict(doc, s=s))

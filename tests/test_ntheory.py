@@ -11,6 +11,7 @@ from power_forge.ntheory import (
     normalize_rational,
     padic_valuation,
     primes_up_to,
+    strip_prime,
 )
 
 
@@ -152,3 +153,15 @@ def test_padic_valuation_strips_cleanly(rng):
         for p in (2, 3, 5, 7):
             v = padic_valuation(q, p)
             assert padic_valuation(q / Fraction(p) ** v, p) == 0
+
+
+def test_strip_prime_against_repeated_division(rng):
+    for p in (2, 3, 5, 7, 13, 1009):
+        for _ in range(60):
+            v = rng.choice((0, 1, 2, rng.randint(3, 300), rng.randint(300, 3000)))
+            r = rng.randint(1, 10**30) * rng.choice((1, -1))
+            while r % p == 0:
+                r //= p
+            assert strip_prime(p**v * r, p) == (v, r), (p, v)
+    with pytest.raises(ValueError):
+        strip_prime(0, 3)

@@ -69,6 +69,32 @@ def test_power_matches_repeated_multiplication(rng):
         IntPoly([1, 1]) ** -1
 
 
+def _power_by_repeated_product(p, n):
+    out = IntPoly([1])
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def test_miller_power_matches_repeated_product(rng):
+    # Miller's recurrence against the schoolbook product, including zero
+    # constant terms (the recurrence divides by the lowest nonzero coefficient)
+    for degree in range(5):
+        for _ in range(6):
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))]
+            if rng.random() < 0.4:
+                coeffs[0] = 0
+            p = IntPoly(coeffs)
+            for n in range(41):
+                assert p**n == _power_by_repeated_product(p, n), (coeffs, n)
+    for n in range(41):
+        assert IntPoly() ** n == _power_by_repeated_product(IntPoly(), n)
+    assert IntPoly() ** 0 == IntPoly([1]) and IntPoly() ** 3 == IntPoly()
+    assert IntPoly([0, 0, 1]) ** 5 == IntPoly.monomial(10)
+    with pytest.raises(ValueError):
+        IntPoly() ** -1
+
+
 def test_evaluation_at_fractions_is_exact():
     p = IntPoly([1, 0, 1])  # X^2 + 1
     assert p(Fraction(1, 2)) == Fraction(5, 4)

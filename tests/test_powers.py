@@ -165,6 +165,27 @@ def test_decompose_matches_sympy_perfect_power(rng):
             assert got == PowerDecomposition(Fraction(int(base.p), int(base.q)), exponent), value
 
 
+def test_large_small_prime_valuations_match_sympy(rng, monkeypatch):
+    # the valuations of 2, 3 and 5 are counted with O(log v) divisions
+    sympy = pytest.importorskip("sympy")
+    # keep the residue tables these large values build out of the shared cache
+    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    values = [2**1997 * (rng.randint(3, 10**6) | 1), 3**1200, 2**1200 * 3**600 * 5**300]
+    for _ in range(4):
+        a, b, c = rng.randint(1, 900), rng.randint(1, 600), rng.randint(1, 400)
+        values.append(2**a * 3**b * 5**c)
+    for base in list(values):
+        for p in (2, 3, 5, 7):
+            values.append(base**p)
+    for value in [v + d for v in values for d in (-1, 0, 1)]:
+        got = decompose_integer_power(value)
+        want = sympy.perfect_power(value)
+        if want is False:
+            assert got is None, value
+        else:
+            assert got == PowerDecomposition(Fraction(int(want[0])), want[1]), value
+
+
 def test_residue_sieve_passes_every_true_power(rng):
     for p in EXPONENTS + [1009]:
         for _ in range(40):

@@ -18,7 +18,6 @@ from .construct import (
     ValidationError,
     compute_k,
     construct,
-    construct_integer,
     element_pairs,
     find_deltas,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "VerificationReport",
     "compute_k",
     "construct",
-    "construct_integer",
     "decompose_integer_power",
     "decompose_rational_power",
     "element_pairs",

@@ -220,10 +220,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     x = _parse_fraction(args.x)
     rec = trace_quantities(element_pairs(inp), x, args.k)
     used_stdout = _emit(jsonio.trace_to_json(rec), None)
+    at = jsonio.rational_text(x)
     if rec.ok:
-        _summary(f"trace ok at x={x}", used_stdout)
+        _summary(f"trace ok at x={at}", used_stdout)
         return 0
-    _summary(f"trace FAILED at x={x}: {', '.join(rec.failed_checks())}", used_stdout)
+    _summary(f"trace FAILED at x={at}: {', '.join(rec.failed_checks())}", used_stdout)
     return 1
 
 
@@ -241,66 +242,52 @@ def _expectation_gate(sol, expected) -> int:
     return 1
 
 
+# searches: oracle -> (search, expected solution set), both functions of args;
+# only these read POWER_FORGE_WORKERS, and only where there is --workers
+_SEARCHES = {
+    "lebesgue": (
+        lambda a: oracles.search_lebesgue(a.bound, a.n_max, workers=_resolve_workers(a.workers)),
+        lambda a: oracles.lebesgue_expected(a.bound, a.n_max),
+    ),
+    "catalan": (
+        lambda a: oracles.search_catalan(a.base_bound, a.exp_bound),
+        lambda a: oracles.catalan_expected(a.base_bound, a.exp_bound),
+    ),
+    "fermat": (
+        lambda a: oracles.search_fermat_quartic(
+            a.bound, a.n_max, variant=a.variant, workers=_resolve_workers(a.workers)
+        ),
+        lambda a: oracles.fermat_quartic_expected(a.bound, a.n_max, variant=a.variant),
+    ),
+}
+
+# power scans: oracle -> (sequence label, rational parameters in order, scan);
+# every function is looked up in oracles at call time, as a tracer that
+# rebinds module attributes (bench/layers.py) expects
+_SCANS = {
+    "recurrence": (
+        "a*alpha^t + b*beta^t",
+        ("a", "b", "alpha", "beta"),
+        lambda *p: oracles.scan_recurrence_powers(*p),
+    ),
+    "gamma": ("gamma - 2^t", ("gamma",), lambda *p: oracles.scan_gamma_minus_pow2(*p)),
+}
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    kind = args.oracle
-    if kind == "lebesgue":
-        workers = _resolve_workers(args.workers)
-        sol = oracles.search_lebesgue(args.bound, args.n_max, workers=workers)
+    if args.oracle in _SEARCHES:
+        search, expected = _SEARCHES[args.oracle]
+        sol = search(args)
         used_stdout = _emit(jsonio.solutions_to_json(sol), None)
         _summary(f"{sol.equation}: {len(sol.solutions)} solutions in box", used_stdout)
-        if args.expect:
-            return _expectation_gate(sol, oracles.lebesgue_expected(args.bound, args.n_max))
-        return 0
-    if kind == "catalan":
-        sol = oracles.search_catalan(args.base_bound, args.exp_bound)
-        used_stdout = _emit(jsonio.solutions_to_json(sol), None)
-        _summary(f"{sol.equation}: {len(sol.solutions)} solutions in box", used_stdout)
-        if args.expect:
-            return _expectation_gate(
-                sol, oracles.catalan_expected(args.base_bound, args.exp_bound)
-            )
-        return 0
-    if kind == "fermat":
-        workers = _resolve_workers(args.workers)
-        sol = oracles.search_fermat_quartic(
-            args.bound, args.n_max, variant=args.variant, workers=workers
-        )
-        used_stdout = _emit(jsonio.solutions_to_json(sol), None)
-        _summary(f"{sol.equation}: {len(sol.solutions)} solutions in box", used_stdout)
-        if args.expect:
-            return _expectation_gate(
-                sol,
-                oracles.fermat_quartic_expected(args.bound, args.n_max, variant=args.variant),
-            )
-        return 0
-    if kind == "recurrence":
-        hits = oracles.scan_recurrence_powers(
-            _parse_fraction(args.a),
-            _parse_fraction(args.b),
-            _parse_fraction(args.alpha),
-            _parse_fraction(args.beta),
-            args.t_max,
-        )
-        params = {
-            "a": args.a,
-            "b": args.b,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "t_max": args.t_max,
-        }
-        used_stdout = _emit(
-            jsonio.power_hits_to_json(hits, "a*alpha^t + b*beta^t", params), None
-        )
-        _summary(f"{len(hits)} perfect powers among t <= {args.t_max}", used_stdout)
-        return 0
-    if kind == "gamma":
-        gamma = _parse_fraction(args.gamma)
-        hits = oracles.scan_gamma_minus_pow2(gamma, args.t_max)
-        params = {"gamma": args.gamma, "t_max": args.t_max}
-        used_stdout = _emit(jsonio.power_hits_to_json(hits, "gamma - 2^t", params), None)
-        _summary(f"{len(hits)} perfect powers among t <= {args.t_max}", used_stdout)
-        return 0
-    raise ValidationError(f"unknown oracle {kind!r}")  # pragma: no cover
+        return _expectation_gate(sol, expected(args)) if args.expect else 0
+    sequence, names, scan = _SCANS[args.oracle]
+    params = {name: getattr(args, name) for name in names}
+    hits = scan(*[_parse_fraction(text) for text in params.values()], args.t_max)
+    params["t_max"] = args.t_max
+    used_stdout = _emit(jsonio.power_hits_to_json(hits, sequence, params), None)
+    _summary(f"{len(hits)} perfect powers among t <= {args.t_max}", used_stdout)
+    return 0
 
 
 def _cmd_power(args: argparse.Namespace) -> int:

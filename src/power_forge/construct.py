@@ -64,7 +64,6 @@ __all__ = [
     "build_g_h_f",
     "check_recipe",
     "construct",
-    "construct_integer",
 ]
 
 VARIANTS = ("rational", "integer")
@@ -98,7 +97,9 @@ DEFAULT_POLICY = SelectionPolicy()
 
 
 def _format_values(values: Iterable[Fraction]) -> str:
-    return ", ".join(str(v) for v in values)
+    from .jsonio import rational_text  # jsonio imports this module
+
+    return ", ".join(rational_text(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -291,12 +292,15 @@ class ConstructionArtifacts:
 def check_recipe(art: ConstructionArtifacts) -> None:
     """Raise ValidationError unless the stored f, g and h are those of k and s.
 
-    Artifacts without k and s have no recipe and pass.  Two cheap tests
-    refuse a tampered k or s before anything is built: deg f must be
-    2k|S| + 1, and s must be below the bit length of the largest
-    coefficient of f.  The second holds for every genuine k (k is even):
-    with P = X**z R and R(0) != 0, the X**(zk) coefficient of f is
-    -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when z = 0.
+    Artifacts without k and s have no recipe and pass.  Cheap tests
+    refuse a tampered k or s before anything is built: the integer
+    variant has k = 2 and s = 0; a rational k must be a multiple of
+    ``compute_k``, since the theorem needs p - 1 | k for every prime p in
+    a denominator; deg f must be 2k|S| + 1; and s must be below the bit
+    length of the largest coefficient of f.  The last holds for every
+    genuine k (k is even): with P = X**z R and R(0) != 0, the X**(zk)
+    coefficient of f is -2**s R(0)**k when z > 0 and
+    -2**s R(0)**k (R(0)**k + 1) when z = 0.
     Then f, g and h are rebuilt and compared; the error names the fields
     that differ.
     """
@@ -304,6 +308,11 @@ def check_recipe(art: ConstructionArtifacts) -> None:
     if k is None or s is None:
         return
     recipe = f"the recipe of k={k}, s={s}"
+    if art.input.variant == "integer":
+        if (k, s) != (2, 0):
+            raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
+    elif k % (canonical := compute_k(art.pairs)):
+        raise ValidationError(f"stored k={k} is not a multiple of the canonical k={canonical}")
     if k < 1 or art.f.degree != 2 * k * len(art.input) + 1:
         raise ValidationError(f"stored f has degree {art.f.degree}, not that of {recipe}")
     bits = max(abs(c).bit_length() for c in art.f.coeffs)
@@ -316,12 +325,6 @@ def check_recipe(art: ConstructionArtifacts) -> None:
     wrong = [name for name, (was, built) in stored.items() if was is not None and was != built]
     if wrong:
         raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
-
-
-def construct_integer(values: Iterable[int]) -> tuple[IntPoly, IntPoly, IntPoly]:
-    """The squared-factor construction for a nonempty integer set."""
-    pairs = tuple((int(b), 1) for b in values)
-    return build_g_h_f(pairs, k=2, s=0)
 
 
 def construct(

@@ -37,6 +37,7 @@ __all__ = [
     "SCHEMA",
     "dumps",
     "parse_rational",
+    "rational_text",
     "poly_to_json",
     "poly_from_json",
     "decomposition_to_json",
@@ -114,7 +115,7 @@ def _parse_int(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)`` at any size: the inverse of ``_rational_text``.
+    """``Fraction(text)`` at any size: the inverse of ``rational_text``.
 
     Long text of the form ``int`` or ``int/int`` is read without the
     ``int()`` digit limit; everything else goes to ``Fraction`` itself.
@@ -129,7 +130,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _rational_text(q: Fraction | int) -> str:
+def rational_text(q: Fraction | int) -> str:
     """``str(Fraction(q))`` at any size."""
     q = Fraction(q)
     text = _int_text(q.numerator)
@@ -152,7 +153,7 @@ def poly_from_json(data: list[str]) -> IntPoly:
 def decomposition_to_json(dec: Optional[PowerDecomposition]) -> Optional[dict]:
     if dec is None:
         return None
-    return {"base": _rational_text(dec.base), "exponent": dec.exponent}
+    return {"base": rational_text(dec.base), "exponent": dec.exponent}
 
 
 def decomposition_from_json(obj: Optional[dict]) -> Optional[PowerDecomposition]:
@@ -163,7 +164,7 @@ def decomposition_from_json(obj: Optional[dict]) -> Optional[PowerDecomposition]
 
 def _estimate_to_json(e: CapacityEstimate) -> dict:
     return {
-        "gamma": _rational_text(e.gamma),
+        "gamma": rational_text(e.gamma),
         "log2_bound": e.log2_bound,
         "last_power_index": e.last_power_index,
         "value": e.value,
@@ -186,11 +187,11 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
         "schema": SCHEMA,
         "kind": "construction",
         "variant": art.input.variant,
-        "elements": [_rational_text(e) for e in art.input.elements],
+        "elements": [rational_text(e) for e in art.input.elements],
         "k": art.k,
         "kappa": art.kappa,
         "s": art.s,
-        "deltas": None if art.deltas is None else [_rational_text(d) for d in art.deltas],
+        "deltas": None if art.deltas is None else [rational_text(d) for d in art.deltas],
         "capacity_estimates": None
         if art.estimates is None
         else [_estimate_to_json(e) for e in art.estimates],
@@ -235,8 +236,8 @@ def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
 
 def _hit_to_json(h: Hit) -> dict:
     return {
-        "x": _rational_text(h.x),
-        "value": _rational_text(h.value),
+        "x": rational_text(h.x),
+        "value": rational_text(h.value),
         "power": decomposition_to_json(h.power),
     }
 
@@ -251,7 +252,7 @@ def report_to_json(rep: VerificationReport) -> dict:
         "verdict": rep.verdict,
         "hits": [_hit_to_json(h) for h in rep.hits],
         "extras": [_hit_to_json(h) for h in rep.extras],
-        "missing": [_rational_text(b) for b in rep.missing],
+        "missing": [rational_text(b) for b in rep.missing],
         "notes": rep.notes,
     }
 
@@ -260,7 +261,7 @@ def trace_to_json(rec: TraceRecord) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "trace",
-        "x": _rational_text(rec.x),
+        "x": rational_text(rec.x),
         "k": rec.k,
         "u": _int_text(rec.u),
         "v": _int_text(rec.v),
@@ -268,14 +269,7 @@ def trace_to_json(rec: TraceRecord) -> dict:
         "B": _int_text(rec.B),
         "w": _int_text(rec.w),
         "power_sum": _int_text(rec.power_sum),
-        "checks": {
-            "coprime_pair": rec.coprime_pair_ok,
-            "gcd_power_of_two": rec.gcd_power_of_two_ok,
-            "small_sum_trivial": rec.small_sum_trivial_ok,
-            "value_identity": rec.value_identity_ok,
-            "mod_four": rec.mod_four_ok,
-            "zero_iff_member": rec.zero_iff_member_ok,
-        },
+        "checks": dict(rec.checks),
         "ok": rec.ok,
     }
 
@@ -303,7 +297,7 @@ def power_hits_to_json(hits: tuple[PowerHit, ...], sequence: str, params: dict) 
         "hits": [
             {
                 "index": h.index,
-                "value": _rational_text(h.value),
+                "value": rational_text(h.value),
                 "power": decomposition_to_json(h.power),
             }
             for h in hits
@@ -315,9 +309,9 @@ def power_query_to_json(value: Fraction, dec: Optional[PowerDecomposition]) -> d
     return {
         "schema": SCHEMA,
         "kind": "power",
-        "value": _rational_text(value),
+        "value": rational_text(value),
         "is_power": dec is not None,
-        "base": None if dec is None else _rational_text(dec.base),
+        "base": None if dec is None else rational_text(dec.base),
         "exponent": None if dec is None else dec.exponent,
     }
 

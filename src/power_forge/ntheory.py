@@ -15,7 +15,6 @@ from math import gcd, isqrt
 from random import Random
 
 __all__ = [
-    "normalize_rational",
     "integer_nth_root",
     "is_prime",
     "factor_integer",
@@ -24,19 +23,6 @@ __all__ = [
     "strip_prime",
     "primes_up_to",
 ]
-
-
-def normalize_rational(num: int, den: int) -> Fraction:
-    """Return num/den in lowest terms with positive denominator.
-
-    >>> normalize_rational(6, -4)
-    Fraction(-3, 2)
-    >>> normalize_rational(0, 7)
-    Fraction(0, 1)
-    """
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 def integer_nth_root(n: int, e: int) -> tuple[int, bool]:

@@ -15,7 +15,6 @@ powers in a binary recurrence, and perfect powers among gamma - 2^t.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -63,7 +62,7 @@ class PowerHit:
     power: PowerDecomposition
 
 
-def _split_range(start: int, stop: int, parts: int) -> list[range]:
+def split_range(start: int, stop: int, parts: int) -> list[range]:
     """Split range(start, stop) into <= parts contiguous nonempty chunks."""
     total = stop - start
     parts = max(1, min(parts, total)) if total > 0 else 1
@@ -78,11 +77,20 @@ def _split_range(start: int, stop: int, parts: int) -> list[range]:
     return chunks
 
 
-def _map_chunks(worker, payloads, workers: int):
+def map_chunks(worker, payloads, workers: int):
+    """Yield worker(p) for each payload, in payload order.
+
+    More than one worker and payload runs them in a process pool; the
+    pool's module is imported only then, so commands that never start
+    one do not load ``multiprocessing``.
+    """
     if workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        yield from map(worker, payloads)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+        yield from pool.map(worker, payloads)
 
 
 # -- X^2 + 1 = Y^n -----------------------------------------------------------
@@ -113,9 +121,9 @@ def search_lebesgue(x_bound: int, n_max: int, workers: int = 1) -> SolutionList:
     """All (X, Y, n) with X^2 + 1 = Y^n, |X| <= x_bound, 2 <= n <= n_max."""
     if x_bound < 0 or n_max < 2:
         raise ValueError("need x_bound >= 0 and n_max >= 2")
-    chunks = _split_range(0, x_bound + 1, workers)
+    chunks = split_range(0, x_bound + 1, workers)
     found: list[tuple[int, int, int]] = []
-    for part in _map_chunks(_lebesgue_chunk, [(c, n_max) for c in chunks], workers):
+    for part in map_chunks(_lebesgue_chunk, [(c, n_max) for c in chunks], workers):
         found.extend(part)
     return SolutionList(
         equation="X^2 + 1 = Y^n",
@@ -226,10 +234,10 @@ def search_fermat_quartic(
     if ab_bound < 1 or n_max < n_min:
         raise ValueError(f"need ab_bound >= 1 and n_max >= {n_min} for {variant!r}")
     nonzero = variant == "24n"
-    chunks = _split_range(0, ab_bound + 1, workers)
+    chunks = split_range(0, ab_bound + 1, workers)
     payloads = [(c, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero) for c in chunks]
     found: list[tuple[int, int, int, int]] = []
-    for part in _map_chunks(_fermat_chunk, payloads, workers):
+    for part in map_chunks(_fermat_chunk, payloads, workers):
         found.extend(part)
     return SolutionList(
         equation=equation,

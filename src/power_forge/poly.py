@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .ntheory import divisors
 
@@ -56,10 +56,6 @@ class IntPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int, c: int = 1) -> "IntPoly":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
@@ -85,9 +81,6 @@ class IntPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
@@ -104,25 +97,6 @@ class IntPoly:
     def __reduce__(self):
         # default pickling would setattr into the frozen instance
         return (IntPoly, (self.coeffs,))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}X" if i == 1 else f"{mag}X^{i}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
     # -- ring operations -------------------------------------------------
 
@@ -244,14 +218,6 @@ class IntPoly:
             vp *= v
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
 
 def rational_roots(p: IntPoly) -> list[Fraction]:

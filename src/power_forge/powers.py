@@ -109,9 +109,6 @@ class PowerDecomposition:
     def value(self) -> Fraction:
         return self.base**self.exponent
 
-    def is_integral(self) -> bool:
-        return self.base.denominator == 1
-
 
 def _candidate_prime_exponents(m: int) -> list[int]:
     """Primes p that could divide the maximal exponent of |m| >= 2, ascending.

@@ -19,13 +19,13 @@ defining product directly.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
 from .construct import ConstructionArtifacts, compute_k
+from .oracles import map_chunks, split_range
 from .poly import IntPoly
 from .powers import (
     PowerDecomposition,
@@ -38,7 +38,6 @@ __all__ = [
     "VerificationReport",
     "TraceRecord",
     "InvariantViolation",
-    "TRACE_CHECKS",
     "rational_height",
     "enumerate_rationals",
     "verify_polynomial",
@@ -108,10 +107,10 @@ class VerificationReport:
 
 
 def _scan_rational_chunk(payload) -> tuple[int, list[Hit]]:
-    f, v_start, v_step, height = payload
+    f, vs, height = payload
     count = 0
     hits: list[Hit] = []
-    for v in range(v_start, height + 1, v_step):
+    for v in vs:
         vd = v ** max(f.degree, 0)
         for u in range(-height, height + 1):
             if gcd(u, v) != 1:
@@ -135,43 +134,6 @@ def _scan_integer_chunk(payload) -> tuple[int, list[Hit]]:
         if dec is not None:
             hits.append(Hit(x=Fraction(x), value=Fraction(y), power=dec))
     return count, hits
-
-
-def _split_even(start: int, stop: int, parts: int) -> list[range]:
-    total = stop - start
-    parts = max(1, min(parts, total)) if total > 0 else 1
-    step, extra = divmod(total, parts)
-    out, lo = [], start
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        if hi > lo:
-            out.append(range(lo, hi))
-        lo = hi
-    return out
-
-
-def _run_chunks(worker, payloads, workers: int, progress: bool):
-    results = []
-    if workers <= 1 or len(payloads) <= 1:
-        for i, p in enumerate(payloads):
-            results.append(worker(p))
-            if progress:
-                print(
-                    f"[scan] chunk {i + 1}/{len(payloads)} done "
-                    f"(points={results[-1][0]}, hits={len(results[-1][1])})",
-                    file=sys.stderr,
-                )
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(worker, payloads)):
-                results.append(res)
-                if progress:
-                    print(
-                        f"[scan] chunk {i + 1}/{len(payloads)} done "
-                        f"(points={res[0]}, hits={len(res[1])})",
-                        file=sys.stderr,
-                    )
-    return results
 
 
 def verify_polynomial(
@@ -198,18 +160,26 @@ def verify_polynomial(
         raise ValueError("bound must be >= 1")
     targets = tuple(sorted(Fraction(e) for e in elements))
     if variant == "rational":
-        nchunks = workers if workers > 1 else 1
-        payloads = [(f, 1 + i, nchunks, bound) for i in range(min(nchunks, bound))]
-        results = _run_chunks(_scan_rational_chunk, payloads, workers, progress)
+        n = min(max(workers, 1), bound)
+        worker = _scan_rational_chunk
+        payloads = [(f, range(1 + i, bound + 1, n), bound) for i in range(n)]
         in_window = [b for b in targets if rational_height(b) <= bound]
     else:
         bad = [b for b in targets if b.denominator != 1]
         if bad:
             raise ValueError(f"integer-variant scan with non-integer targets: {bad}")
-        ranges = _split_even(-bound, bound + 1, workers if workers > 1 else 1)
-        payloads = [(f, r) for r in ranges]
-        results = _run_chunks(_scan_integer_chunk, payloads, workers, progress)
+        worker = _scan_integer_chunk
+        payloads = [(f, r) for r in split_range(-bound, bound + 1, workers)]
         in_window = [b for b in targets if abs(b) <= bound]
+    results = []
+    for i, res in enumerate(map_chunks(worker, payloads, workers), 1):
+        results.append(res)
+        if progress:
+            print(
+                f"[scan] chunk {i}/{len(payloads)} done "
+                f"(points={res[0]}, hits={len(res[1])})",
+                file=sys.stderr,
+            )
     points = sum(r[0] for r in results)
     hits = sorted(
         (h for r in results for h in r[1]),
@@ -262,24 +232,15 @@ def verify_construction(
 
 # -- trace invariants ------------------------------------------------------
 
-TRACE_CHECKS = (
-    "coprime_pair",
-    "gcd_power_of_two",
-    "small_sum_trivial",
-    "value_identity",
-    "mod_four",
-    "zero_iff_member",
-)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """Integer bookkeeping for g at one rational point x = u/v.
 
     A is the product of (c_i u - a_i v); splitting gcd(A, v**m) off both
     A and v**m leaves the coprime pair (B, w) with
-    g(x) = (B**k + w**k) / w**k in lowest terms.  The six booleans are
-    the invariants the construction guarantees at every rational point.
+    g(x) = (B**k + w**k) / w**k in lowest terms.  ``checks`` maps each of
+    the six invariants the construction guarantees at every rational
+    point, in a fixed order, to whether it holds here.
     """
 
     x: Fraction
@@ -290,27 +251,14 @@ class TraceRecord:
     B: int
     w: int
     power_sum: int
-    coprime_pair_ok: bool
-    gcd_power_of_two_ok: bool
-    small_sum_trivial_ok: bool
-    value_identity_ok: bool
-    mod_four_ok: bool
-    zero_iff_member_ok: bool
+    checks: dict[str, bool]
 
     @property
     def ok(self) -> bool:
-        return not self.failed_checks()
+        return all(self.checks.values())
 
     def failed_checks(self) -> tuple[str, ...]:
-        flags = (
-            self.coprime_pair_ok,
-            self.gcd_power_of_two_ok,
-            self.small_sum_trivial_ok,
-            self.value_identity_ok,
-            self.mod_four_ok,
-            self.zero_iff_member_ok,
-        )
-        return tuple(name for name, good in zip(TRACE_CHECKS, flags) if not good)
+        return tuple(name for name, good in self.checks.items() if not good)
 
 
 class InvariantViolation(RuntimeError):
@@ -369,12 +317,14 @@ def trace_quantities(
         B=B,
         w=w,
         power_sum=power_sum,
-        coprime_pair_ok=gcd(B, w) == 1 and w >= 1,
-        gcd_power_of_two_ok=shared == 1,
-        small_sum_trivial_ok=power_sum not in (1, 2) or (abs(B) <= 1 and w == 1),
-        value_identity_ok=Fraction(power_sum, w**k) == gx,
-        mod_four_ok=power_sum % 4 in (1, 2),
-        zero_iff_member_ok=(A == 0) == (x in members),
+        checks={
+            "coprime_pair": gcd(B, w) == 1 and w >= 1,
+            "gcd_power_of_two": shared == 1,
+            "small_sum_trivial": power_sum not in (1, 2) or (abs(B) <= 1 and w == 1),
+            "value_identity": Fraction(power_sum, w**k) == gx,
+            "mod_four": power_sum % 4 in (1, 2),
+            "zero_iff_member": (A == 0) == (x in members),
+        },
     )
 
 

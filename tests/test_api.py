@@ -1,0 +1,48 @@
+"""The public surface: exported names, the names the benchmark's tracer
+wraps, and what importing the command line loads."""
+
+import importlib
+import importlib.util
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import power_forge
+
+MODULES = ["power_forge"] + [
+    f"power_forge.{info.name}" for info in pkgutil.iter_modules(power_forge.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # bench/layers.py imports nothing from power_forge, so it loads by path
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for layer, (module_name, attrs) in layers.LAYERS.items():
+        module = importlib.import_module(module_name)
+        for attr in attrs:
+            owner, _, name = attr.rpartition(".")
+            holder = vars(getattr(module, owner)) if owner else vars(module)
+            assert name in holder, (layer, attr)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(power_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, power_forge.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

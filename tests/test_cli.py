@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from power_forge import jsonio
 from power_forge.cli import _expectation_gate, main
-from power_forge.construct import ConstructionArtifacts, PowerSetInput
+from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
 from power_forge.jsonio import artifacts_to_json, dumps
 from power_forge.oracles import search_catalan
 from power_forge.poly import IntPoly
@@ -218,6 +219,29 @@ def test_workers_env(capsys, monkeypatch):
                "--bound", "50")[0] == 2
 
 
+def test_worker_env_is_read_only_by_oracles_with_workers(capsys, monkeypatch):
+    monkeypatch.setenv("POWER_FORGE_WORKERS", "abc")
+    assert run(capsys, "oracle", "catalan", "--base-bound", "10", "--exp-bound", "4")[0] == 0
+    assert run(capsys, "oracle", "recurrence", "--a", "1", "--b", "-1", "--alpha", "3",
+               "--beta", "2", "--t-max", "6")[0] == 0
+    assert run(capsys, "oracle", "gamma", "--gamma", "17", "--t-max", "6")[0] == 0
+    code, _, err = run(capsys, "oracle", "lebesgue", "--bound", "10", "--n-max", "4")
+    assert code == 2 and "POWER_FORGE_WORKERS" in json.loads(err)["error"]["message"]
+
+
+def test_verify_progress_prints_one_line_per_chunk_in_order(capsys):
+    code, out, err = run(capsys, "verify", "--set", "9/25", "--height", "12",
+                         "--workers", "2", "--progress")
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith("[scan]")]
+    assert [line.split(" (")[0] for line in lines] == [
+        "[scan] chunk 1/2 done",
+        "[scan] chunk 2/2 done",
+    ]
+    points = sum(int(line.split("points=")[1].split(",")[0]) for line in lines)
+    assert points == json.loads(out)["points_scanned"]
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -287,3 +311,27 @@ def test_values_with_a_leading_minus(capsys, argv, kind):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["kind"] == kind
+
+
+def test_messages_print_values_past_the_str_digit_limit(capsys):
+    big = jsonio._int_text(3**9500)  # 4,533 digits
+    code, out, err = run(capsys, "trace", "--set", "9/25", "--x", f"1/{big}")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert err == f"trace ok at x=1/{big}\n"
+    code, _, err = run(capsys, "construct", "--set", f"2/{big}")
+    assert code == 2
+    assert json.loads(err)["error"]["message"].startswith("not perfect powers")
+
+
+def test_verify_artifacts_refuses_a_non_canonical_k(capsys, tmp_path):
+    art = construct(PowerSetInput.from_values(["1/49"]))
+    assert art.k == 12
+    paths = {}
+    for k in (8, 24):
+        g, h, f = build_g_h_f(art.pairs, k, art.s)
+        paths[k] = tmp_path / f"k{k}.json"
+        paths[k].write_text(dumps(artifacts_to_json(replace(art, k=k, f=f, g=g, h=h))))
+    code, _, err = run(capsys, "verify", "--artifacts", str(paths[8]), "--height", "5")
+    assert code == 2 and "k=8" in json.loads(err)["error"]["message"]
+    code, out, _ = run(capsys, "verify", "--artifacts", str(paths[24]), "--height", "5")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"

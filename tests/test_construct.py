@@ -12,7 +12,6 @@ from power_forge.construct import (
     build_root_product,
     compute_k,
     construct,
-    construct_integer,
     element_pairs,
     estimate_capacity,
     find_deltas,
@@ -158,7 +157,6 @@ def test_construct_integer_variant():
     assert art.deltas is None and art.estimates is None
     for b in (4, 8, 36):
         assert art.f(b) == b
-    assert construct_integer([4, 8, 36])[2] == art.f
 
 
 def test_construct_empty_set():

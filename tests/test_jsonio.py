@@ -99,14 +99,14 @@ def test_trace_document_uses_strings_for_big_integers():
     assert doc["power_sum"] == "2417" and doc["A"] == "7"
     assert doc["k"] == 4
     assert doc["ok"] is True
-    assert set(doc["checks"]) == {
+    assert list(doc["checks"]) == [
         "coprime_pair",
         "gcd_power_of_two",
         "small_sum_trivial",
         "value_identity",
         "mod_four",
         "zero_iff_member",
-    }
+    ]
 
 
 def test_solutions_document():
@@ -180,7 +180,7 @@ def test_conversions_ignore_the_str_digit_limit(rng):
             text = jsonio._int_text(n)
             assert jsonio._parse_int(text) == n
             q = Fraction(n, 3**700)
-            assert jsonio.parse_rational(jsonio._rational_text(q)) == q
+            assert jsonio.parse_rational(jsonio.rational_text(q)) == q
         sys.set_int_max_str_digits(0)
         assert all(jsonio._int_text(n) == str(n) for n in values)
     finally:
@@ -208,3 +208,11 @@ def test_artifacts_are_checked_against_their_recipe():
     for s in (10**12, -1):
         with pytest.raises(ValidationError, match="out of range"):
             jsonio.artifacts_from_json(dict(doc, s=s))
+    # k must be a multiple of the canonical k, and the integer variant has k=2, s=0
+    with pytest.raises(ValidationError, match="k=6"):
+        jsonio.artifacts_from_json(dict(doc, k=6))
+    doc = jsonio.artifacts_to_json(construct(PowerSetInput.from_values([4, 8], "integer")))
+    assert jsonio.artifacts_from_json(doc).k == 2
+    for k, s in ((4, 0), (2, 1)):
+        with pytest.raises(ValidationError, match=f"not k={k}, s={s}"):
+            jsonio.artifacts_from_json(dict(doc, k=k, s=s))

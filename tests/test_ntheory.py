@@ -8,7 +8,6 @@ from power_forge.ntheory import (
     factor_integer,
     integer_nth_root,
     is_prime,
-    normalize_rational,
     padic_valuation,
     primes_up_to,
     strip_prime,
@@ -48,14 +47,6 @@ def test_is_prime_known_values():
     # beyond the deterministic base-set range
     assert is_prime(10**25 + 13)
     assert not is_prime((10**25 + 13) * (10**25 + 57))
-
-
-def test_normalize_rational():
-    assert normalize_rational(6, -4) == Fraction(-3, 2)
-    assert normalize_rational(0, 7) == 0
-    assert normalize_rational(-10, -5) == 2
-    with pytest.raises(ZeroDivisionError):
-        normalize_rational(1, 0)
 
 
 def test_integer_nth_root_exact_roundtrip(rng):

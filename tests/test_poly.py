@@ -23,7 +23,6 @@ def test_construction_trims_and_validates():
 
 
 def test_constructors():
-    assert IntPoly.constant(7).coeffs == (7,)
     assert IntPoly.monomial(3).coeffs == (0, 0, 0, 1)
     assert IntPoly.monomial(0, 5).coeffs == (5,)
     assert IntPoly.linear(25, 9).coeffs == (-9, 25)  # 25 X - 9
@@ -113,20 +112,9 @@ def test_eval_pair_is_homogeneous(rng):
     assert IntPoly().eval_pair(3, 4) == 0
 
 
-def test_derivative_and_content():
-    p = IntPoly([1, 2, 3])
-    assert p.derivative() == IntPoly([2, 6])
-    assert IntPoly([5]).derivative() == IntPoly()
-    assert IntPoly([6, 9, 12]).content() == 3
-    assert IntPoly().content() == 0
-
-
 def test_lead_and_str():
     p = IntPoly([-9, 0, 25])
     assert p.lead == 25
-    assert str(p) == "25*X^2 - 9"
-    assert str(IntPoly()) == "0"
-    assert str(IntPoly([0, -1])) == "-X"
     assert "IntPoly" in repr(p)
     with pytest.raises(ValueError):
         IntPoly().lead

@@ -21,7 +21,7 @@ from .construct import (
     element_pairs,
     find_deltas,
 )
-from .ntheory import factor_integer, integer_nth_root, is_prime, padic_valuation
+from .ntheory import factor_integer, integer_nth_root, is_prime
 from .oracles import (
     PowerHit,
     SolutionList,
@@ -36,7 +36,6 @@ from .powers import (
     PowerDecomposition,
     decompose_integer_power,
     decompose_rational_power,
-    is_integer_perfect_power,
     is_rational_perfect_power,
 )
 from .verify import (
@@ -44,7 +43,6 @@ from .verify import (
     InvariantViolation,
     TraceRecord,
     VerificationReport,
-    enumerate_rationals,
     ensure_trace,
     rational_height,
     trace_quantities,
@@ -75,14 +73,11 @@ __all__ = [
     "decompose_rational_power",
     "element_pairs",
     "ensure_trace",
-    "enumerate_rationals",
     "factor_integer",
     "find_deltas",
     "integer_nth_root",
-    "is_integer_perfect_power",
     "is_prime",
     "is_rational_perfect_power",
-    "padic_valuation",
     "rational_height",
     "rational_roots",
     "scan_gamma_minus_pow2",

@@ -34,7 +34,7 @@ from .construct import (
     construct,
     element_pairs,
 )
-from .powers import decompose_integer_power, decompose_rational_power
+from .powers import decompose_rational_power
 from .verify import trace_quantities, verify_construction
 
 PROG = "power-forge"
@@ -292,10 +292,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_power(args: argparse.Namespace) -> int:
     value = _parse_fraction(args.value)
-    if value.denominator == 1:
-        dec = decompose_integer_power(value.numerator)
-    else:
-        dec = decompose_rational_power(value)
+    dec = decompose_rational_power(value)
     _emit(jsonio.power_query_to_json(value, dec), None)
     return 0 if dec is not None else 1
 

@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Union
 from .ntheory import factor_integer
 from .oracles import scan_gamma_minus_pow2
 from .poly import IntPoly, rational_roots
-from .powers import is_integer_perfect_power, is_rational_perfect_power
+from .powers import is_rational_perfect_power
 
 __all__ = [
     "ValidationError",
@@ -125,9 +125,7 @@ class PowerSetInput:
                 raise ValidationError(
                     f"integer variant requires integers, got: {_format_values(broken)}"
                 )
-            non_powers = [e for e in elems if not is_integer_perfect_power(e.numerator)]
-        else:
-            non_powers = [e for e in elems if not is_rational_perfect_power(e)]
+        non_powers = [e for e in elems if not is_rational_perfect_power(e)]
         if non_powers:
             raise ValidationError(
                 f"not perfect powers ({self.variant} sense): {_format_values(non_powers)}"
@@ -180,8 +178,9 @@ def build_root_product(pairs: Iterable[tuple[int, int]]) -> IntPoly:
 def find_deltas(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
     """Nonzero rational roots of P**2 - 1, i.e. of P - 1 and P + 1, sorted.
 
+    For |S| = 1, P -+ 1 are linear and ``rational_roots`` factors nothing.
     Each root is confirmed against P**2 - 1 by exact evaluation before
-    being reported.
+    being reported, which checks that shortcut at run time.
     """
     P = build_root_product(pairs)
     F = P * P - 1
@@ -209,9 +208,8 @@ def estimate_capacity(gamma: Fraction, policy: SelectionPolicy = DEFAULT_POLICY)
     if gamma == 0:
         raise ValueError("capacity estimate needs gamma != 0")
     num, den = abs(gamma.numerator), gamma.denominator
-    log2_bound = 0
-    while (den << log2_bound) < num:
-        log2_bound += 1
+    # the least L >= 0 with den * 2**L >= num, i.e. with 2**L >= ceil(num / den)
+    log2_bound = ((num - 1) // den).bit_length()
     hits = scan_gamma_minus_pow2(gamma, policy.t_max)
     last = hits[-1].index if hits else None
     return CapacityEstimate(
@@ -232,14 +230,14 @@ def select_offset_exponent(
     """
     estimates = tuple(estimate_capacity(4 * d, policy) for d in deltas)
     need = max((e.value for e in estimates), default=0)
-    for kappa in range(1, policy.kappa_cap + 1):
-        s = (1 << kappa) - 1
-        if s >= need:
-            return s, kappa, estimates
+    # the least kappa >= 1 with 2**kappa - 1 >= need, i.e. 2**kappa > need
+    kappa = max(1, need.bit_length())
+    if kappa <= policy.kappa_cap:
+        return (1 << kappa) - 1, kappa, estimates
     worst = max(estimates, key=lambda e: e.value)
     raise CapacityError(
         f"no s = 2**kappa - 1 with kappa <= {policy.kappa_cap} reaches "
-        f"capacity estimate {need} (worst gamma = {worst.gamma})"
+        f"capacity estimate {need} (worst gamma = {_format_values([worst.gamma])})"
     )
 
 

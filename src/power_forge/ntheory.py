@@ -10,7 +10,6 @@ increasing primes whose product recomposes the factored magnitude.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from random import Random
 
@@ -19,7 +18,6 @@ __all__ = [
     "is_prime",
     "factor_integer",
     "divisors",
-    "padic_valuation",
     "strip_prime",
     "primes_up_to",
 ]
@@ -244,19 +242,3 @@ def strip_prime(m: int, p: int) -> tuple[int, int]:
             m //= rungs[i]
             v += 1 << i
     return v, m
-
-
-def padic_valuation(q: Fraction | int, p: int) -> int:
-    """Exponent of the prime p in the rational q (numerator minus denominator).
-
-    >>> padic_valuation(Fraction(2417, 16), 2)
-    -4
-    >>> padic_valuation(Fraction(9, 25), 5)
-    -2
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return strip_prime(q.numerator, p)[0] - strip_prime(q.denominator, p)[0]

@@ -223,9 +223,10 @@ class IntPoly:
 def rational_roots(p: IntPoly) -> list[Fraction]:
     """All rational roots of a nonzero integer polynomial, sorted ascending.
 
-    Candidates r/s with r | constant term and s | leading coefficient
-    (coprime, s >= 1), each confirmed by exact evaluation; a zero constant
-    term contributes the root 0 after factoring out X.
+    A zero constant term contributes the root 0 after factoring out X.  A
+    linear remainder q gives its root -q_0/q_1 outright; from degree 2 on,
+    candidates r/s (r | constant term, s | leading coefficient, coprime,
+    s >= 1) are each confirmed by exact evaluation.
 
     >>> rational_roots(IntPoly([-9, 0, 25]))       # 25 X^2 - 9
     [Fraction(-3, 5), Fraction(3, 5)]
@@ -241,7 +242,9 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
     if shift:
         roots.add(Fraction(0))
     q = IntPoly(coeffs)
-    if q.degree >= 1:
+    if q.degree == 1:
+        roots.add(Fraction(-q.coeffs[0], q.coeffs[1]))
+    elif q.degree >= 2:
         const, lead = q.coeffs[0], q.lead
         for s in divisors(lead):
             for r in divisors(const):

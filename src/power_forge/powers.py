@@ -43,7 +43,6 @@ __all__ = [
     "PowerDecomposition",
     "decompose_integer_power",
     "decompose_rational_power",
-    "is_integer_perfect_power",
     "is_rational_perfect_power",
 ]
 
@@ -188,11 +187,6 @@ def decompose_rational_power(q: Fraction | int) -> PowerDecomposition | None:
     True
     """
     return _decompose(*Fraction(q).as_integer_ratio())
-
-
-def is_integer_perfect_power(n: int) -> bool:
-    """Membership in {a**n : a integer, n >= 2}."""
-    return decompose_integer_power(n) is not None
 
 
 def is_rational_perfect_power(q: Fraction | int) -> bool:

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .construct import ConstructionArtifacts, compute_k
 from .oracles import map_chunks, split_range
@@ -39,7 +39,6 @@ __all__ = [
     "TraceRecord",
     "InvariantViolation",
     "rational_height",
-    "enumerate_rationals",
     "verify_polynomial",
     "verify_construction",
     "trace_quantities",
@@ -51,23 +50,6 @@ def rational_height(q: Fraction | int) -> int:
     """max(|numerator|, denominator) of q in lowest terms."""
     q = Fraction(q)
     return max(abs(q.numerator), q.denominator)
-
-
-def enumerate_rationals(height: int) -> Iterator[Fraction]:
-    """Every rational of height <= height, denominators ascending.
-
-    For each denominator v the numerators run ascending through the
-    coprime residues in [-height, height]; 0 appears once, at v = 1.
-
-    >>> sum(1 for _ in enumerate_rationals(10))
-    127
-    """
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    for v in range(1, height + 1):
-        for u in range(-height, height + 1):
-            if gcd(u, v) == 1:
-                yield Fraction(u, v)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from power_forge import jsonio
+from power_forge import jsonio, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
 from power_forge.jsonio import artifacts_to_json, dumps
@@ -313,7 +313,14 @@ def test_values_with_a_leading_minus(capsys, argv, kind):
     assert json.loads(out)["kind"] == kind
 
 
-def test_messages_print_values_past_the_str_digit_limit(capsys):
+@pytest.fixture
+def fresh_residue_cache(monkeypatch):
+    # decomposing values of thousands of digits caches residue tables for hundreds of
+    # exponents; keep them out of test_powers' check of every cached table
+    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+
+
+def test_messages_print_values_past_the_str_digit_limit(capsys, fresh_residue_cache):
     big = jsonio._int_text(3**9500)  # 4,533 digits
     code, out, err = run(capsys, "trace", "--set", "9/25", "--x", f"1/{big}")
     assert code == 0 and json.loads(out)["ok"] is True
@@ -321,6 +328,12 @@ def test_messages_print_values_past_the_str_digit_limit(capsys):
     code, _, err = run(capsys, "construct", "--set", f"2/{big}")
     assert code == 2
     assert json.loads(err)["error"]["message"].startswith("not perfect powers")
+    code, out, err = run(capsys, "construct", f"--set={big}", "--kappa-cap", "10")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "capacity"
+    # 4 (3**9500 -+ 1) tie at 15,060 bits; the message names the first, 4,534 digits long
+    assert error["message"].endswith(f"(worst gamma = {jsonio._int_text(4 * 3**9500 - 4)})")
 
 
 def test_verify_artifacts_refuses_a_non_canonical_k(capsys, tmp_path):
@@ -334,4 +347,15 @@ def test_verify_artifacts_refuses_a_non_canonical_k(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--artifacts", str(paths[8]), "--height", "5")
     assert code == 2 and "k=8" in json.loads(err)["error"]["message"]
     code, out, _ = run(capsys, "verify", "--artifacts", str(paths[24]), "--height", "5")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("exponent", [300, 9500])
+def test_construct_a_huge_single_element(capsys, tmp_path, fresh_residue_cache, exponent):
+    # P -+ 1 is linear, so find_deltas reads its roots off without factoring a -+ 1
+    target = tmp_path / "art.json"
+    code, _, _ = run(capsys, "construct", f"--set={jsonio.rational_text(3**exponent)}",
+                     "--out", str(target))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
     assert code == 0 and json.loads(out)["verdict"] == "PASS"

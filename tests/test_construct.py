@@ -58,6 +58,10 @@ def test_find_deltas_single_element():
     assert find_deltas(((4, 1),)) == (Fraction(3), Fraction(5))
     # P = 25 X - 9
     assert find_deltas(((9, 25),)) == (Fraction(8, 25), Fraction(2, 5))
+    # P -+ 1 is linear, so the 144-digit a -+ 1 is never factored
+    a = 3**300
+    assert find_deltas(((a, 1),)) == (Fraction(a - 1), Fraction(a + 1))
+    assert find_deltas(((a, 2**61),)) == (Fraction(a - 1, 2**61), Fraction(a + 1, 2**61))
 
 
 def test_find_deltas_can_be_empty():
@@ -102,6 +106,47 @@ def test_select_offset_exponent():
     assert (s, kappa) == (7, 3)
     with pytest.raises(CapacityError, match="20"):
         select_offset_exponent((Fraction(5),), SelectionPolicy(t_max=64, kappa_cap=2))
+
+
+def test_log2_bound_matches_the_shift_loop():
+    # reference: the loop estimate_capacity used before its closed form
+    def shift_loop(num, den):
+        bound = 0
+        while (den << bound) < num:
+            bound += 1
+        return bound
+
+    no_scan = SelectionPolicy(t_max=0)
+    for num in range(1, 201):
+        for den in range(1, 201):
+            expected = shift_loop(num, den)
+            assert estimate_capacity(Fraction(num, den), no_scan).log2_bound == expected
+            assert estimate_capacity(Fraction(-num, den), no_scan).log2_bound == expected
+
+
+def test_kappa_matches_the_kappa_loop():
+    # reference: the loop select_offset_exponent used before its closed form
+    def kappa_loop(need, kappa_cap):
+        for kappa in range(1, kappa_cap + 1):
+            if (1 << kappa) - 1 >= need:
+                return (1 << kappa) - 1, kappa
+        return None
+
+    needs = set()
+    for gamma in range(1, 5001):
+        # with t_max = 0 the estimate of gamma = 4 delta is its log2 bound alone
+        delta = Fraction(gamma, 4)
+        need = estimate_capacity(4 * delta, SelectionPolicy(t_max=0)).value
+        needs.add(need)
+        for kappa_cap in range(1, 15):
+            policy = SelectionPolicy(t_max=0, kappa_cap=kappa_cap)
+            expected = kappa_loop(need, kappa_cap)
+            if expected is None:
+                with pytest.raises(CapacityError):
+                    select_offset_exponent((delta,), policy)
+            else:
+                assert select_offset_exponent((delta,), policy)[:2] == expected
+    assert needs == set(range(14))
 
 
 def test_selection_policy_validation():

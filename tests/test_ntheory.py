@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -8,7 +7,6 @@ from power_forge.ntheory import (
     factor_integer,
     integer_nth_root,
     is_prime,
-    padic_valuation,
     primes_up_to,
     strip_prime,
 )
@@ -125,25 +123,6 @@ def test_divisors_against_bruteforce(rng):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     assert divisors(-12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-
-
-def test_padic_valuation_known_values():
-    assert padic_valuation(48, 2) == 4
-    assert padic_valuation(Fraction(2417, 16), 2) == -4
-    assert padic_valuation(Fraction(9, 25), 5) == -2
-    assert padic_valuation(Fraction(7, 3), 5) == 0
-    with pytest.raises(ValueError):
-        padic_valuation(0, 2)
-    with pytest.raises(ValueError):
-        padic_valuation(10, 4)
-
-
-def test_padic_valuation_strips_cleanly(rng):
-    for _ in range(200):
-        q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-        for p in (2, 3, 5, 7):
-            v = padic_valuation(q, p)
-            assert padic_valuation(q / Fraction(p) ** v, p) == 0
 
 
 def test_strip_prime_against_repeated_division(rng):

@@ -143,6 +143,16 @@ def test_rational_roots_edges():
         rational_roots(IntPoly())
 
 
+def test_rational_roots_of_linear_polynomials():
+    for a in range(-50, 51):
+        for c in [*range(-50, 0), *range(1, 51)]:
+            p = IntPoly([-a, c])  # c X - a; a = 0 leaves a constant after X is shifted out
+            assert rational_roots(p) == [Fraction(a, c)]
+            assert p(Fraction(a, c)) == 0
+    big = IntPoly([-(10**30 + 1), 3 * 10**30])
+    assert rational_roots(big) == [Fraction(10**30 + 1, 3 * 10**30)]
+
+
 def test_pickle_roundtrip():
     p = IntPoly([1, -2, 3])
     assert pickle.loads(pickle.dumps(p)) == p

@@ -1,15 +1,14 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
-from power_forge import enumerate_rationals, powers
+from power_forge import powers
 from power_forge.ntheory import primes_up_to
 from power_forge.powers import (
     PowerDecomposition,
     decompose_integer_power,
     decompose_rational_power,
-    is_integer_perfect_power,
     is_rational_perfect_power,
 )
 
@@ -107,14 +106,15 @@ def test_decompose_rational_known_values():
 
 def test_membership_pool_cross_check(power_pool):
     # the generated pool and the membership predicate must agree exactly
-    scanned = [q for q in enumerate_rationals(50) if is_rational_perfect_power(q)]
+    every = (Fraction(u, v) for v in range(1, 51) for u in range(-50, 51) if gcd(u, v) == 1)
+    scanned = [q for q in every if is_rational_perfect_power(q)]
     assert sorted(scanned) == power_pool
 
 
 def test_integer_membership_consistency():
     table = bruteforce_power_table(3000)
     for n in range(-3000, 3001):
-        assert is_integer_perfect_power(n) == (n in table)
+        assert (decompose_integer_power(n) is not None) == (n in table)
 
 
 def test_power_decomposition_validation():

@@ -7,7 +7,6 @@ from power_forge.construct import PowerSetInput, construct, element_pairs
 from power_forge.poly import IntPoly
 from power_forge.verify import (
     InvariantViolation,
-    enumerate_rationals,
     ensure_trace,
     rational_height,
     trace_quantities,
@@ -21,27 +20,6 @@ def test_rational_height():
     assert rational_height(Fraction(-31, 7)) == 31
     assert rational_height(0) == 1
     assert rational_height(5) == 5
-
-
-def test_enumerate_rationals_counts_and_order():
-    pts = list(enumerate_rationals(10))
-    assert len(pts) == 127
-    assert len(set(pts)) == 127
-    assert all(rational_height(x) <= 10 for x in pts)
-    # denominators ascending, numerators ascending within each
-    keyed = [(x.denominator, x.numerator) for x in pts]
-    assert keyed == sorted(keyed)
-    assert list(enumerate_rationals(1)) == [Fraction(-1), Fraction(0), Fraction(1)]
-    with pytest.raises(ValueError):
-        list(enumerate_rationals(0))
-
-
-def test_enumerate_rationals_is_exhaustive():
-    # cross-check against direct fraction normalization
-    expected = {
-        Fraction(u, v) for v in range(1, 8) for u in range(-7, 8) if gcd(u, v) == 1
-    }
-    assert set(enumerate_rationals(7)) == expected
 
 
 def test_verify_integer_construction_small():
@@ -89,6 +67,13 @@ def test_adversarial_square_fails_with_extras():
     rep = verify_polynomial(IntPoly.monomial(2), [], variant="rational", bound=10)
     assert rep.verdict == "FAIL"
     assert len(rep.extras) == rep.points_scanned == 127
+    # every x^2 is a square, so the extras list every point the scan visits:
+    # each rational of height <= 10 once, reported by denominator, then numerator
+    expected = sorted(
+        (Fraction(u, v) for v in range(1, 11) for u in range(-10, 11) if gcd(u, v) == 1),
+        key=lambda x: (x.denominator, x.numerator),
+    )
+    assert [h.x for h in rep.extras] == expected
 
 
 def test_verify_is_deterministic_across_workers():

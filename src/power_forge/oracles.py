@@ -1,6 +1,7 @@
 """Exhaustive bounded searches for the Diophantine facts the construction leans on.
 
-Three classical equations get desk-scale scans with exact root extraction:
+Three classical equations get desk-scale scans, each an exact join of its
+left-hand sides against a table of powers:
 
 * ``X^2 + 1 = Y^n``        (only X = 0 in any range),
 * ``X^m - Y^n = 1``        (bases and exponents >= 2: only 3^2 - 2^3),
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .ntheory import integer_nth_root
 from .powers import PowerDecomposition, decompose_rational_power
 
 __all__ = [
@@ -93,20 +93,50 @@ def map_chunks(worker, payloads, workers: int):
         yield from pool.map(worker, payloads)
 
 
+# -- tables of powers ----------------------------------------------------------
+
+
+def _power_table(limit: int, n_min: int, n_max: int) -> dict[int, list[tuple[int, int]]]:
+    """Map each c^n <= limit, max(3, n_min) <= n <= n_max, to its (c, n) pairs.
+
+    1 = 1^n is listed for every n in range.  Squares are left out: a
+    square test is one isqrt per value, while tabulating them would take
+    about sqrt(limit) entries.
+    """
+    n_lo = max(3, n_min)
+    table: dict[int, list[tuple[int, int]]] = {}
+    if limit >= 1 and n_lo <= n_max:
+        table[1] = [(1, n) for n in range(n_lo, n_max + 1)]
+    for n in range(n_lo, n_max + 1):
+        if 1 << n > limit:
+            break
+        c, value = 2, 1 << n
+        while value <= limit:
+            table.setdefault(value, []).append((c, n))
+            c += 1
+            value = c**n
+    return table
+
+
+def _powers_of(target: int, squares: bool, table: dict) -> list[tuple[int, int]]:
+    """Every (c, n) with c^n = target >= 1: n = 2 by isqrt when squares, the rest from table."""
+    found = table.get(target, [])
+    if squares:
+        r = isqrt(target)
+        if r * r == target:
+            found = [(r, 2), *found]
+    return found
+
+
 # -- X^2 + 1 = Y^n -----------------------------------------------------------
 
 
 def _lebesgue_chunk(payload: tuple[range, int]) -> list[tuple[int, int, int]]:
     xs, n_max = payload
+    table = _power_table(xs[-1] * xs[-1] + 1, 3, n_max)
     found = []
     for x in xs:
-        m = x * x + 1
-        for n in range(2, n_max + 1):
-            if m > 1 and (m.bit_length() - 1) < n:
-                break  # 2^n already exceeds m, no root >= 2 and 1 is ruled out
-            y, exact = integer_nth_root(m, n)
-            if not exact:
-                continue
+        for y, n in _powers_of(x * x + 1, True, table):
             found.append((x, y, n))
             if x:
                 found.append((-x, y, n))
@@ -129,7 +159,7 @@ def search_lebesgue(x_bound: int, n_max: int, workers: int = 1) -> SolutionList:
         equation="X^2 + 1 = Y^n",
         bounds={"x_bound": x_bound, "n_max": n_max},
         solutions=tuple(found),
-        notes="X scanned over |X| <= x_bound; Y unconstrained, recovered by exact roots",
+        notes="X scanned over |X| <= x_bound; Y unconstrained, read from a table of powers",
     )
 
 
@@ -193,6 +223,8 @@ _FERMAT_FORMS = {
 
 def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
     a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
+    table = _power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
+    squares = n_min <= 2 <= n_max
     found = []
     for a in a_range:
         for b in range(ab_bound + 1):
@@ -206,10 +238,7 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
             target = lhs // rhs_mult
             if target == 0:
                 continue
-            for n in range(n_min, n_max + 1):
-                c, exact = integer_nth_root(target, n)
-                if not exact:
-                    continue
+            for c, n in _powers_of(target, squares, table):
                 a_signs = (a,) if a == 0 else (a, -a)
                 b_signs = (b,) if b == 0 else (b, -b)
                 for sa in a_signs:

@@ -117,6 +117,20 @@ def test_factor_integer_beyond_trial_division():
     assert factor_integer(2**61 - 1) == ((2**61 - 1, 1),)
 
 
+def test_factor_integer_matches_sympy_factorint(rng):
+    sympy = pytest.importorskip("sympy")
+    values = [1, 2, 2**61 - 1, 3**40, 10007**3 * 65537, 2**89 - 1]
+    for _ in range(120):
+        values.append(rng.randint(2, 10**15))
+    for _ in range(20):
+        # semiprimes past trial division, so Pollard-Brent does the splitting
+        p, q = (sympy.nextprime(rng.randint(10**5, 10**9)) for _ in range(2))
+        values.append(int(p) * int(q))
+    for n in values:
+        for signed in (n, -n):
+            assert dict(factor_integer(signed)) == sympy.factorint(n), signed
+
+
 def test_divisors_against_bruteforce(rng):
     for _ in range(60):
         n = rng.randint(1, 4000)

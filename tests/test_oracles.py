@@ -3,7 +3,10 @@ from math import gcd, isqrt
 
 import pytest
 
+from power_forge import oracles
+from power_forge.ntheory import integer_nth_root
 from power_forge.oracles import (
+    FERMAT_VARIANTS,
     PowerHit,
     SolutionList,
     catalan_expected,
@@ -48,6 +51,138 @@ def test_lebesgue_workers_and_validation():
         search_lebesgue(-1, 5)
     with pytest.raises(ValueError):
         search_lebesgue(10, 1)
+
+
+# -- the table join against the root-per-point searches it replaced ---------
+
+
+def _lebesgue_chunk_by_roots(payload):
+    xs, n_max = payload
+    found = []
+    for x in xs:
+        m = x * x + 1
+        for n in range(2, n_max + 1):
+            if m > 1 and (m.bit_length() - 1) < n:
+                break
+            y, exact = integer_nth_root(m, n)
+            if not exact:
+                continue
+            found.append((x, y, n))
+            if x:
+                found.append((-x, y, n))
+            if n % 2 == 0:
+                found.append((x, -y, n))
+                if x:
+                    found.append((-x, -y, n))
+    return found
+
+
+def _fermat_chunk_by_roots(payload):
+    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
+    found = []
+    for a in a_range:
+        for b in range(ab_bound + 1):
+            if gcd(a, b) != 1:
+                continue
+            if nonzero and (a == 0 or b == 0):
+                continue
+            lhs = a**pa + b**pb
+            if lhs % rhs_mult:
+                continue
+            target = lhs // rhs_mult
+            if target == 0:
+                continue
+            for n in range(n_min, n_max + 1):
+                c, exact = integer_nth_root(target, n)
+                if not exact:
+                    continue
+                a_signs = (a,) if a == 0 else (a, -a)
+                b_signs = (b,) if b == 0 else (b, -b)
+                for sa in a_signs:
+                    for sb in b_signs:
+                        found.append((sa, sb, c, n))
+    return found
+
+
+# bounds 0 and 1, n_max == n_min, and n_max past the bit length of every left-hand side
+LEBESGUE_BOXES = [
+    (0, 2), (0, 9), (1, 2), (1, 7), (2, 3), (7, 2), (7, 40), (57, 5), (250, 12), (1200, 30),
+]
+FERMAT_BOXES = [(1, 2), (1, 4), (1, 40), (2, 4), (3, 2), (3, 50), (17, 4), (40, 9), (90, 12)]
+
+
+@pytest.mark.parametrize("x_bound,n_max", LEBESGUE_BOXES)
+def test_lebesgue_table_join_equals_roots(monkeypatch, x_bound, n_max):
+    got = search_lebesgue(x_bound, n_max)
+    monkeypatch.setattr(oracles, "_lebesgue_chunk", _lebesgue_chunk_by_roots)
+    assert got == search_lebesgue(x_bound, n_max)
+
+
+@pytest.mark.parametrize("variant", FERMAT_VARIANTS)
+@pytest.mark.parametrize("ab_bound,n_max", FERMAT_BOXES)
+def test_fermat_table_join_equals_roots(monkeypatch, variant, ab_bound, n_max):
+    n_min = oracles._FERMAT_FORMS[variant][4]
+    if n_max < n_min:
+        with pytest.raises(ValueError):
+            search_fermat_quartic(ab_bound, n_max, variant)
+        return
+    got = search_fermat_quartic(ab_bound, n_max, variant)
+    monkeypatch.setattr(oracles, "_fermat_chunk", _fermat_chunk_by_roots)
+    assert got == search_fermat_quartic(ab_bound, n_max, variant)
+
+
+def test_chunks_equal_roots_on_dense_forms():
+    # A^pa + B^pb = m C^n with small pa, pb hits many powers, so every
+    # chunk table (one per range, sized by its own largest left-hand side)
+    # is exercised on true matches, not only on the trivial families
+    for xs in (range(0, 1), range(3, 4), range(5, 60), range(100, 140)):
+        for n_max in (2, 3, 8, 25):
+            payload = (xs, n_max)
+            want = _lebesgue_chunk_by_roots(payload)
+            assert sorted(oracles._lebesgue_chunk(payload)) == sorted(want)
+    for pa, pb, rhs_mult in [(1, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 1), (1, 3, 3)]:
+        for a_range in (range(0, 1), range(0, 30), range(11, 25)):
+            for n_min, n_max in [(2, 2), (2, 9), (3, 3), (4, 12)]:
+                for nonzero in (False, True):
+                    payload = (a_range, 30, n_min, n_max, pa, pb, rhs_mult, nonzero)
+                    want = _fermat_chunk_by_roots(payload)
+                    assert sorted(oracles._fermat_chunk(payload)) == sorted(want), payload
+
+
+@pytest.mark.parametrize("variant", ["cn", "24n"])
+def test_fermat_workers_agree(variant):
+    assert search_fermat_quartic(30, 9, variant, workers=3) == search_fermat_quartic(30, 9, variant)
+
+
+@pytest.mark.parametrize(
+    "limit,n_min,n_max",
+    [(0, 2, 9), (1, 2, 9), (7, 3, 5), (8, 3, 5), (64, 2, 6), (64, 4, 4), (80, 3, 70),
+     (3**7, 3, 20), (10**6, 2, 30), (10**6, 9, 8), (2**40, 5, 60)],
+)
+def test_power_table_against_brute_force(limit, n_min, n_max):
+    table = oracles._power_table(limit, n_min, n_max)
+    n_lo = max(3, n_min)
+    for value, pairs in table.items():
+        assert 1 <= value <= limit
+        for c, n in pairs:
+            assert c**n == value and n_lo <= n <= n_max
+    # every c^n <= limit, counted by walking c up from 1 for each n
+    expected = []
+    for n in range(n_lo, n_max + 1):
+        c = 1
+        while c**n <= limit:
+            expected.append((c, n))
+            c += 1
+    assert sorted(pair for pairs in table.values() for pair in pairs) == sorted(expected)
+    if limit >= 1:
+        assert table.get(1, []) == [(1, n) for n in range(n_lo, n_max + 1)]
+    assert all(c == 1 or n <= limit.bit_length() for pairs in table.values() for c, n in pairs)
+
+
+def test_power_table_keeps_a_value_equal_to_its_limit():
+    assert oracles._power_table(3**5, 3, 5)[3**5] == [(3, 5)]
+    assert oracles._power_table(2**12, 3, 12)[2**12] == [(16, 3), (8, 4), (4, 6), (2, 12)]
+    assert 3**5 not in oracles._power_table(3**5 - 1, 3, 5)
 
 
 def test_catalan_matches_bruteforce():

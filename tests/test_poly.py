@@ -153,6 +153,42 @@ def test_rational_roots_of_linear_polynomials():
     assert rational_roots(big) == [Fraction(10**30 + 1, 3 * 10**30)]
 
 
+def _sympy_poly(sympy, p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], sympy.Symbol("x"), domain="ZZ")
+
+
+def test_mul_and_pow_match_sympy_poly(rng):
+    sympy = pytest.importorskip("sympy")
+    for _ in range(80):
+        a, b = random_poly(rng, max_deg=8, span=10**6), random_poly(rng, max_deg=8, span=10**6)
+        assert _sympy_poly(sympy, a * b) == _sympy_poly(sympy, a) * _sympy_poly(sympy, b)
+        n = rng.randint(0, 12)
+        assert _sympy_poly(sympy, a**n) == _sympy_poly(sympy, a) ** n
+    # a zero constant term goes through the X**z shift of Miller's recurrence
+    p = IntPoly([0, 0, 3, -1, 2])
+    assert _sympy_poly(sympy, p**7) == _sympy_poly(sympy, p) ** 7
+
+
+def test_rational_roots_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    polys = []
+    for _ in range(80):
+        p = random_poly(rng, max_deg=5, span=30)
+        for _ in range(rng.randint(0, 3)):
+            p = p * IntPoly.linear(rng.randint(1, 15), rng.randint(-15, 15))
+        if p:
+            polys.append(p)
+    for p in polys:
+        _, factors = _sympy_poly(sympy, p).factor_list()
+        want = sorted(
+            Fraction(int(-c0), int(c1))
+            for factor, _ in factors
+            if factor.degree() == 1
+            for c1, c0 in [factor.all_coeffs()]
+        )
+        assert rational_roots(p) == want, p
+
+
 def test_pickle_roundtrip():
     p = IntPoly([1, -2, 3])
     assert pickle.loads(pickle.dumps(p)) == p

@@ -22,7 +22,10 @@ Both variants are built from the same recipe.  With P = prod (c_i X - a_i)
 
 and the powers of P come from J.C.P. Miller's recurrence
 (``IntPoly.__pow__``), which spends O(|S|) big-int operations on each
-coefficient; multiplying out g * h costs O(k |S|) per coefficient.
+coefficient; multiplying out g * h costs O(k |S|) per coefficient.  Each
+power is certified against P by multiplication only (P Q' = n P' Q, see
+``_certify_power``): ``verify`` evaluates the recipe, not the stored f,
+so a wrong power would otherwise go unscanned.
 
 The empty set gets the constant polynomial 2, which is never a perfect
 power; the product formulas degenerate there (they would give a linear f
@@ -241,6 +244,36 @@ def select_offset_exponent(
     )
 
 
+def _certify_power(P: IntPoly, n: int, Q: IntPoly) -> None:
+    """Raise ArithmeticError unless Q = P**n, checked by multiplication only.
+
+    With P = X**z R and R(0) = r_0 != 0, Q must be X**(zn) T with
+    deg T = n deg R, t_0 = r_0**n and R T' - n R' T = 0.  The coefficient
+    of X**j in that identity is
+
+        sum_i ((j + 1 - i) - n i) r_i t_{j+1-i},
+
+    whose i = 0 term is (j + 1) r_0 t_{j+1}: each t_{j+1} is fixed by the
+    ones below it, so only R**n passes.  Nothing here divides, and nothing
+    is shared with the recurrence that computed Q.
+    """
+    p, q = P.coeffs, Q.coeffs
+    z = 0
+    while p[z] == 0:
+        z += 1
+    r, t = p[z:], q[z * n:]
+    m = len(r) - 1
+    top = n * m
+    if any(q[: z * n]) or len(t) != top + 1 or t[0] != r[0] ** n:
+        raise ArithmeticError(f"P**{n} fails its certificate: wrong degree, low or constant term")
+    for j in range(top + m):
+        total = 0
+        for i in range(max(0, j + 1 - top), min(m, j + 1) + 1):
+            total += ((j + 1 - i) - n * i) * r[i] * t[j + 1 - i]
+        if total:
+            raise ArithmeticError(f"P**{n} fails its certificate at X**{j} of P Q' - n P' Q")
+
+
 def build_g_h_f(
     pairs: Iterable[tuple[int, int]], k: int, s: int
 ) -> tuple[IntPoly, IntPoly, IntPoly]:
@@ -252,18 +285,22 @@ def build_g_h_f(
 
     where both powers of P come from Miller's recurrence in
     ``IntPoly.__pow__``, so the build costs O(|S|) big-int operations per
-    coefficient of f instead of the O(k |S|) of the product g * h.
+    coefficient of f instead of the O(k |S|) of the product g * h.  Each
+    power is certified against P by ``_certify_power``, which raises
+    ArithmeticError on a wrong one.
     """
     pairs = tuple(pairs)
     if not pairs:
         raise ValueError("empty set has no product construction; use construct()")
     P = build_root_product(pairs)
-    Pk = P**k
+    Pk, P2k = P**k, P ** (2 * k)
+    _certify_power(P, k, Pk)
+    _certify_power(P, 2 * k, P2k)
     g = Pk + 1
     offset = 1 << s
     shift = IntPoly.linear(1, offset)  # X - 2**s
     h = shift * g + offset
-    f = shift * (P ** (2 * k) + 2 * Pk + 1) + offset * g
+    f = shift * (P2k + 2 * Pk + 1) + offset * g
     return g, h, f
 
 

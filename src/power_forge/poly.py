@@ -4,7 +4,8 @@ Coefficients are arbitrary-precision ints stored ascending (coeffs[i] is
 the coefficient of X**i).  The zero polynomial is the empty tuple and has
 degree -1.  Evaluation at a rational point uses homogeneous Horner so the
 result is built from integer arithmetic only and lands in ``Fraction``
-exactly.
+exactly.  In the scans, Horner serves bare polynomials only: a
+constructed f is evaluated from its recipe (``verify._row_values``).
 """
 
 from __future__ import annotations
@@ -208,7 +209,11 @@ class IntPoly:
         return Fraction(num, x.denominator**d)
 
     def eval_pair(self, u: int, v: int) -> int:
-        """Homogenized value v**deg * self(u/v), computed without division."""
+        """Homogenized value v**deg * self(u/v) by Horner, computed without division.
+
+        The scans use it for bare polynomials; a constructed f is scanned
+        through its recipe instead.
+        """
         if not self.coeffs:
             return 0
         acc = 0

@@ -8,12 +8,19 @@ classifies each value with the power decomposer.  The verdict is PASS
 when no value outside S shows up and every element of S inside the
 scanned window is attained.
 
+A constructed f is evaluated from its recipe (pairs, k, s) in integers,
+at O(|S| + log k) big-int operations per point instead of the deg f of
+Horner's rule; ``construct`` certifies the powers of P that went into
+the stored coefficients.  Bare polynomials (``verify_polynomial``, the
+empty set's constant 2) are evaluated by Horner from their coefficients.
+
 Independently of the scan, ``trace_quantities`` recomputes the value of
-g at a point through explicit integer bookkeeping (the quantities A, B,
+g at each hit through its own integer bookkeeping (the quantities A, B,
 w and the power sum B**k + w**k) and checks six invariants the
-construction promises.  The two routes share no code path: the scan
-evaluates polynomials and decomposes values, the trace manipulates the
-defining product directly.
+construction promises.  The two routes share no helper: the scan reduces
+its homogenized value of f to a Fraction and decomposes it, while the
+trace splits gcd(A, v**|S|) off to reach the coprime pair (B, w) and
+compares the power sum with g(x) computed in Fractions.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .construct import ConstructionArtifacts, compute_k
 from .oracles import map_chunks, split_range
@@ -87,18 +94,49 @@ class VerificationReport:
 
 # -- scanning ------------------------------------------------------------
 
+# (pairs, k, s): f = g h with g = P**k + 1, h = (X - 2**s) g + 2**s and
+# P = prod (c_i X - a_i) over the pairs (a_i, c_i)
+_Recipe = tuple[tuple[tuple[int, int], ...], int, int]
+
+
+def _row_values(
+    f: IntPoly, recipe: Optional[_Recipe], v: int, us: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """(u, v**deg f(u/v)) for each u of one row v, from the recipe if there is one.
+
+    With A = prod (c_i u - a_i v), W = v**|S| and B = A**k + W**k,
+
+        v**deg f(u/v) = B ((u - 2**s v) B + 2**s v W**k),
+
+    and W**k and 2**s v depend on the row only.  Without a recipe, f is
+    evaluated by Horner from its coefficients.
+    """
+    if recipe is None:
+        for u in us:
+            yield u, f.eval_pair(u, v)
+        return
+    pairs, k, s = recipe
+    wk = v ** (len(pairs) * k)
+    shift = v << s
+    tail = shift * wk
+    for u in us:
+        A = 1
+        for a, c in pairs:
+            A *= c * u - a * v
+        B = A**k + wk
+        yield u, B * ((u - shift) * B + tail)
+
 
 def _scan_rational_chunk(payload) -> tuple[int, list[Hit]]:
-    f, vs, height = payload
+    f, recipe, vs, height = payload
     count = 0
     hits: list[Hit] = []
     for v in vs:
         vd = v ** max(f.degree, 0)
-        for u in range(-height, height + 1):
-            if gcd(u, v) != 1:
-                continue
-            count += 1
-            y = Fraction(f.eval_pair(u, v), vd)
+        us = [u for u in range(-height, height + 1) if gcd(u, v) == 1]
+        count += len(us)
+        for u, num in _row_values(f, recipe, v, us):
+            y = Fraction(num, vd)
             dec = decompose_rational_power(y)
             if dec is not None:
                 hits.append(Hit(x=Fraction(u, v), value=y, power=dec))
@@ -106,36 +144,25 @@ def _scan_rational_chunk(payload) -> tuple[int, list[Hit]]:
 
 
 def _scan_integer_chunk(payload) -> tuple[int, list[Hit]]:
-    f, xs = payload
-    count = 0
+    f, recipe, xs = payload
     hits: list[Hit] = []
-    for x in xs:
-        count += 1
-        y = f(x)
+    for x, y in _row_values(f, recipe, 1, xs):
         dec = decompose_integer_power(y)
         if dec is not None:
             hits.append(Hit(x=Fraction(x), value=Fraction(y), power=dec))
-    return count, hits
+    return len(xs), hits
 
 
-def verify_polynomial(
+def _scan(
     f: IntPoly,
+    recipe: Optional[_Recipe],
     elements: Iterable[Fraction],
-    variant: str = "rational",
-    bound: int = 25,
-    *,
-    k: Optional[int] = None,
-    pairs: Optional[tuple[tuple[int, int], ...]] = None,
-    workers: int = 1,
-    progress: bool = False,
+    variant: str,
+    bound: int,
+    workers: int,
+    progress: bool,
 ) -> VerificationReport:
-    """Scan f over the bounded window and compare power values against elements.
-
-    When k and pairs are supplied (a constructed rational f), every hit
-    additionally goes through the six trace invariants; a failure there
-    raises InvariantViolation rather than merely flipping the verdict,
-    since it means the construction itself is broken.
-    """
+    """The scan behind both entry points; ``recipe`` None means Horner on f."""
     if variant not in ("rational", "integer"):
         raise ValueError(f"unknown variant {variant!r}")
     if bound < 1:
@@ -144,14 +171,14 @@ def verify_polynomial(
     if variant == "rational":
         n = min(max(workers, 1), bound)
         worker = _scan_rational_chunk
-        payloads = [(f, range(1 + i, bound + 1, n), bound) for i in range(n)]
+        payloads = [(f, recipe, range(1 + i, bound + 1, n), bound) for i in range(n)]
         in_window = [b for b in targets if rational_height(b) <= bound]
     else:
         bad = [b for b in targets if b.denominator != 1]
         if bad:
             raise ValueError(f"integer-variant scan with non-integer targets: {bad}")
         worker = _scan_integer_chunk
-        payloads = [(f, r) for r in split_range(-bound, bound + 1, workers)]
+        payloads = [(f, recipe, r) for r in split_range(-bound, bound + 1, workers)]
         in_window = [b for b in targets if abs(b) <= bound]
     results = []
     for i, res in enumerate(map_chunks(worker, payloads, workers), 1):
@@ -167,9 +194,6 @@ def verify_polynomial(
         (h for r in results for h in r[1]),
         key=lambda h: (h.x.denominator, h.x.numerator),
     )
-    if k is not None and pairs is not None:
-        for h in hits:
-            ensure_trace(pairs, h.x, k)
     target_set = set(targets)
     hit_values = {h.value for h in hits}
     extras = tuple(h for h in hits if h.value not in target_set)
@@ -190,26 +214,51 @@ def verify_polynomial(
     )
 
 
+def verify_polynomial(
+    f: IntPoly,
+    elements: Iterable[Fraction],
+    variant: str = "rational",
+    bound: int = 25,
+    *,
+    workers: int = 1,
+    progress: bool = False,
+) -> VerificationReport:
+    """Scan a bare f over the bounded window, evaluating it by Horner.
+
+    The verdict is PASS when the perfect-power values are exactly the
+    elements inside the window.
+    """
+    return _scan(f, None, elements, variant, bound, workers, progress)
+
+
 def verify_construction(
     artifacts: ConstructionArtifacts,
     bound: int,
     workers: int = 1,
     progress: bool = False,
 ) -> VerificationReport:
-    """Scan a construct() result, with trace invariants armed when applicable."""
+    """Scan a construct() result through its recipe, then trace every rational hit.
+
+    f is evaluated from (pairs, k, s) when the artifacts carry them, and
+    the stored coefficients are then not read: ``construct`` certifies
+    them and ``artifacts_from_json`` rebuilds them, but artifacts put
+    together by hand must match their recipe.  The empty set's constant
+    2 is evaluated by Horner.  When a rational k is
+    stored, every hit additionally goes through the six trace
+    invariants; a failure there raises InvariantViolation rather than
+    merely flipping the verdict, since it means the construction itself
+    is broken.
+    """
     inp = artifacts.input
-    rational = inp.variant == "rational"
-    use_trace = rational and len(inp) > 0 and artifacts.k is not None
-    return verify_polynomial(
-        artifacts.f,
-        inp.elements,
-        variant=inp.variant,
-        bound=bound,
-        k=artifacts.k if use_trace else None,
-        pairs=artifacts.pairs if use_trace else None,
-        workers=workers,
-        progress=progress,
+    pairs, k, s = artifacts.pairs, artifacts.k, artifacts.s
+    recipe = (pairs, k, s) if pairs and k is not None and s is not None else None
+    report = _scan(
+        artifacts.f, recipe, inp.elements, inp.variant, bound, workers, progress
     )
+    if inp.variant == "rational" and pairs and k is not None:
+        for h in report.hits:
+            ensure_trace(pairs, h.x, k)
+    return report
 
 
 # -- trace invariants ------------------------------------------------------

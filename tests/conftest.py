@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -67,3 +69,20 @@ def build_power_pool(height_cap):
 @pytest.fixture(scope="session")
 def power_pool():
     return build_power_pool(50)
+
+
+@pytest.fixture
+def mutant_recurrence(monkeypatch):
+    """IntPoly.__pow__ with Miller's factor (n+1) i - j miswritten as n i - j.
+
+    The mutant is the real method's source with that one factor changed,
+    compiled in the poly module's namespace and patched onto IntPoly.
+    """
+    from power_forge import poly
+
+    source = textwrap.dedent(inspect.getsource(poly.IntPoly.__pow__))
+    mutated = source.replace("((n + 1) * i - j)", "(n * i - j)")
+    assert mutated != source
+    namespace: dict = {}
+    exec(mutated, dict(vars(poly)), namespace)
+    monkeypatch.setattr(poly.IntPoly, "__pow__", namespace["__pow__"])

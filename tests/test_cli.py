@@ -359,3 +359,18 @@ def test_construct_a_huge_single_element(capsys, tmp_path, fresh_residue_cache, 
     assert code == 0
     code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
     assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+
+def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, request):
+    # an internal fault must not exit 2: construct and check_recipe raise
+    # the certificate's ArithmeticError, which main does not catch
+    target = tmp_path / "art.json"
+    assert main(["construct", "--set", "1/10201", "--out", str(target)]) == 0
+    request.getfixturevalue("mutant_recurrence")
+    capsys.readouterr()
+    for argv in (["construct", "--set", "1/10201"],
+                 ["verify", "--artifacts", str(target), "--height", "2"],
+                 ["verify", "--set", "1/10201", "--height", "2"]):
+        with pytest.raises(ArithmeticError, match="certificate"):
+            main(argv)
+    assert capsys.readouterr().err == ""

@@ -236,3 +236,42 @@ def test_construct_large_k_builds_with_fixed_point():
     art = construct(PowerSetInput((b,)))
     assert art.k == 1008 and art.f.degree == 2017
     assert art.g(b) == 1 and art.h(b) == b and art.f(b) == b
+
+
+@pytest.mark.parametrize("values", [["1/10201"], ["9/25"], ["1/49", "8/27", "4/121"]])
+def test_certificate_refuses_a_wrong_recurrence(mutant_recurrence, values):
+    inp = PowerSetInput.from_values(values)
+    pairs = element_pairs(inp)
+    P, k = build_root_product(pairs), compute_k(pairs)
+    product = IntPoly([1])
+    for _ in range(k):
+        product = product * P
+    # every division of the mutant is exact, so only the certificate sees it
+    assert P**k != product
+    with pytest.raises(ArithmeticError, match="certificate"):
+        construct(inp)
+
+
+@pytest.mark.parametrize(
+    "values, index",
+    [
+        (["9/25"], 0),  # the constant term q_0
+        (["9/25"], 2),
+        (["9/25"], -1),  # the leading coefficient
+        (["0", "9/25", "-8"], 0),  # a coefficient below X**(zn), which must be 0
+        (["0", "9/25", "-8"], 4),  # the lowest nonzero one
+        (["0", "9/25", "-8"], 9),
+        (["1/49", "8/27", "4/121"], 100),
+    ],
+)
+def test_certificate_refuses_one_wrong_coefficient(monkeypatch, values, index):
+    power = IntPoly.__pow__
+
+    def off_by_one(self, n):
+        q = list(power(self, n).coeffs)
+        q[index] += 1
+        return IntPoly(q)
+
+    monkeypatch.setattr(IntPoly, "__pow__", off_by_one)
+    with pytest.raises(ArithmeticError, match="certificate"):
+        construct(PowerSetInput.from_values(values))

@@ -7,6 +7,7 @@ from power_forge.construct import PowerSetInput, construct, element_pairs
 from power_forge.poly import IntPoly
 from power_forge.verify import (
     InvariantViolation,
+    _row_values,
     ensure_trace,
     rational_height,
     trace_quantities,
@@ -172,3 +173,55 @@ def test_trace_random_points_all_pass(rng, power_pool):
         # A and the membership predicate really are two routes to one fact
         direct = prod(c * x.numerator - a * x.denominator for a, c in pairs)
         assert rec.A == direct
+
+
+# |S| = 1, 2, 3, sets with 0 and with negative elements, k = 4, 12, 60 and 100
+RECIPE_SCANS = [
+    (["9/25"], "rational", 40),  # k = 4
+    (["0", "9/25", "-8"], "rational", 20),
+    (["-1/8", "4/25"], "rational", 20),
+    (["1/49"], "rational", 20),  # k = 12
+    (["1/49", "8/27", "4/121"], "rational", 5),  # k = 60
+    (["1/10201"], "rational", 6),  # k = 100
+    (["4", "8", "36"], "integer", 300),
+    (["-8", "0", "4"], "integer", 300),
+    (["-1"], "integer", 300),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("values, variant, window", RECIPE_SCANS)
+def test_recipe_scan_matches_horner_scan(values, variant, window, workers):
+    # verify_construction evaluates the recipe; verify_polynomial runs Horner on f
+    art = construct(PowerSetInput.from_values(values, variant=variant))
+    by_recipe = verify_construction(art, window, workers=workers)
+    by_horner = verify_polynomial(art.f, art.input.elements, variant, window, workers=workers)
+    assert by_recipe == by_horner
+    assert by_recipe.passed
+
+
+# the sets of the scan benchmarks at their heights; the seeded draws there
+# come from the same pools as these (k = 4, 12 and 12 with a k = 4 element)
+BENCH_SCANS = [
+    (["9/25"], "rational", 110),
+    (["0", "9/25", "-8"], "rational", 50),
+    (["-1/8", "4/25"], "rational", 40),
+    (["1/169"], "rational", 40),
+    (["-1/343", "16/9"], "rational", 24),
+    (["1/10201"], "rational", 9),
+    (["1/49", "8/27", "4/121"], "rational", 8),
+    (["4", "8", "36"], "integer", 20000),
+]
+
+
+@pytest.mark.parametrize("values, variant, window", BENCH_SCANS)
+def test_recipe_values_equal_horner_values(values, variant, window):
+    art = construct(PowerSetInput.from_values(values, variant=variant))
+    f, recipe = art.f, (art.pairs, art.k, art.s)
+    if variant == "integer":
+        xs = range(-window, window + 1)
+        assert list(_row_values(f, recipe, 1, xs)) == [(x, f(x)) for x in xs]
+        return
+    for v in range(1, window + 1):
+        us = [u for u in range(-window, window + 1) if gcd(u, v) == 1]
+        assert list(_row_values(f, recipe, v, us)) == [(u, f.eval_pair(u, v)) for u in us]

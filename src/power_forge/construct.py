@@ -65,7 +65,6 @@ __all__ = [
     "estimate_capacity",
     "select_offset_exponent",
     "build_g_h_f",
-    "check_recipe",
     "construct",
 ]
 
@@ -291,7 +290,7 @@ def build_g_h_f(
     """
     pairs = tuple(pairs)
     if not pairs:
-        raise ValueError("empty set has no product construction; use construct()")
+        raise ValidationError("empty set has no product construction; use construct()")
     P = build_root_product(pairs)
     Pk, P2k = P**k, P ** (2 * k)
     _certify_power(P, k, Pk)
@@ -306,10 +305,26 @@ def build_g_h_f(
 
 @dataclass(frozen=True)
 class ConstructionArtifacts:
-    """Everything construct() decided, sufficient to re-verify every step."""
+    """Everything construct() decided, sufficient to re-verify every step.
+
+    With a recipe (k and s, which come both or neither), f, g and h are
+    always the polynomials of (pairs, k, s): left out, they are built
+    here, certificate included; given, they are rebuilt and compared, and
+    a mismatch raises ValidationError naming the fields that differ.
+    Cheap tests refuse a tampered k or s before anything is built: the
+    integer variant has k = 2 and s = 0; a rational k must be a multiple
+    of ``compute_k``, since the theorem needs p - 1 | k for every prime p
+    in a denominator; deg f must be 2k|S| + 1; and s must be below the
+    bit length of the largest coefficient of f.  The last holds for every
+    genuine k (k is even): with P = X**z R and R(0) != 0, the X**(zk)
+    coefficient of f is -2**s R(0)**k when z > 0 and
+    -2**s R(0)**k (R(0)**k + 1) when z = 0.
+    A kappa stored with a recipe must give s = 2**kappa - 1.  Without a
+    recipe, f is a bare polynomial and must be given.
+    """
 
     input: PowerSetInput
-    f: IntPoly
+    f: Optional[IntPoly] = None
     g: Optional[IntPoly] = None
     h: Optional[IntPoly] = None
     k: Optional[int] = None
@@ -319,53 +334,57 @@ class ConstructionArtifacts:
     estimates: Optional[tuple[CapacityEstimate, ...]] = None
     notes: str = ""
 
+    def __post_init__(self) -> None:
+        k, s = self.k, self.s
+        if (k is None) != (s is None):
+            raise ValidationError(f"k and s come both or neither, not k={k}, s={s}")
+        if k is None:
+            if self.f is None:
+                raise ValidationError("artifacts without a recipe (k, s) need f")
+            return
+        recipe = f"the recipe of k={k}, s={s}"
+        if self.f is not None:
+            self._check_cheaply(k, s, recipe)
+        # s = 2**kappa - 1, tested by bits: a stored kappa may be far too large to raise 2 to
+        kappa = self.kappa
+        if kappa is not None and (s & (s + 1) or (s + 1).bit_length() != kappa + 1):
+            raise ValidationError(
+                f"stored kappa={kappa} does not match s={s}: s must be 2**kappa - 1"
+            )
+        g, h, f = build_g_h_f(self.pairs, k, s)
+        built = {"f": f, "g": g, "h": h}
+        wrong = [name for name, poly in built.items() if getattr(self, name) not in (None, poly)]
+        if wrong:
+            raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
+        for name, poly in built.items():
+            object.__setattr__(self, name, poly)
+
+    def _check_cheaply(self, k: int, s: int, recipe: str) -> None:
+        """The tests on k and s against the given f that need no build."""
+        if self.input.variant == "integer":
+            if (k, s) != (2, 0):
+                raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
+        elif k % (canonical := compute_k(self.pairs)):
+            raise ValidationError(f"stored k={k} is not a multiple of the canonical k={canonical}")
+        if k < 1 or self.f.degree != 2 * k * len(self.input) + 1:
+            raise ValidationError(f"stored f has degree {self.f.degree}, not that of {recipe}")
+        bits = max(abs(c).bit_length() for c in self.f.coeffs)
+        if not 0 <= s < bits:
+            raise ValidationError(
+                f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"
+            )
+
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return element_pairs(self.input)
 
 
-def check_recipe(art: ConstructionArtifacts) -> None:
-    """Raise ValidationError unless the stored f, g and h are those of k and s.
-
-    Artifacts without k and s have no recipe and pass.  Cheap tests
-    refuse a tampered k or s before anything is built: the integer
-    variant has k = 2 and s = 0; a rational k must be a multiple of
-    ``compute_k``, since the theorem needs p - 1 | k for every prime p in
-    a denominator; deg f must be 2k|S| + 1; and s must be below the bit
-    length of the largest coefficient of f.  The last holds for every
-    genuine k (k is even): with P = X**z R and R(0) != 0, the X**(zk)
-    coefficient of f is -2**s R(0)**k when z > 0 and
-    -2**s R(0)**k (R(0)**k + 1) when z = 0.
-    Then f, g and h are rebuilt and compared; the error names the fields
-    that differ.
-    """
-    k, s = art.k, art.s
-    if k is None or s is None:
-        return
-    recipe = f"the recipe of k={k}, s={s}"
-    if art.input.variant == "integer":
-        if (k, s) != (2, 0):
-            raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
-    elif k % (canonical := compute_k(art.pairs)):
-        raise ValidationError(f"stored k={k} is not a multiple of the canonical k={canonical}")
-    if k < 1 or art.f.degree != 2 * k * len(art.input) + 1:
-        raise ValidationError(f"stored f has degree {art.f.degree}, not that of {recipe}")
-    bits = max(abs(c).bit_length() for c in art.f.coeffs)
-    if not 0 <= s < bits:
-        raise ValidationError(
-            f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"
-        )
-    g, h, f = build_g_h_f(art.pairs, k, s)
-    stored = {"f": (art.f, f), "g": (art.g, g), "h": (art.h, h)}
-    wrong = [name for name, (was, built) in stored.items() if was is not None and was != built]
-    if wrong:
-        raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
-
-
 def construct(
     inp: PowerSetInput, policy: SelectionPolicy = DEFAULT_POLICY
 ) -> ConstructionArtifacts:
-    """Construct f for a validated input set; see the module docstring.
+    """Decide the recipe (k, s) for a validated input set; see the module docstring.
+
+    ``ConstructionArtifacts`` then builds f, g and h from that recipe.
 
     >>> art = construct(PowerSetInput.from_values(["9/25"]))
     >>> art.k, art.s, art.f.degree
@@ -382,12 +401,8 @@ def construct(
         )
     pairs = element_pairs(inp)
     if inp.variant == "integer":
-        g, h, f = build_g_h_f(pairs, k=2, s=0)
         return ConstructionArtifacts(
             input=inp,
-            f=f,
-            g=g,
-            h=h,
             k=2,
             s=0,
             notes="integer variant: squared factors, offset 2**0 = 1",
@@ -395,12 +410,8 @@ def construct(
     k = compute_k(pairs)
     deltas = find_deltas(pairs)
     s, kappa, estimates = select_offset_exponent(deltas, policy)
-    g, h, f = build_g_h_f(pairs, k, s)
     return ConstructionArtifacts(
         input=inp,
-        f=f,
-        g=g,
-        h=h,
         k=k,
         kappa=kappa,
         s=s,

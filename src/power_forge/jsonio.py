@@ -26,7 +26,7 @@ from .construct import (
     CapacityEstimate,
     ConstructionArtifacts,
     PowerSetInput,
-    check_recipe,
+    ValidationError,
 )
 from .oracles import PowerHit, SolutionList
 from .poly import IntPoly
@@ -174,11 +174,9 @@ def _estimate_to_json(e: CapacityEstimate) -> dict:
 def _estimate_from_json(obj: dict) -> CapacityEstimate:
     return CapacityEstimate(
         gamma=parse_rational(obj["gamma"]),
-        log2_bound=int(obj["log2_bound"]),
-        last_power_index=None
-        if obj["last_power_index"] is None
-        else int(obj["last_power_index"]),
-        value=int(obj["value"]),
+        log2_bound=obj["log2_bound"],
+        last_power_index=obj["last_power_index"],
+        value=obj["value"],
     )
 
 
@@ -203,35 +201,85 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
     }
 
 
-def artifacts_from_json(obj: dict) -> ConstructionArtifacts:
-    """The artifacts a construction document holds, checked against their recipe.
+# The fields of a construction document and of each of its capacity
+# estimates: name -> (type, may it be null).  ``list`` means a list of
+# strings; a dict of fields means a list of objects with those fields.
+_ESTIMATE_FIELDS = {
+    "gamma": (str, False),
+    "log2_bound": (int, False),
+    "last_power_index": (int, True),
+    "value": (int, False),
+}
+_CONSTRUCTION_FIELDS = {
+    "variant": (str, False),
+    "elements": (list, False),
+    "k": (int, True),
+    "kappa": (int, True),
+    "s": (int, True),
+    "deltas": (list, True),
+    "capacity_estimates": (_ESTIMATE_FIELDS, True),
+    "g": (list, True),
+    "h": (list, True),
+    "f": (list, False),
+    "degree": (int, False),
+    "notes": (str, False),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list of strings"}
 
-    ``construct.check_recipe`` raises ``ValidationError`` when the stored
-    f, g and h are not those of the stored k and s.
+
+def _check_fields(obj: dict, fields: dict, where: str) -> None:
+    """Raise ValidationError naming the first of ``fields`` that obj lacks or mistypes."""
+    for name, (kind, nullable) in fields.items():
+        if name not in obj:
+            raise ValidationError(f"{where} has no field {name!r}")
+        value = obj[name]
+        if value is None and nullable:
+            continue
+        null = " or null" if nullable else ""
+        if isinstance(kind, dict):
+            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+                raise ValidationError(f"{where}: {name!r} must be a list of objects{null}")
+            for item in value:
+                _check_fields(item, kind, f"{where}: an item of {name!r}")
+        elif type(value) is not kind or kind is list and not all(type(v) is str for v in value):
+            raise ValidationError(f"{where}: {name!r} must be {_TYPE_NAMES[kind]}{null}")
+
+
+def artifacts_from_json(obj: Any) -> ConstructionArtifacts:
+    """The artifacts a construction document holds.
+
+    The document's shape is checked first: a JSON object with every field
+    present and of its type, and a ``degree`` that is that of ``f``; a
+    fault raises ``ValidationError`` naming the field.
+    ``ConstructionArtifacts`` then raises ``ValidationError`` when the
+    stored f, g and h are not those of the stored k and s.
     """
-    if obj.get("schema") != SCHEMA or obj.get("kind") != "construction":
-        raise ValueError("not a construction document")
+    kind = (obj.get("schema"), obj.get("kind")) if isinstance(obj, dict) else None
+    if kind != (SCHEMA, "construction"):
+        raise ValidationError("not a construction document")
+    _check_fields(obj, _CONSTRUCTION_FIELDS, "construction document")
+    f = poly_from_json(obj["f"])
+    if f.degree != obj["degree"]:
+        raise ValidationError(f"stored degree {obj['degree']} is not the degree {f.degree} of f")
     inp = PowerSetInput.from_values(
         [parse_rational(e) for e in obj["elements"]], variant=obj["variant"]
     )
-    art = ConstructionArtifacts(
+    return ConstructionArtifacts(
         input=inp,
-        f=poly_from_json(obj["f"]),
+        f=f,
         g=None if obj["g"] is None else poly_from_json(obj["g"]),
         h=None if obj["h"] is None else poly_from_json(obj["h"]),
-        k=None if obj["k"] is None else int(obj["k"]),
-        kappa=None if obj["kappa"] is None else int(obj["kappa"]),
-        s=None if obj["s"] is None else int(obj["s"]),
+        k=obj["k"],
+        kappa=obj["kappa"],
+        s=obj["s"],
         deltas=None
         if obj["deltas"] is None
         else tuple(parse_rational(d) for d in obj["deltas"]),
         estimates=None
         if obj["capacity_estimates"] is None
         else tuple(_estimate_from_json(e) for e in obj["capacity_estimates"]),
-        notes=obj.get("notes", ""),
+        notes=obj["notes"],
     )
-    check_recipe(art)
-    return art
 
 
 def _hit_to_json(h: Hit) -> dict:

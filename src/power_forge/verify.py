@@ -10,9 +10,10 @@ scanned window is attained.
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
-Horner's rule; ``construct`` certifies the powers of P that went into
-the stored coefficients.  Bare polynomials (``verify_polynomial``, the
-empty set's constant 2) are evaluated by Horner from their coefficients.
+Horner's rule; ``ConstructionArtifacts`` builds the stored coefficients
+from that recipe, certificate included.  Bare polynomials
+(``verify_polynomial``, the empty set's constant 2) are evaluated by
+Horner from their coefficients.
 
 Independently of the scan, ``trace_quantities`` recomputes the value of
 g at each hit through its own integer bookkeeping (the quantities A, B,
@@ -240,22 +241,21 @@ def verify_construction(
     """Scan a construct() result through its recipe, then trace every rational hit.
 
     f is evaluated from (pairs, k, s) when the artifacts carry them, and
-    the stored coefficients are then not read: ``construct`` certifies
-    them and ``artifacts_from_json`` rebuilds them, but artifacts put
-    together by hand must match their recipe.  The empty set's constant
-    2 is evaluated by Horner.  When a rational k is
-    stored, every hit additionally goes through the six trace
-    invariants; a failure there raises InvariantViolation rather than
-    merely flipping the verdict, since it means the construction itself
-    is broken.
+    the stored coefficients are then not read: ``ConstructionArtifacts``
+    guarantees that they are those of the recipe.  Artifacts without a
+    recipe (the empty set's constant 2) are evaluated by Horner.  When a
+    rational recipe is stored, every hit additionally goes through the
+    six trace invariants; a failure there raises InvariantViolation
+    rather than merely flipping the verdict, since it means the
+    construction itself is broken.
     """
     inp = artifacts.input
-    pairs, k, s = artifacts.pairs, artifacts.k, artifacts.s
-    recipe = (pairs, k, s) if pairs and k is not None and s is not None else None
+    pairs, k = artifacts.pairs, artifacts.k
+    recipe = None if k is None else (pairs, k, artifacts.s)
     report = _scan(
         artifacts.f, recipe, inp.elements, inp.variant, bound, workers, progress
     )
-    if inp.variant == "rational" and pairs and k is not None:
+    if inp.variant == "rational" and recipe is not None:
         for h in report.hits:
             ensure_trace(pairs, h.x, k)
     return report

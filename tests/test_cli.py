@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from power_forge import jsonio, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
-from power_forge.jsonio import artifacts_to_json, dumps
+from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
 from power_forge.oracles import search_catalan
 from power_forge.poly import IntPoly
 
@@ -342,12 +342,53 @@ def test_verify_artifacts_refuses_a_non_canonical_k(capsys, tmp_path):
     paths = {}
     for k in (8, 24):
         g, h, f = build_g_h_f(art.pairs, k, art.s)
+        doc = dict(artifacts_to_json(art), k=k, f=poly_to_json(f), g=poly_to_json(g),
+                   h=poly_to_json(h), degree=f.degree)
         paths[k] = tmp_path / f"k{k}.json"
-        paths[k].write_text(dumps(artifacts_to_json(replace(art, k=k, f=f, g=g, h=h))))
+        paths[k].write_text(dumps(doc))
     code, _, err = run(capsys, "verify", "--artifacts", str(paths[8]), "--height", "5")
     assert code == 2 and "k=8" in json.loads(err)["error"]["message"]
     code, out, _ = run(capsys, "verify", "--artifacts", str(paths[24]), "--height", "5")
     assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+
+def _without(field):
+    def edit(doc):
+        del doc[field]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: dict(doc, s=None), "k=4, s=None"),
+    (lambda doc: dict(doc, k=8, s=None), "k=8, s=None"),
+    (lambda doc: dict(doc, kappa=7), "kappa=7"),
+    (lambda doc: dict(doc, kappa=10**12), f"kappa={10**12}"),
+    (lambda doc: [doc], "not a construction document"),
+    (_without("k"), "no field 'k'"),
+    (_without("g"), "no field 'g'"),
+    (_without("capacity_estimates"), "no field 'capacity_estimates'"),
+    (lambda doc: dict(doc, f=7), "'f' must be a list of strings"),
+    (lambda doc: dict(doc, f=[1, 2]), "'f' must be a list of strings"),
+    (lambda doc: dict(doc, capacity_estimates=[{}]), "no field 'gamma'"),
+    (lambda doc: dict(doc, degree=5), "degree 5"),
+], ids=["s-null-k4", "s-null-k8", "kappa-7", "kappa-huge", "list", "no-k", "no-g",
+        "no-estimates", "f-int", "f-ints", "estimate-empty", "degree-5"])
+def test_verify_artifacts_refuses_a_malformed_document(capsys, tmp_path, monkeypatch, edit,
+                                                       named):
+    # each is refused before any power of P, 2**s or 2**kappa is built
+    doc = edit(artifacts_to_json(construct(PowerSetInput.from_values(["9/25"]))))
+    target = tmp_path / "art.json"
+    target.write_text(dumps(doc))
+
+    def no_build(*args):
+        raise AssertionError("built a recipe")
+
+    monkeypatch.setattr(sys.modules["power_forge.construct"], "build_g_h_f", no_build)
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "5")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation" and named in error["message"]
 
 
 @pytest.mark.parametrize("exponent", [300, 9500])
@@ -362,7 +403,7 @@ def test_construct_a_huge_single_element(capsys, tmp_path, fresh_residue_cache, 
 
 
 def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, request):
-    # an internal fault must not exit 2: construct and check_recipe raise
+    # an internal fault must not exit 2: building or rebuilding the recipe raises
     # the certificate's ArithmeticError, which main does not catch
     target = tmp_path / "art.json"
     assert main(["construct", "--set", "1/10201", "--out", str(target)]) == 0

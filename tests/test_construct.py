@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from power_forge.construct import (
     CapacityError,
+    ConstructionArtifacts,
     DEFAULT_POLICY,
     PowerSetInput,
     SelectionPolicy,
@@ -209,6 +211,26 @@ def test_construct_empty_set():
     assert art.f == IntPoly([2])
     assert art.g is None and art.h is None and art.k is None and art.s is None
     assert "empty" in art.notes
+
+
+def test_artifacts_hold_the_polynomials_of_their_recipe():
+    art = construct(PowerSetInput.from_values(["9/25"]))
+    built = ConstructionArtifacts(input=art.input, k=4, s=1)
+    assert (built.f, built.g, built.h) == (art.f, art.g, art.h)
+    with pytest.raises(ValidationError, match="stored f has degree 2"):
+        replace(art, f=IntPoly((0, 0, 1)))
+    with pytest.raises(ValidationError, match="stored f$"):
+        replace(art, f=art.f + 1)
+    with pytest.raises(ValidationError, match="stored g$"):
+        replace(art, g=art.g + 1)
+    with pytest.raises(ValidationError, match="both or neither"):
+        ConstructionArtifacts(input=art.input, k=4)
+    with pytest.raises(ValidationError, match="both or neither"):
+        ConstructionArtifacts(input=art.input, f=art.f, s=1)
+    with pytest.raises(ValidationError, match="need f"):
+        ConstructionArtifacts(input=PowerSetInput.from_values([]))
+    with pytest.raises(ValidationError, match="kappa=2"):
+        replace(art, kappa=2)
 
 
 def test_construct_fixed_points_random_sets(rng, power_pool):

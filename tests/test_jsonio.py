@@ -203,7 +203,7 @@ def test_artifacts_are_checked_against_their_recipe():
     with pytest.raises(ValidationError, match="degree"):
         jsonio.artifacts_from_json(dict(doc, k=10**9))
     with pytest.raises(ValidationError, match="stored f, h$"):  # g does not involve s
-        jsonio.artifacts_from_json(dict(doc, s=doc["s"] + 2))
+        jsonio.artifacts_from_json(dict(doc, s=doc["s"] + 2, kappa=doc["kappa"] + 1))
     # a tampered s is refused by the size of f's coefficients, before 2**s is built
     for s in (10**12, -1):
         with pytest.raises(ValidationError, match="out of range"):

@@ -11,8 +11,11 @@ Subcommands:
 JSON goes to stdout (or ``--out``); one human summary line goes to the
 other stream.  Exit codes: 0 success / PASS, 1 FAIL (failed verdict,
 failed invariant, expectation mismatch, or a non-power answer from
-``power``), 2 usage or validation errors.  Validation errors are
-reported as a JSON error object on stderr.
+``power``), 2 usage or validation errors, 3 an internal fault (any other
+exception, such as a build that fails its certificate).  Validation
+errors and internal faults are reported as a JSON error object on
+stderr, with code "validation", "capacity" or "internal"; an internal
+one also carries the traceback.
 
 Worker counts default to the POWER_FORGE_WORKERS environment variable.
 """
@@ -348,6 +351,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = "capacity" if isinstance(exc, CapacityError) else "validation"
         sys.stderr.write(jsonio.dumps(jsonio.error_to_json(str(exc), code)))
         return 2
+    except Exception as exc:
+        # a bug, not bad input: report it with its traceback, never as exit 2
+        import traceback  # only here, to keep it out of every command's start-up
+
+        document = jsonio.error_to_json(f"{type(exc).__name__}: {exc}", "internal")
+        document["error"]["traceback"] = "".join(traceback.format_exception(exc))
+        sys.stderr.write(jsonio.dumps(document))
+        return 3
 
 
 def entry() -> None:

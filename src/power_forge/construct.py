@@ -311,14 +311,15 @@ class ConstructionArtifacts:
     always the polynomials of (pairs, k, s): left out, they are built
     here, certificate included; given, they are rebuilt and compared, and
     a mismatch raises ValidationError naming the fields that differ.
-    Cheap tests refuse a tampered k or s before anything is built: the
-    integer variant has k = 2 and s = 0; a rational k must be a multiple
-    of ``compute_k``, since the theorem needs p - 1 | k for every prime p
-    in a denominator; deg f must be 2k|S| + 1; and s must be below the
-    bit length of the largest coefficient of f.  The last holds for every
-    genuine k (k is even): with P = X**z R and R(0) != 0, the X**(zk)
-    coefficient of f is -2**s R(0)**k when z > 0 and
-    -2**s R(0)**k (R(0)**k + 1) when z = 0.
+    Cheap tests refuse a tampered k or s before anything is built.  With
+    or without f, the integer variant has k = 2 and s = 0, and a rational
+    k must be a positive multiple of ``compute_k``, since the theorem
+    needs p - 1 | k for every prime p in a denominator.  A given f must
+    also have degree 2k|S| + 1, and s must be below the bit length of
+    its largest coefficient.  The last holds for every genuine k (k is
+    even): with P = X**z R and R(0) != 0, the X**(zk) coefficient of f
+    is -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when
+    z = 0.
     A kappa stored with a recipe must give s = 2**kappa - 1.  Without a
     recipe, f is a bare polynomial and must be given.
     """
@@ -342,6 +343,15 @@ class ConstructionArtifacts:
             if self.f is None:
                 raise ValidationError("artifacts without a recipe (k, s) need f")
             return
+        if self.input.variant == "integer":
+            if (k, s) != (2, 0):
+                raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
+        else:
+            canonical = compute_k(self.pairs)
+            if k < 1 or k % canonical:
+                raise ValidationError(
+                    f"stored k={k} is not a positive multiple of the canonical k={canonical}"
+                )
         recipe = f"the recipe of k={k}, s={s}"
         if self.f is not None:
             self._check_cheaply(k, s, recipe)
@@ -361,12 +371,7 @@ class ConstructionArtifacts:
 
     def _check_cheaply(self, k: int, s: int, recipe: str) -> None:
         """The tests on k and s against the given f that need no build."""
-        if self.input.variant == "integer":
-            if (k, s) != (2, 0):
-                raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
-        elif k % (canonical := compute_k(self.pairs)):
-            raise ValidationError(f"stored k={k} is not a multiple of the canonical k={canonical}")
-        if k < 1 or self.f.degree != 2 * k * len(self.input) + 1:
+        if self.f.degree != 2 * k * len(self.input) + 1:
             raise ValidationError(f"stored f has degree {self.f.degree}, not that of {recipe}")
         bits = max(abs(c).bit_length() for c in self.f.coeffs)
         if not 0 <= s < bits:

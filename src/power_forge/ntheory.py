@@ -20,6 +20,7 @@ __all__ = [
     "divisors",
     "strip_prime",
     "primes_up_to",
+    "prime_flags",
 ]
 
 
@@ -112,17 +113,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by sieve."""
-    if limit < 2:
-        return []
+def prime_flags(limit: int) -> bytearray:
+    """Flags for 0, 1, ..., max(limit, 1): 1 at the primes, 0 elsewhere, by sieve."""
+    limit = max(limit, 1)
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return sieve
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit by sieve."""
+    if limit < 2:
+        return []
+    return [i for i, flag in enumerate(prime_flags(limit)) if flag]
 
 
 _TRIAL_LIMIT = 10_000

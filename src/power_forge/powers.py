@@ -26,8 +26,15 @@ p-th power.  The sieve only ever rejects, so it cannot lose a power.  An
 exponent it lets through is still settled by ``integer_nth_root`` and its
 exact ``root**p == m`` check, so every accepted decomposition is witnessed
 exactly and no float takes part.  The moduli q for each p are the eight
-smallest primes q = 1 (mod p), found on the first use of p and cached;
-nothing is computed at import.
+smallest primes q = 1 (mod p), read off a sieve of primality flags on the
+first use of p and cached; nothing is computed at import.
+
+A scan meets the same denominator again and again: along the row of
+points u/v with one v, the reduced denominator of f(u/v) divides
+v**(deg f) and takes only a few values.  So the primes p for which a
+denominator is an exact p-th power, with its p-th roots, are found once
+and memoised (``_denominator_roots``, a bounded LRU next to the residue
+tables); per point only the numerator is sieved and rooted.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .ntheory import integer_nth_root, is_prime, primes_up_to, strip_prime
+from .ntheory import integer_nth_root, prime_flags, primes_up_to, strip_prime
 
 __all__ = [
     "PowerDecomposition",
@@ -57,8 +65,14 @@ _RESIDUE_PRIMES_PER_EXPONENT = 8
 # p -> ((q, (q - 1) // p), ...), filled by _residue_table on first use of p
 _RESIDUE_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
 
+# denominators whose exact roots _denominator_roots keeps; a scan row meets a few
+_DENOMINATOR_MEMO_SIZE = 1024
+
 # every prime up to _PRIMES[-1]; _primes_through re-sieves it when outgrown
 _PRIMES = [2]
+
+# primality flags of 0, 1, ..., len - 1; _residue_table re-sieves them when outgrown
+_PRIME_FLAGS = bytearray()
 
 
 def _primes_through(limit: int) -> list[int]:
@@ -76,7 +90,9 @@ def _residue_table(p: int) -> tuple[tuple[int, int], ...]:
         q = 1
         while len(moduli) < _RESIDUE_PRIMES_PER_EXPONENT:
             q += p
-            if is_prime(q):
+            if q >= len(_PRIME_FLAGS):
+                _PRIME_FLAGS[:] = prime_flags(2 * q)
+            if _PRIME_FLAGS[q]:
                 moduli.append((q, (q - 1) // p))
         table = _RESIDUE_TABLES[p] = tuple(moduli)
     return table
@@ -132,6 +148,18 @@ def _candidate_prime_exponents(m: int) -> list[int]:
     return cands
 
 
+@lru_cache(maxsize=_DENOMINATOR_MEMO_SIZE)
+def _denominator_roots(v: int) -> tuple[tuple[int, int], ...]:
+    """(p, v**(1/p)) for each candidate prime p with v > 1 an exact p-th power, p ascending."""
+    roots = []
+    for p in _candidate_prime_exponents(v):
+        if _may_be_power(v, p):
+            root, exact = integer_nth_root(v, p)
+            if exact:
+                roots.append((p, root))
+    return tuple(roots)
+
+
 def _decompose(u: int, v: int) -> PowerDecomposition | None:
     """Maximal-exponent decomposition of u/v (lowest terms, v >= 1), or None."""
     if v == 1 and u in (0, 1):
@@ -140,27 +168,35 @@ def _decompose(u: int, v: int) -> PowerDecomposition | None:
         return PowerDecomposition(Fraction(-1), 3)
     sign = 1 if u > 0 else -1
     mu = abs(u)
-    # p must divide the maximal exponent of v; when v == 1, that of |u|
-    for p in _candidate_prime_exponents(v if v > 1 else mu):
-        if sign < 0 and p == 2:
-            continue
-        if not ((v == 1 or _may_be_power(v, p)) and _may_be_power(mu, p)):
-            continue
-        vroot, exact = (1, True) if v == 1 else integer_nth_root(v, p)
-        if not exact:
-            continue
-        uroot, exact = integer_nth_root(mu, p)
-        if not exact:
-            continue
-        # The first root found settles it: if u/v = b**e with e maximal (odd
-        # when u < 0), every prime p admitted here divides e, and the root
-        # b**(e/p) has maximal exponent e/p.  A negative root is never -1
-        # here and so decomposes with an odd exponent.
-        inner = _decompose(sign * uroot, vroot)
-        if inner is None:
-            return PowerDecomposition(Fraction(sign * uroot, vroot), p)
-        return PowerDecomposition(inner.base, inner.exponent * p)
+    if v > 1:
+        # p must divide the maximal exponent of v; v's roots are memoised
+        for p, vroot in _denominator_roots(v):
+            if (sign > 0 or p != 2) and _may_be_power(mu, p):
+                uroot, exact = integer_nth_root(mu, p)
+                if exact:
+                    return _from_root(sign * uroot, vroot, p)
+        return None
+    # p must divide the maximal exponent of |u|
+    for p in _candidate_prime_exponents(mu):
+        if (sign > 0 or p != 2) and _may_be_power(mu, p):
+            uroot, exact = integer_nth_root(mu, p)
+            if exact:
+                return _from_root(sign * uroot, 1, p)
     return None
+
+
+def _from_root(u: int, v: int, p: int) -> PowerDecomposition:
+    """The decomposition of (u/v)**p, from the first prime p whose root u/v was found.
+
+    The first root found settles it: if (u/v)**p = b**e with e maximal
+    (odd when u < 0), every prime p admitted by ``_decompose`` divides e,
+    and the root b**(e/p) has maximal exponent e/p.  A negative root is
+    never -1 here and so decomposes with an odd exponent.
+    """
+    inner = _decompose(u, v)
+    if inner is None:
+        return PowerDecomposition(Fraction(u, v), p)
+    return PowerDecomposition(inner.base, inner.exponent * p)
 
 
 def decompose_integer_power(n: int) -> PowerDecomposition | None:
@@ -186,7 +222,7 @@ def decompose_rational_power(q: Fraction | int) -> PowerDecomposition | None:
     >>> decompose_rational_power(Fraction(2, 3)) is None
     True
     """
-    return _decompose(*Fraction(q).as_integer_ratio())
+    return _decompose(*q.as_integer_ratio())
 
 
 def is_rational_perfect_power(q: Fraction | int) -> bool:

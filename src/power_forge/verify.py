@@ -18,10 +18,13 @@ Horner from their coefficients.
 Independently of the scan, ``trace_quantities`` recomputes the value of
 g at each hit through its own integer bookkeeping (the quantities A, B,
 w and the power sum B**k + w**k) and checks six invariants the
-construction promises.  The two routes share no helper: the scan reduces
-its homogenized value of f to a Fraction and decomposes it, while the
-trace splits gcd(A, v**|S|) off to reach the coprime pair (B, w) and
-compares the power sum with g(x) computed in Fractions.
+construction promises.  The two routes share no helper: the scan
+decomposes f(u/v) = (v**deg f(u/v)) / v**deg, reduced to lowest terms,
+while the trace splits gcd(A, v**|S|) off to reach the coprime pair
+(B, w) and compares the power sum with g(x) computed in Fractions.
+Along one row v the reduced denominator takes only a few values, so the
+decomposer finds their exact roots once (``powers``) and per point
+sieves and roots the numerator only.
 """
 
 from __future__ import annotations

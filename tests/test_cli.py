@@ -404,7 +404,7 @@ def test_construct_a_huge_single_element(capsys, tmp_path, fresh_residue_cache, 
 
 def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, request):
     # an internal fault must not exit 2: building or rebuilding the recipe raises
-    # the certificate's ArithmeticError, which main does not catch
+    # the certificate's ArithmeticError, which exits 3 with an "internal" error
     target = tmp_path / "art.json"
     assert main(["construct", "--set", "1/10201", "--out", str(target)]) == 0
     request.getfixturevalue("mutant_recurrence")
@@ -412,6 +412,10 @@ def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, reques
     for argv in (["construct", "--set", "1/10201"],
                  ["verify", "--artifacts", str(target), "--height", "2"],
                  ["verify", "--set", "1/10201", "--height", "2"]):
-        with pytest.raises(ArithmeticError, match="certificate"):
-            main(argv)
-    assert capsys.readouterr().err == ""
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "error" and doc["error"]["code"] == "internal"
+        assert doc["error"]["message"].startswith("ArithmeticError: P**")
+        assert "certificate" in doc["error"]["message"]
+        assert "_certify_power" in doc["error"]["traceback"]

@@ -233,6 +233,23 @@ def test_artifacts_hold_the_polynomials_of_their_recipe():
         replace(art, kappa=2)
 
 
+def test_k_is_checked_with_or_without_f():
+    # a recipe alone meets the same k tests as a recipe with its polynomials
+    inp = PowerSetInput.from_values(["1/49"])
+    assert compute_k(element_pairs(inp)) == 12
+    assert ConstructionArtifacts(input=inp, k=24, s=1).f.degree == 49
+    g, h, f = build_g_h_f(element_pairs(inp), 12, 1)
+    for k in (8, 4, 6, 0, -12):
+        with pytest.raises(ValidationError, match=f"stored k={k} is not a positive multiple"):
+            ConstructionArtifacts(input=inp, k=k, s=1)
+        with pytest.raises(ValidationError, match=f"stored k={k} "):
+            ConstructionArtifacts(input=inp, f=f, g=g, h=h, k=k, s=1)
+    ints = PowerSetInput.from_values([4, 8], "integer")
+    for k, s in ((4, 0), (2, 1)):
+        with pytest.raises(ValidationError, match=f"not k={k}, s={s}"):
+            ConstructionArtifacts(input=ints, k=k, s=s)
+
+
 def test_construct_fixed_points_random_sets(rng, power_pool):
     for _ in range(12):
         size = rng.randint(1, 4)

@@ -7,6 +7,7 @@ from power_forge.ntheory import (
     factor_integer,
     integer_nth_root,
     is_prime,
+    prime_flags,
     primes_up_to,
     strip_prime,
 )
@@ -27,6 +28,14 @@ def test_primes_up_to_matches_reference():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(3) == [2, 3]
+
+
+def test_prime_flags_mark_exactly_the_primes():
+    primes = set(sieve_reference(500))
+    assert prime_flags(500) == bytearray(n in primes for n in range(501))
+    for limit in (-3, 0, 1):
+        assert prime_flags(limit) == bytearray(2)
+    assert prime_flags(2) == bytearray((0, 0, 1))
 
 
 def test_is_prime_against_sieve():

@@ -4,7 +4,8 @@ from math import gcd, isqrt
 import pytest
 
 from power_forge import powers
-from power_forge.ntheory import primes_up_to
+from power_forge.construct import PowerSetInput, construct
+from power_forge.ntheory import integer_nth_root, is_prime, primes_up_to
 from power_forge.powers import (
     PowerDecomposition,
     decompose_integer_power,
@@ -217,3 +218,109 @@ def test_non_powers_extract_almost_no_roots(rng, monkeypatch):
         values.append(17 * m)
     assert all(decompose_integer_power(n) is None for n in values)
     assert len(calls) <= 2, calls
+
+
+def test_residue_tables_match_the_miller_rabin_ones(monkeypatch):
+    # the moduli read off the sieve are the ones a primality test per candidate finds
+    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_PRIME_FLAGS", bytearray())
+    for p in primes_up_to(1999):
+        want, q = [], 1
+        while len(want) < powers._RESIDUE_PRIMES_PER_EXPONENT:
+            q += p
+            if is_prime(q):
+                want.append((q, (q - 1) // p))
+        assert powers._residue_table(p) == tuple(want), p
+
+
+def reference_decompose(u, v):
+    """The decomposer before the denominator memo: it sieves and roots v at every point."""
+    if v == 1 and u in (0, 1):
+        return PowerDecomposition(Fraction(u), 2)
+    if v == 1 and u == -1:
+        return PowerDecomposition(Fraction(-1), 3)
+    sign = 1 if u > 0 else -1
+    mu = abs(u)
+    for p in powers._candidate_prime_exponents(v if v > 1 else mu):
+        if sign < 0 and p == 2:
+            continue
+        if not ((v == 1 or powers._may_be_power(v, p)) and powers._may_be_power(mu, p)):
+            continue
+        vroot, exact = (1, True) if v == 1 else integer_nth_root(v, p)
+        if not exact:
+            continue
+        uroot, exact = integer_nth_root(mu, p)
+        if not exact:
+            continue
+        inner = reference_decompose(sign * uroot, vroot)
+        if inner is None:
+            return PowerDecomposition(Fraction(sign * uroot, vroot), p)
+        return PowerDecomposition(inner.base, inner.exponent * p)
+    return None
+
+
+def repeated_denominator_values():
+    """b**e * (u/v): along each (b, e, v) the reduced denominator takes few values."""
+    values = []
+    for b in (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 12), Fraction(9, 4)):
+        for e in (2, 3, 4, 6, 12):
+            for v in range(1, 21):
+                values += [b**e * Fraction(u, v) for u in range(-60, 61)]
+    return values
+
+
+def scan_values():
+    """The values the scan decomposes: f(u/v) of a construction, rows of height <= 12."""
+    f = construct(PowerSetInput.from_values(["9/25", "-1/8"])).f
+    return [f(Fraction(u, v)) for v in range(1, 13) for u in range(-12, 13) if gcd(u, v) == 1]
+
+
+def test_decompose_matches_the_reference_on_every_small_fraction():
+    for v in range(1, 301):
+        for u in range(-300, 301):
+            if gcd(u, v) == 1:
+                assert powers._decompose(u, v) == reference_decompose(u, v), (u, v)
+
+
+def test_decompose_matches_the_reference_on_repeated_denominators():
+    hits = 0
+    for q in repeated_denominator_values() + scan_values():
+        got = powers._decompose(*q.as_integer_ratio())
+        assert got == reference_decompose(*q.as_integer_ratio()), q
+        hits += got is not None
+    assert hits > 1000  # the memo serves true powers, not only misses
+
+
+def test_denominator_memo_does_not_change_results(rng):
+    values = repeated_denominator_values()[::7] + scan_values()
+    warm = {q: decompose_rational_power(q) for q in values}
+    rng.shuffle(values)
+    for q in values:
+        powers._denominator_roots.cache_clear()
+        assert decompose_rational_power(q) == warm[q], q
+    rng.shuffle(values)
+    assert [decompose_rational_power(q) for q in values] == [warm[q] for q in values]
+
+
+def test_denominator_roots_are_exact_and_complete():
+    for v in [2**12, 3**30, 6**35, 10**7 * 7**14, 5**49, 12**6 + 1] + list(range(2, 400)):
+        roots = powers._denominator_roots(v)
+        assert [p for p, _ in roots] == sorted(p for p, _ in roots)
+        assert all(root**p == v for p, root in roots), v
+        want = [p for p in primes_up_to(v.bit_length()) if integer_nth_root(v, p)[1]]
+        assert [p for p, _ in roots] == want, v
+
+
+def test_repeated_denominators_match_sympy_perfect_power():
+    sympy = pytest.importorskip("sympy")
+    values = repeated_denominator_values()[::5] + scan_values()
+    for q in values:
+        if q in (0, 1, -1):
+            continue
+        got = decompose_rational_power(q)
+        want = sympy.perfect_power(sympy.Rational(q.numerator, q.denominator))
+        if want is False:
+            assert got is None, q
+        else:
+            base = sympy.Rational(want[0])
+            assert got == PowerDecomposition(Fraction(int(base.p), int(base.q)), want[1]), q

@@ -312,9 +312,10 @@ class ConstructionArtifacts:
     here, certificate included; given, they are rebuilt and compared, and
     a mismatch raises ValidationError naming the fields that differ.
     Cheap tests refuse a tampered k or s before anything is built.  With
-    or without f, the integer variant has k = 2 and s = 0, and a rational
-    k must be a positive multiple of ``compute_k``, since the theorem
-    needs p - 1 | k for every prime p in a denominator.  A given f must
+    or without f, the integer variant has k = 2 and s = 0; a rational
+    recipe has s >= 1, and its k must be a positive multiple of
+    ``compute_k``, since the theorem needs p - 1 | k for every prime p
+    in a denominator.  A given f must
     also have degree 2k|S| + 1, and s must be below the bit length of
     its largest coefficient.  The last holds for every genuine k (k is
     even): with P = X**z R and R(0) != 0, the X**(zk) coefficient of f
@@ -347,6 +348,8 @@ class ConstructionArtifacts:
             if (k, s) != (2, 0):
                 raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
         else:
+            if s < 1:
+                raise ValidationError(f"s={s} is out of range: a rational recipe has s >= 1")
             canonical = compute_k(self.pairs)
             if k < 1 or k % canonical:
                 raise ValidationError(
@@ -374,7 +377,7 @@ class ConstructionArtifacts:
         if self.f.degree != 2 * k * len(self.input) + 1:
             raise ValidationError(f"stored f has degree {self.f.degree}, not that of {recipe}")
         bits = max(abs(c).bit_length() for c in self.f.coeffs)
-        if not 0 <= s < bits:
+        if s >= bits:
             raise ValidationError(
                 f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"
             )

@@ -8,6 +8,32 @@ classifies each value with the power decomposer.  The verdict is PASS
 when no value outside S shows up and every element of S inside the
 scanned window is attained.
 
+On the benchmark's scans fewer than 1 point in 5,000 gives a power, so
+each row v of points u/v is sieved first, after Stoll's ratpoints
+(Bruin and Stoll, "Deciding existence of rational points on curves: an
+experiment", Exp. Math. 17, 2008).  A mask is a Python int whose bit i
+stands for u = lo + i; the masks of a few small moduli are ANDed, and
+only the survivors are evaluated and decomposed (``_RowSieve``):
+
+* on every row, a prime l in ``_SMALL_PRIMES`` not dividing v rejects
+  the u where l divides v**deg f(u/v) exactly once, which depends on
+  u/v mod l**2 only; l then divides the reduced numerator of f(u/v)
+  exactly once, and f(u/v) is no power;
+* on a row v > 1 with gcd(lead f, v) = 1, v**deg f(u/v) is prime to v,
+  so the reduced denominator is exactly v**deg and a power f(u/v) is a
+  p-th power for a prime p of ``_denominator_roots(v**deg)``; it
+  survives only if, for one such p, f(u/v) mod q is 0 or a p-th power
+  residue for every modulus q of ``_residue_table(p)`` not dividing v.
+
+A table of period m costs m evaluations of f mod m, so it is used only
+where it pays: m at most the row length 2H+1, and m (deg f + 1) at most
+the chunk's points.  So the degree-201 and degree-361 scans at heights
+8-9 use none.  Each pattern is built once per (table, v mod m) and
+tiled along the row by one multiplication.  The masks only reject, so
+hits, ``points_scanned`` and every report are those of the
+point-by-point scan.  On {9/25} at height 110, 1,600 of 14,863 points
+are evaluated; on the integer {4, 8, 36} to 20,000, 2,389 of 40,001.
+
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
 Horner's rule; ``ConstructionArtifacts`` builds the stored coefficients
@@ -35,11 +61,14 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
-from .construct import ConstructionArtifacts, compute_k
+from .construct import ConstructionArtifacts, ValidationError, compute_k
 from .oracles import map_chunks, split_range
 from .poly import IntPoly
 from .powers import (
+    _SMALL_PRIMES,
     PowerDecomposition,
+    _denominator_roots,
+    _residue_table,
     decompose_integer_power,
     decompose_rational_power,
 )
@@ -131,14 +160,128 @@ def _row_values(
         yield u, B * ((u - shift) * B + tail)
 
 
+# -- the row sieve ---------------------------------------------------------
+
+
+def _tile(pattern: int, m: int, n: int) -> int:
+    """The n-bit mask whose bit i is bit i mod m of the m-bit pattern.
+
+    One multiplication by the base-2**m repunit with ceil(n/m) digits
+    lays the copies side by side; no copy carries into the next.
+    """
+    copies = -(-n // m)
+    return pattern * (((1 << m * copies) - 1) // ((1 << m) - 1)) & ((1 << n) - 1)
+
+
+def _set_bits(mask: int, lo: int) -> Iterator[int]:
+    """lo + i for each set bit i of mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit i at index i
+    i = bits.find("1")
+    while i >= 0:
+        yield lo + i
+        i = bits.find("1", i + 1)
+
+
+def _allowed(coeffs: tuple[int, ...], p: int, m: int) -> bytes:
+    """Entry t: whether a point with u/v = t modulo the table's period may give a power.
+
+    p = 0 asks that the prime m not divide f(t) exactly once, a test on
+    f(t) mod m**2, so the period is m**2.  A prime p > 0 asks that f(t)
+    mod the prime m be 0 or a p-th power residue, with period m.
+    """
+    if p == 0:
+        period = m * m
+        return bytes(r % m != 0 or r == 0 for r in _values_mod(coeffs, m * m, period))
+    cofactor = (m - 1) // p
+    return bytes(r == 0 or pow(r, cofactor, m) == 1 for r in _values_mod(coeffs, m, m))
+
+
+def _values_mod(coeffs: tuple[int, ...], m: int, period: int) -> Iterator[int]:
+    """f(t) mod m for t in range(period), by Horner on the reduced coefficients."""
+    reduced = [c % m for c in reversed(coeffs)]
+    for t in range(period):
+        acc = 0
+        for c in reduced:
+            acc = (acc * t + c) % m
+        yield acc
+
+
+class _RowSieve:
+    """The masks of one chunk's rows over the numerators u in [lo, lo + n).
+
+    The module docstring gives the two kinds of table and when a modulus
+    pays.  A table is read from f's coefficients reduced mod m, never
+    from the recipe that evaluates the survivors, and it is indexed by
+    the class t of u/v = u * v**-1 modulo its period; on a row v, the u
+    of class t are those with u = t v modulo the period.
+    """
+
+    def __init__(self, f: IntPoly, lo: int, n: int, points: int):
+        self.f = f
+        self.lo, self.n = lo, n
+        self.full = (1 << n) - 1
+        self.limit = min(n, points // len(f.coeffs)) if f.coeffs else 0
+        # (p, m) -> (period, marked classes t, whether a marked class survives)
+        self._tables: dict[tuple[int, int], tuple[int, list[int], bool]] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
+
+    def coprime(self, v: int) -> int:
+        """The mask of the u prime to v."""
+        lo = self.lo
+        return _tile(sum(1 << j for j in range(v) if gcd(lo + j, v) == 1), v, self.n)
+
+    def mask(self, v: int) -> int:
+        """The mask of the u whose f(u/v) no modulus proves to be no power."""
+        limit = self.limit
+        mask = self.full
+        for l in _SMALL_PRIMES:
+            if v % l and l * l <= limit:
+                mask &= self._pattern(0, l, v)
+        deg = self.f.degree
+        if v > 1 and deg >= 1 and gcd(self.f.lead, v) == 1:
+            residue = 0
+            for p, _ in _denominator_roots(v**deg):
+                survivors = mask
+                for q, _ in _residue_table(p):
+                    if v % q and q <= limit:
+                        survivors &= self._pattern(p, q, v)
+                residue |= survivors
+            mask = residue
+        return mask
+
+    def _pattern(self, p: int, m: int, v: int) -> int:
+        """The mask of table (p, m) on row v."""
+        table = self._tables.get((p, m))
+        if table is None:
+            allowed = _allowed(self.f.coeffs, p, m)
+            kept = [t for t, ok in enumerate(allowed) if ok]
+            dropped = [t for t, ok in enumerate(allowed) if not ok]
+            marked = (kept, True) if len(kept) <= len(dropped) else (dropped, False)
+            table = self._tables[p, m] = (len(allowed), *marked)
+        period, marked, keep = table
+        key = (p, m, v % period)
+        mask = self._masks.get(key)
+        if mask is None:
+            # u with u * v**-1 = t mod period is u = t v; its bit is u - lo
+            lo = self.lo
+            bits = sum(1 << (t * v - lo) % period for t in marked)
+            if not keep:
+                bits ^= (1 << period) - 1
+            mask = self._masks[key] = _tile(bits, period, self.n)
+        return mask
+
+
 def _scan_rational_chunk(payload) -> tuple[int, list[Hit]]:
     f, recipe, vs, height = payload
+    n = 2 * height + 1
+    sieve = _RowSieve(f, -height, n, len(vs) * n)
     count = 0
     hits: list[Hit] = []
     for v in vs:
         vd = v ** max(f.degree, 0)
-        us = [u for u in range(-height, height + 1) if gcd(u, v) == 1]
-        count += len(us)
+        coprime = sieve.coprime(v)
+        count += coprime.bit_count()
+        us = _set_bits(coprime & sieve.mask(v), -height)
         for u, num in _row_values(f, recipe, v, us):
             y = Fraction(num, vd)
             dec = decompose_rational_power(y)
@@ -149,8 +292,9 @@ def _scan_rational_chunk(payload) -> tuple[int, list[Hit]]:
 
 def _scan_integer_chunk(payload) -> tuple[int, list[Hit]]:
     f, recipe, xs = payload
+    sieve = _RowSieve(f, xs.start, len(xs), len(xs))
     hits: list[Hit] = []
-    for x, y in _row_values(f, recipe, 1, xs):
+    for x, y in _row_values(f, recipe, 1, _set_bits(sieve.mask(1), xs.start)):
         dec = decompose_integer_power(y)
         if dec is not None:
             hits.append(Hit(x=Fraction(x), value=Fraction(y), power=dec))
@@ -168,9 +312,9 @@ def _scan(
 ) -> VerificationReport:
     """The scan behind both entry points; ``recipe`` None means Horner on f."""
     if variant not in ("rational", "integer"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValidationError(f"unknown variant {variant!r}")
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise ValidationError("bound must be >= 1")
     targets = tuple(sorted(Fraction(e) for e in elements))
     if variant == "rational":
         n = min(max(workers, 1), bound)
@@ -180,7 +324,7 @@ def _scan(
     else:
         bad = [b for b in targets if b.denominator != 1]
         if bad:
-            raise ValueError(f"integer-variant scan with non-integer targets: {bad}")
+            raise ValidationError(f"integer-variant scan with non-integer targets: {bad}")
         worker = _scan_integer_chunk
         payloads = [(f, recipe, r) for r in split_range(-bound, bound + 1, workers)]
         in_window = [b for b in targets if abs(b) <= bound]
@@ -326,7 +470,7 @@ def trace_quantities(
     if k is None:
         k = compute_k(pairs)
     if k < 4 or k % 4:
-        raise ValueError(f"k must be a positive multiple of 4, got {k}")
+        raise ValidationError(f"k must be a positive multiple of 4, got {k}")
     x = Fraction(x)
     u, v = x.numerator, x.denominator
     A = prod(c * u - a * v for a, c in pairs)

@@ -71,18 +71,68 @@ def power_pool():
     return build_power_pool(50)
 
 
-@pytest.fixture
-def mutant_recurrence(monkeypatch):
-    """IntPoly.__pow__ with Miller's factor (n+1) i - j miswritten as n i - j.
+def _patch_source(monkeypatch, module, owner, name, old, new):
+    """Patch owner.name with its own source, old replaced by new.
 
-    The mutant is the real method's source with that one factor changed,
-    compiled in the poly module's namespace and patched onto IntPoly.
+    The mutant is compiled in the module's namespace, so it calls the
+    same helpers as the real function or method.
     """
-    from power_forge import poly
-
-    source = textwrap.dedent(inspect.getsource(poly.IntPoly.__pow__))
-    mutated = source.replace("((n + 1) * i - j)", "(n * i - j)")
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    mutated = source.replace(old, new)
     assert mutated != source
     namespace: dict = {}
-    exec(mutated, dict(vars(poly)), namespace)
-    monkeypatch.setattr(poly.IntPoly, "__pow__", namespace["__pow__"])
+    exec(mutated, dict(vars(module)), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+@pytest.fixture
+def mutant_recurrence(monkeypatch):
+    """IntPoly.__pow__ with Miller's factor (n+1) i - j miswritten as n i - j."""
+    from power_forge import poly
+
+    _patch_source(monkeypatch, poly, poly.IntPoly, "__pow__",
+                  "((n + 1) * i - j)", "(n * i - j)")
+
+
+# mutants of the scan's row sieve (verify._RowSieve); each masks out a power
+
+@pytest.fixture
+def mutant_flipped_entry(monkeypatch):
+    """The quadratic-residue table mod 3 with the entry of the class t = 1 flipped."""
+    from power_forge import verify
+
+    real = verify._allowed
+
+    def flipped(coeffs, p, m):
+        table = bytearray(real(coeffs, p, m))
+        if (p, m) == (2, 3):
+            table[1] ^= 1
+        return bytes(table)
+
+    monkeypatch.setattr(verify, "_allowed", flipped)
+
+
+@pytest.fixture
+def mutant_guard_dropped(monkeypatch):
+    """Residue masks that also use the moduli q dividing the row's v."""
+    from power_forge import verify
+
+    _patch_source(monkeypatch, verify, verify._RowSieve, "mask",
+                  "if v % q and q <= limit", "if q <= limit")
+
+
+@pytest.fixture
+def mutant_period_l(monkeypatch):
+    """Valuation tables of period l, where whether l divides f exactly once needs l**2."""
+    from power_forge import verify
+
+    _patch_source(monkeypatch, verify, verify, "_allowed", "period = m * m", "period = m")
+
+
+@pytest.fixture
+def mutant_lead_dropped(monkeypatch):
+    """Residue masks also on the rows where lead f and v share a prime."""
+    from power_forge import verify
+
+    _patch_source(monkeypatch, verify, verify._RowSieve, "mask",
+                  " and gcd(self.f.lead, v) == 1", "")

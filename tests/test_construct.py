@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -248,6 +249,23 @@ def test_k_is_checked_with_or_without_f():
     for k, s in ((4, 0), (2, 1)):
         with pytest.raises(ValidationError, match=f"not k={k}, s={s}"):
             ConstructionArtifacts(input=ints, k=k, s=s)
+
+
+@pytest.mark.parametrize("s", [-1, 0])
+def test_a_rational_recipe_needs_s_at_least_one(monkeypatch, s):
+    # refused by the range of s before anything is built, with or without f
+    construct_module = importlib.import_module("power_forge.construct")
+
+    def no_build(*args):
+        raise AssertionError("build_g_h_f called")
+
+    inp = PowerSetInput.from_values(["9/25"])
+    g, h, f = build_g_h_f(element_pairs(inp), 4, 1)
+    monkeypatch.setattr(construct_module, "build_g_h_f", no_build)
+    with pytest.raises(ValidationError, match=f"^s={s} is out of range"):
+        ConstructionArtifacts(input=inp, k=4, s=s)
+    with pytest.raises(ValidationError, match=f"^s={s} is out of range"):
+        ConstructionArtifacts(input=inp, f=f, g=g, h=h, k=4, s=s)
 
 
 def test_construct_fixed_points_random_sets(rng, power_pool):

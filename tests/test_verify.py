@@ -3,9 +3,12 @@ from math import gcd, prod
 
 import pytest
 
-from power_forge.construct import PowerSetInput, construct, element_pairs
+from power_forge import verify
+from power_forge.construct import PowerSetInput, ValidationError, construct, element_pairs
 from power_forge.poly import IntPoly
+from power_forge.powers import decompose_integer_power, decompose_rational_power
 from power_forge.verify import (
+    Hit,
     InvariantViolation,
     _row_values,
     ensure_trace,
@@ -90,11 +93,11 @@ def test_verify_is_deterministic_across_workers():
 
 def test_verify_argument_validation():
     art = construct(PowerSetInput.from_values([4], variant="integer"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="bound must be >= 1"):
         verify_construction(art, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="non-integer targets"):
         verify_polynomial(IntPoly([2]), [Fraction(1, 2)], variant="integer", bound=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown variant 'p-adic'"):
         verify_polynomial(IntPoly([2]), [], variant="p-adic", bound=5)
 
 
@@ -133,12 +136,9 @@ def test_trace_value_identity_matches_polynomial(rng, power_pool):
 
 
 def test_trace_rejects_bad_k():
-    with pytest.raises(ValueError):
-        trace_quantities(((9, 25),), Fraction(1, 2), k=6)
-    with pytest.raises(ValueError):
-        trace_quantities(((9, 25),), Fraction(1, 2), k=2)
-    with pytest.raises(ValueError):
-        trace_quantities(((9, 25),), Fraction(1, 2), k=0)
+    for k in (6, 2, 0):
+        with pytest.raises(ValidationError, match=f"got {k}$"):
+            trace_quantities(((9, 25),), Fraction(1, 2), k=k)
 
 
 def test_undersized_k_breaks_an_invariant():
@@ -225,3 +225,212 @@ def test_recipe_values_equal_horner_values(values, variant, window):
     for v in range(1, window + 1):
         us = [u for u in range(-window, window + 1) if gcd(u, v) == 1]
         assert list(_row_values(f, recipe, v, us)) == [(u, f.eval_pair(u, v)) for u in us]
+
+
+# -- the row sieve ------------------------------------------------------------
+
+def _reference_rational_chunk(payload):
+    """One chunk of the rational scan point by point, as before the row sieve."""
+    f, recipe, vs, height = payload
+    count = 0
+    hits = []
+    for v in vs:
+        vd = v ** max(f.degree, 0)
+        us = [u for u in range(-height, height + 1) if gcd(u, v) == 1]
+        count += len(us)
+        for u, num in _row_values(f, recipe, v, us):
+            y = Fraction(num, vd)
+            dec = decompose_rational_power(y)
+            if dec is not None:
+                hits.append(Hit(x=Fraction(u, v), value=y, power=dec))
+    return count, hits
+
+
+def _reference_integer_chunk(payload):
+    """One chunk of the integer scan point by point, as before the row sieve."""
+    f, recipe, xs = payload
+    hits = []
+    for x, y in _row_values(f, recipe, 1, xs):
+        dec = decompose_integer_power(y)
+        if dec is not None:
+            hits.append(Hit(x=Fraction(x), value=Fraction(y), power=dec))
+    return len(xs), hits
+
+
+def _reference(monkeypatch, scan, *args, **kwargs):
+    """scan(*args, **kwargs) with the per-point chunks in place of the masked ones."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_scan_rational_chunk", _reference_rational_chunk)
+        m.setattr(verify, "_scan_integer_chunk", _reference_integer_chunk)
+        return scan(*args, **kwargs)
+
+
+def _masked_out_powers(f, variant, window):
+    """Points of the window that the one-worker scan's sieve masks out, yet give a power.
+
+    Each masked-out point is evaluated by Horner on f and decomposed
+    exactly; on a sound sieve the list is empty.
+    """
+    n = 2 * window + 1
+    if variant == "integer":
+        sieve = verify._RowSieve(f, -window, n, n)
+        return [
+            x for x in verify._set_bits(~sieve.mask(1) & (1 << n) - 1, -window)
+            if decompose_integer_power(f(x)) is not None
+        ]
+    sieve = verify._RowSieve(f, -window, n, window * n)
+    found = []
+    for v in range(1, window + 1):
+        for u in verify._set_bits(sieve.coprime(v) & ~sieve.mask(v), -window):
+            if decompose_rational_power(f(Fraction(u, v))) is not None:
+                found.append(Fraction(u, v))
+    return found
+
+
+# bare polynomials with many powers among their values
+BARE_SCANS = [
+    (IntPoly.monomial(2), "rational", 10),  # every value a square
+    (IntPoly([1, 0, 1]), "rational", 12),  # (4/3)**2 + 1 = (5/3)**2
+    (IntPoly.monomial(3, 32), "rational", 12),  # 32 (1/2)**3 = 2**2, with 2 | lead
+    (IntPoly([-1, 0, 0, 1]), "rational", 9),  # X**3 - 1
+    (IntPoly([1, 2, 1]), "rational", 9),  # (X + 1)**2
+    (IntPoly([4]), "rational", 6),  # degree 0: v**deg = 1 bounds no exponent
+    (IntPoly(), "rational", 6),  # f = 0 = 0**2 everywhere
+    (IntPoly([2, 1]), "integer", 300),  # 2 divides f(0) = 2 once but f(2) = 4
+    (IntPoly([0, 0, 9]), "integer", 200),
+    (IntPoly([-7, 0, 1]), "integer", 200),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("values, variant, window", BENCH_SCANS)
+def test_masked_scan_equals_the_per_point_scan(monkeypatch, values, variant, window, workers):
+    art = construct(PowerSetInput.from_values(values, variant=variant))
+    masked = verify_construction(art, window, workers=workers)
+    assert masked == _reference(monkeypatch, verify_construction, art, window, workers=workers)
+    assert masked.passed
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("f, variant, window", BARE_SCANS)
+def test_masked_scan_equals_the_per_point_scan_on_bare_polynomials(
+    monkeypatch, f, variant, window, workers
+):
+    masked = verify_polynomial(f, [], variant, window, workers=workers)
+    assert masked == _reference(
+        monkeypatch, verify_polynomial, f, [], variant, window, workers=workers
+    )
+
+
+def test_masked_scan_equals_the_per_point_scan_on_random_input(monkeypatch, power_pool):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    integers = [b for b in power_pool if b.denominator == 1]
+    settings = hypothesis.settings(max_examples=40, deadline=None, database=None)
+
+    @settings
+    @hypothesis.given(
+        st.lists(st.sampled_from(power_pool), min_size=1, max_size=2, unique=True),
+        st.booleans(),
+        st.integers(1, 9),
+    )
+    def sets(elements, integer, window):
+        if integer:
+            elements, window = [b for b in elements if b in integers] or [4], 30 * window
+        art = construct(PowerSetInput(tuple(elements), "integer" if integer else "rational"))
+        masked = verify_construction(art, window)
+        assert masked == _reference(monkeypatch, verify_construction, art, window)
+
+    @settings
+    @hypothesis.given(
+        st.lists(st.integers(-12, 12), min_size=1, max_size=6),
+        st.sampled_from(["rational", "integer"]),
+        st.integers(1, 12),
+    )
+    def polynomials(coeffs, variant, window):
+        f, window = IntPoly(coeffs), window * (10 if variant == "integer" else 1)
+        masked = verify_polynomial(f, [], variant, window)
+        assert masked == _reference(monkeypatch, verify_polynomial, f, [], variant, window)
+
+    sets()
+    polynomials()
+
+
+@pytest.mark.parametrize("values, variant, window", BENCH_SCANS)
+def test_the_sieve_masks_out_no_power_of_a_bench_set(values, variant, window):
+    art = construct(PowerSetInput.from_values(values, variant=variant))
+    assert _masked_out_powers(art.f, variant, window) == []
+
+
+def test_the_sieve_leaves_few_points_to_evaluate(monkeypatch):
+    # of 14,863 and 40,001 points, the scan-lowdeg sets evaluate 1,600 and 2,389
+    evaluated = []
+
+    def counting(f, recipe, v, us, real=verify._row_values):
+        us = list(us)
+        evaluated.extend(us)
+        return real(f, recipe, v, us)
+
+    monkeypatch.setattr(verify, "_row_values", counting)
+    for values, variant, window, most in ((["9/25"], "rational", 110, 1600),
+                                          (["4", "8", "36"], "integer", 20000, 2389)):
+        art = construct(PowerSetInput.from_values(values, variant=variant))
+        evaluated.clear()
+        verify_construction(art, window)
+        assert len(evaluated) <= most
+
+
+@pytest.mark.parametrize("f", [IntPoly([3, -1, 0, 2, 5]), IntPoly([-9, 0, 0, 0, 4]),
+                               IntPoly([2, 0, 1])])
+def test_tables_follow_their_definitions(f):
+    for l in (2, 3, 5, 7):
+        table = verify._allowed(f.coeffs, 0, l)
+        # l divides f(t) exactly once for no t that survives
+        assert list(table) == [f(t) % l != 0 or f(t) % (l * l) == 0 for t in range(l * l)]
+    for p, q in ((2, 3), (2, 11), (3, 7), (3, 13), (5, 11)):
+        table = verify._allowed(f.coeffs, p, q)
+        powers = {pow(x, p, q) for x in range(q)}  # 0 and the p-th power residues
+        assert list(table) == [f(t) % q in powers for t in range(q)]
+
+
+@pytest.mark.parametrize(
+    "mutant, case",
+    [
+        ("mutant_flipped_entry", BARE_SCANS[0]),  # loses 1/16 = (1/4)**2
+        ("mutant_guard_dropped", BARE_SCANS[1]),  # loses 4/3, on the row 3 = q
+        ("mutant_period_l", BARE_SCANS[7]),  # loses 2, as f(0) = 2
+        ("mutant_lead_dropped", BARE_SCANS[2]),  # loses 1/2: 2**3 is no square
+    ],
+)
+def test_each_sieve_mutant_masks_out_a_power(request, monkeypatch, mutant, case):
+    f, variant, window = case
+    assert _masked_out_powers(f, variant, window) == []
+    reference = _reference(monkeypatch, verify_polynomial, f, [], variant, window)
+    request.getfixturevalue(mutant)
+    assert _masked_out_powers(f, variant, window) != []
+    assert verify_polynomial(f, [], variant, window) != reference
+
+
+@pytest.mark.parametrize("m, n", [(1, 5), (3, 3), (3, 10), (7, 23), (13, 221), (20, 7)])
+def test_tile_repeats_the_pattern_to_the_last_bit(m, n):
+    for pattern in (0, 1, (1 << m) - 1, 0b1011 % (1 << m), 1 << (m - 1)):
+        tiled = verify._tile(pattern, m, n)
+        assert tiled.bit_length() <= n
+        assert all((tiled >> i & 1) == (pattern >> i % m & 1) for i in range(n))
+
+
+@pytest.mark.parametrize("lo, n", [(-7, 23), (-110, 221), (-20000, 40001), (5, 1), (-3, 10)])
+def test_row_patterns_at_the_window_edges(lo, n):
+    # bit i stands for u = lo + i: a negative lo and a length n that no period divides
+    f = IntPoly([3, -1, 0, 2, 5])
+    sieve = verify._RowSieve(f, lo, n, 10**6)
+    for p, m in ((0, 2), (0, 3), (2, 5), (3, 7), (2, 11)):
+        table = verify._allowed(f.coeffs, p, m)
+        period = len(table)
+        assert period == (m * m if p == 0 else m)
+        for v in range(1, 15):
+            if v % m == 0:
+                continue
+            vinv = pow(v, -1, period)
+            expected = [u for u in range(lo, lo + n) if table[u * vinv % period]]
+            assert list(verify._set_bits(sieve._pattern(p, m, v), lo)) == expected

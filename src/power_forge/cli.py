@@ -11,11 +11,13 @@ Subcommands:
 JSON goes to stdout (or ``--out``); one human summary line goes to the
 other stream.  Exit codes: 0 success / PASS, 1 FAIL (failed verdict,
 failed invariant, expectation mismatch, or a non-power answer from
-``power``), 2 usage or validation errors, 3 an internal fault (any other
-exception, such as a build that fails its certificate).  Validation
-errors and internal faults are reported as a JSON error object on
-stderr, with code "validation", "capacity" or "internal"; an internal
-one also carries the traceback.
+``power``), 2 bad input and nothing else (a usage error, a
+``ValidationError`` or ``CapacityError``, or an ``OSError`` on a named
+file), 3 an internal fault (any other exception, a stray ``ValueError``
+or ``ZeroDivisionError`` included, such as a build that fails its
+certificate).  Bad input and internal faults are reported as a JSON
+error object on stderr, with code "validation", "capacity" or
+"internal"; an internal one also carries the traceback.
 
 Worker counts default to the POWER_FORGE_WORKERS environment variable.
 """
@@ -43,18 +45,11 @@ from .verify import trace_quantities, verify_construction
 PROG = "power-forge"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return jsonio.parse_rational(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse {text!r} as a rational") from exc
-
-
 def _parse_set(text: str) -> list[Fraction]:
     text = text.strip()
     if not text:
         return []
-    return [_parse_fraction(part) for part in text.split(",")]
+    return [jsonio.parse_rational(part) for part in text.split(",")]
 
 
 def _resolve_workers(value: Optional[int]) -> int:
@@ -195,7 +190,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         import json
 
         with open(args.artifacts, "r", encoding="ascii") as fh:
-            art = jsonio.artifacts_from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # not JSON, or not ASCII
+                raise ValidationError(str(exc)) from exc
+        art = jsonio.artifacts_from_json(doc)
     else:
         inp = PowerSetInput.from_values(_parse_set(args.set), variant=args.variant)
         art = construct(inp)
@@ -220,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     inp = PowerSetInput.from_values(_parse_set(args.set), variant="rational")
-    x = _parse_fraction(args.x)
+    x = jsonio.parse_rational(args.x)
     rec = trace_quantities(element_pairs(inp), x, args.k)
     used_stdout = _emit(jsonio.trace_to_json(rec), None)
     at = jsonio.rational_text(x)
@@ -286,7 +285,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return _expectation_gate(sol, expected(args)) if args.expect else 0
     sequence, names, scan = _SCANS[args.oracle]
     params = {name: getattr(args, name) for name in names}
-    hits = scan(*[_parse_fraction(text) for text in params.values()], args.t_max)
+    hits = scan(*[jsonio.parse_rational(text) for text in params.values()], args.t_max)
     params["t_max"] = args.t_max
     used_stdout = _emit(jsonio.power_hits_to_json(hits, sequence, params), None)
     _summary(f"{len(hits)} perfect powers among t <= {args.t_max}", used_stdout)
@@ -294,7 +293,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    value = _parse_fraction(args.value)
+    value = jsonio.parse_rational(args.value)
     dec = decompose_rational_power(value)
     _emit(jsonio.power_query_to_json(value, dec), None)
     return 0 if dec is not None else 1
@@ -347,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ValidationError, CapacityError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValidationError, CapacityError, OSError) as exc:
         code = "capacity" if isinstance(exc, CapacityError) else "validation"
         sys.stderr.write(jsonio.dumps(jsonio.error_to_json(str(exc), code)))
         return 2

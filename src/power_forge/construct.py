@@ -45,6 +45,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Union
 
+from ._errors import CapacityError, ValidationError
 from .ntheory import factor_integer
 from .oracles import scan_gamma_minus_pow2
 from .poly import IntPoly, rational_roots
@@ -71,14 +72,6 @@ __all__ = [
 VARIANTS = ("rational", "integer")
 
 
-class ValidationError(ValueError):
-    """Input set rejected before any construction work."""
-
-
-class CapacityError(RuntimeError):
-    """No offset of the form 2**kappa - 1 within policy covers the estimates."""
-
-
 @dataclass(frozen=True, slots=True)
 class SelectionPolicy:
     """Knobs for the offset selection.
@@ -92,7 +85,7 @@ class SelectionPolicy:
 
     def __post_init__(self) -> None:
         if self.t_max < 0 or self.kappa_cap < 1:
-            raise ValueError("need t_max >= 0 and kappa_cap >= 1")
+            raise ValidationError("need t_max >= 0 and kappa_cap >= 1")
 
 
 DEFAULT_POLICY = SelectionPolicy()
@@ -208,7 +201,7 @@ def estimate_capacity(gamma: Fraction, policy: SelectionPolicy = DEFAULT_POLICY)
     """max(0, ceil(log2 |gamma|), last t <= t_max with gamma - 2**t a perfect power)."""
     gamma = Fraction(gamma)
     if gamma == 0:
-        raise ValueError("capacity estimate needs gamma != 0")
+        raise ValidationError("capacity estimate needs gamma != 0")
     num, den = abs(gamma.numerator), gamma.denominator
     # the least L >= 0 with den * 2**L >= num, i.e. with 2**L >= ceil(num / den)
     log2_bound = ((num - 1) // den).bit_length()

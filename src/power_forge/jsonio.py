@@ -105,13 +105,11 @@ def _is_digits(text: str) -> bool:
 
 
 def _parse_int(text: str) -> int:
-    """``int(text)`` at any size, for the strings ``_int_text`` writes."""
-    if len(text) <= _DIRECT_DIGITS:
-        return int(text)
+    """``int(text)`` at any size, for the strings ``_int_text`` writes and no others."""
     sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
     if not _is_digits(digits):
-        raise ValueError(f"not a decimal integer: {text[:40]}...")
-    return sign * _digits_value(digits)
+        raise ValidationError(f"not a decimal integer: {text[:40]!r}")
+    return int(text) if len(text) <= _DIRECT_DIGITS else sign * _digits_value(digits)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -119,15 +117,21 @@ def parse_rational(text: str) -> Fraction:
 
     Long text of the form ``int`` or ``int/int`` is read without the
     ``int()`` digit limit; everything else goes to ``Fraction`` itself.
+    Surrounding whitespace is ignored; text that is no rational, such as
+    "1/0", raises ValidationError.
     """
-    num, slash, den = text.partition("/")
-    if (
-        len(text) > _DIRECT_DIGITS
-        and _is_digits(num.removeprefix("-"))
-        and (not slash or _is_digits(den))
-    ):
-        return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
-    return Fraction(text)
+    stripped = text.strip()
+    num, slash, den = stripped.partition("/")
+    try:
+        if (
+            len(stripped) > _DIRECT_DIGITS
+            and _is_digits(num.removeprefix("-"))
+            and (not slash or _is_digits(den))
+        ):
+            return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
+        return Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse {text!r} as a rational") from exc
 
 
 def rational_text(q: Fraction | int) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._errors import ValidationError
 from .powers import PowerDecomposition, decompose_rational_power
 
 __all__ = [
@@ -150,7 +151,7 @@ def _lebesgue_chunk(payload: tuple[range, int]) -> list[tuple[int, int, int]]:
 def search_lebesgue(x_bound: int, n_max: int, workers: int = 1) -> SolutionList:
     """All (X, Y, n) with X^2 + 1 = Y^n, |X| <= x_bound, 2 <= n <= n_max."""
     if x_bound < 0 or n_max < 2:
-        raise ValueError("need x_bound >= 0 and n_max >= 2")
+        raise ValidationError("need x_bound >= 0 and n_max >= 2")
     chunks = split_range(0, x_bound + 1, workers)
     found: list[tuple[int, int, int]] = []
     for part in map_chunks(_lebesgue_chunk, [(c, n_max) for c in chunks], workers):
@@ -176,14 +177,14 @@ def lebesgue_expected(x_bound: int, n_max: int) -> tuple[tuple[int, int, int], .
 # -- X^m - Y^n = 1 -----------------------------------------------------------
 
 
-def search_catalan(base_bound: int, exp_bound: int, workers: int = 1) -> SolutionList:
+def search_catalan(base_bound: int, exp_bound: int) -> SolutionList:
     """All (X, m, Y, n) with X^m - Y^n = 1, 2 <= X, Y <= base_bound, 2 <= m, n <= exp_bound.
 
     Builds the table of in-range perfect powers once and joins it against
     itself shifted by one, so runtime is table-sized, not box-sized.
     """
     if base_bound < 2 or exp_bound < 2:
-        raise ValueError("need base_bound >= 2 and exp_bound >= 2")
+        raise ValidationError("need base_bound >= 2 and exp_bound >= 2")
     table: dict[int, list[tuple[int, int]]] = {}
     for base in range(2, base_bound + 1):
         value = base
@@ -258,10 +259,10 @@ def search_fermat_quartic(
     mirror -C solves too.
     """
     if variant not in _FERMAT_FORMS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {FERMAT_VARIANTS}")
+        raise ValidationError(f"unknown variant {variant!r}, expected one of {FERMAT_VARIANTS}")
     equation, pa, pb, rhs_mult, n_min = _FERMAT_FORMS[variant]
     if ab_bound < 1 or n_max < n_min:
-        raise ValueError(f"need ab_bound >= 1 and n_max >= {n_min} for {variant!r}")
+        raise ValidationError(f"need ab_bound >= 1 and n_max >= {n_min} for {variant!r}")
     nonzero = variant == "24n"
     chunks = split_range(0, ab_bound + 1, workers)
     payloads = [(c, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero) for c in chunks]
@@ -282,7 +283,7 @@ def fermat_quartic_expected(
 ) -> tuple[tuple[int, int, int, int], ...]:
     """Known full solution sets: trivial families for cn/2cn, empty for 24n."""
     if variant not in _FERMAT_FORMS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {FERMAT_VARIANTS}")
+        raise ValidationError(f"unknown variant {variant!r}, expected one of {FERMAT_VARIANTS}")
     _, _, _, _, n_min = _FERMAT_FORMS[variant]
     out: list[tuple[int, int, int, int]] = []
     if variant == "cn":
@@ -312,9 +313,9 @@ def scan_recurrence_powers(
     """
     a, b, alpha, beta = Fraction(a), Fraction(b), Fraction(alpha), Fraction(beta)
     if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+        raise ValidationError("t_max must be >= 0")
     if a == 0 or b == 0 or alpha == 0 or beta == 0 or alpha == beta or alpha == -beta:
-        raise ValueError("degenerate recurrence (zero datum or alpha = +-beta)")
+        raise ValidationError("degenerate recurrence (zero datum or alpha = +-beta)")
     hits = []
     pa, pb = Fraction(1), Fraction(1)
     for t in range(t_max + 1):
@@ -335,9 +336,9 @@ def scan_gamma_minus_pow2(gamma: Fraction | int, t_max: int) -> tuple[PowerHit, 
     """
     gamma = Fraction(gamma)
     if gamma == 0:
-        raise ValueError("gamma must be nonzero")
+        raise ValidationError("gamma must be nonzero")
     if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+        raise ValidationError("t_max must be >= 0")
     hits = []
     pw = 1
     for t in range(t_max + 1):

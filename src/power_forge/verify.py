@@ -2,11 +2,11 @@
 
 The claim being checked is extensional: the perfect powers among the
 values of f are exactly the target set S.  A scan enumerates every
-rational of height at most H (height = max(|numerator|, denominator)),
-or every integer in a symmetric interval, evaluates f exactly, and
-classifies each value with the power decomposer.  The verdict is PASS
-when no value outside S shows up and every element of S inside the
-scanned window is attained.
+rational u/v of height at most H (max(|u|, v) in lowest terms), row by
+row in v; the integer scan of |x| <= B is the row v = 1 of height B.
+It evaluates f exactly and classifies each value with the power
+decomposer.  The verdict is PASS when no value outside S shows up and
+every element of S inside the scanned window is attained.
 
 On the benchmark's scans fewer than 1 point in 5,000 gives a power, so
 each row v of points u/v is sieved first, after Stoll's ratpoints
@@ -69,7 +69,6 @@ from .powers import (
     PowerDecomposition,
     _denominator_roots,
     _residue_table,
-    decompose_integer_power,
     decompose_rational_power,
 )
 
@@ -271,34 +270,25 @@ class _RowSieve:
         return mask
 
 
-def _scan_rational_chunk(payload) -> tuple[int, list[Hit]]:
-    f, recipe, vs, height = payload
-    n = 2 * height + 1
-    sieve = _RowSieve(f, -height, n, len(vs) * n)
+def _scan_chunk(payload) -> tuple[int, list[Hit]]:
+    """Points and hits of the rows v in ``rows`` over the numerators u in [lo, lo + n).
+
+    Where v**deg is 1 (the integer scan's row v = 1) a value is a Fraction only at a hit.
+    """
+    f, recipe, rows, lo, n = payload
+    sieve = _RowSieve(f, lo, n, len(rows) * n)
     count = 0
     hits: list[Hit] = []
-    for v in vs:
+    for v in rows:
         vd = v ** max(f.degree, 0)
         coprime = sieve.coprime(v)
         count += coprime.bit_count()
-        us = _set_bits(coprime & sieve.mask(v), -height)
-        for u, num in _row_values(f, recipe, v, us):
-            y = Fraction(num, vd)
+        for u, num in _row_values(f, recipe, v, _set_bits(coprime & sieve.mask(v), lo)):
+            y = num if vd == 1 else Fraction(num, vd)
             dec = decompose_rational_power(y)
             if dec is not None:
-                hits.append(Hit(x=Fraction(u, v), value=y, power=dec))
+                hits.append(Hit(x=Fraction(u, v), value=Fraction(y), power=dec))
     return count, hits
-
-
-def _scan_integer_chunk(payload) -> tuple[int, list[Hit]]:
-    f, recipe, xs = payload
-    sieve = _RowSieve(f, xs.start, len(xs), len(xs))
-    hits: list[Hit] = []
-    for x, y in _row_values(f, recipe, 1, _set_bits(sieve.mask(1), xs.start)):
-        dec = decompose_integer_power(y)
-        if dec is not None:
-            hits.append(Hit(x=Fraction(x), value=Fraction(y), power=dec))
-    return len(xs), hits
 
 
 def _scan(
@@ -318,18 +308,16 @@ def _scan(
     targets = tuple(sorted(Fraction(e) for e in elements))
     if variant == "rational":
         n = min(max(workers, 1), bound)
-        worker = _scan_rational_chunk
-        payloads = [(f, recipe, range(1 + i, bound + 1, n), bound) for i in range(n)]
-        in_window = [b for b in targets if rational_height(b) <= bound]
+        chunks = [(range(1 + i, bound + 1, n), -bound, 2 * bound + 1) for i in range(n)]
     else:
         bad = [b for b in targets if b.denominator != 1]
         if bad:
             raise ValidationError(f"integer-variant scan with non-integer targets: {bad}")
-        worker = _scan_integer_chunk
-        payloads = [(f, recipe, r) for r in split_range(-bound, bound + 1, workers)]
-        in_window = [b for b in targets if abs(b) <= bound]
+        chunks = [((1,), xs.start, len(xs)) for xs in split_range(-bound, bound + 1, workers)]
+    payloads = [(f, recipe, *chunk) for chunk in chunks]
+    in_window = [b for b in targets if rational_height(b) <= bound]
     results = []
-    for i, res in enumerate(map_chunks(worker, payloads, workers), 1):
+    for i, res in enumerate(map_chunks(_scan_chunk, payloads, workers), 1):
         results.append(res)
         if progress:
             print(

@@ -419,3 +419,60 @@ def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, reques
         assert doc["error"]["message"].startswith("ArithmeticError: P**")
         assert "certificate" in doc["error"]["message"]
         assert "_certify_power" in doc["error"]["traceback"]
+
+
+# -- exit 2 is bad input and nothing else ----------------------------------------
+
+@pytest.mark.parametrize("target, argv", [
+    ("power_forge.cli.construct", ("construct", "--set", "9/25")),
+    ("power_forge.cli.verify_construction", ("verify", "--set", "9/25", "--height", "3")),
+    ("power_forge.cli.trace_quantities", ("trace", "--set", "9/25", "--x", "1/2")),
+    ("power_forge.oracles.search_lebesgue", ("oracle", "lebesgue", "--bound", "5")),
+    ("power_forge.oracles.scan_gamma_minus_pow2", ("oracle", "gamma", "--gamma", "9")),
+    ("power_forge.cli.decompose_rational_power", ("power", "64")),
+], ids=["construct", "verify", "trace", "oracle-search", "oracle-scan", "power"])
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+def test_a_stray_value_error_is_an_internal_fault(capsys, monkeypatch, target, argv, error):
+    def work(*args, **kwargs):
+        raise error("a bug")
+
+    monkeypatch.setattr(target, work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    doc = json.loads(err)["error"]
+    assert doc["code"] == "internal" and doc["message"] == f"{error.__name__}: a bug"
+
+
+def _estimate_gamma(gamma):
+    def edit(doc):
+        return dict(doc, capacity_estimates=[dict(e, gamma=gamma)
+                                             for e in doc["capacity_estimates"]])
+    return edit
+
+
+@pytest.mark.parametrize("write, named", [
+    (lambda doc: b"{not json", "Expecting property name"),
+    (lambda doc: json.dumps(dict(doc, notes="déjà"), ensure_ascii=False).encode(),
+     "'ascii' codec can't decode"),
+    (lambda doc: dumps(dict(doc, f=doc["f"][:-1] + ["1x"])).encode(), "'1x'"),
+    (lambda doc: dumps(dict(doc, elements=["1/0"])).encode(), "cannot parse '1/0'"),
+    (lambda doc: dumps(dict(doc, deltas=["1/0"])).encode(), "cannot parse '1/0'"),
+    (lambda doc: dumps(_estimate_gamma("1/0")(doc)).encode(), "cannot parse '1/0'"),
+], ids=["not-json", "not-ascii", "coefficient", "element", "delta", "gamma"])
+def test_an_unreadable_artifact_is_bad_input(capsys, tmp_path, write, named):
+    target = tmp_path / "art.json"
+    target.write_bytes(write(artifacts_to_json(construct(PowerSetInput.from_values(["9/25"])))))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "5")
+    assert code == 2 and out == ""
+    doc = json.loads(err)["error"]
+    assert doc["code"] == "validation" and named in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "lebesgue", "--bound", "-1"),
+    ("oracle", "catalan", "--base-bound", "1"),
+])
+def test_an_empty_oracle_box_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "validation"

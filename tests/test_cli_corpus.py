@@ -126,9 +126,11 @@ def test_every_case_is_pinned():
 
 
 def _write_pins() -> None:
+    """Rerun every case, write the pins and name each case whose pins moved."""
     import tempfile
 
     os.environ.pop("POWER_FORGE_WORKERS", None)
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
     home = os.getcwd()
     pins = {}
     for name in sorted(CASES):
@@ -139,7 +141,10 @@ def _write_pins() -> None:
             finally:
                 os.chdir(home)
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(pins)} cases to {PINS}")
+    moved = [name for name in sorted(pins.keys() | old.keys()) if pins.get(name) != old.get(name)]
+    for name in moved:
+        print(f"moved: {name}")
+    print(f"wrote {len(pins)} cases to {PINS}; {len(moved)} moved")
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def test_estimate_capacity_known_values():
     # 1 - 2^1 = -1 is a cube, so the scan channel reaches index 1
     e1 = estimate_capacity(Fraction(1))
     assert (e1.log2_bound, e1.last_power_index, e1.value) == (0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         estimate_capacity(Fraction(0))
 
 
@@ -153,9 +153,9 @@ def test_kappa_matches_the_kappa_loop():
 
 
 def test_selection_policy_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SelectionPolicy(t_max=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SelectionPolicy(kappa_cap=0)
     assert DEFAULT_POLICY.t_max == 64 and DEFAULT_POLICY.kappa_cap == 20
 

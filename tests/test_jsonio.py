@@ -72,9 +72,9 @@ def test_artifacts_roundtrip_integer_and_empty():
 
 
 def test_artifacts_from_json_rejects_wrong_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         jsonio.artifacts_from_json({"schema": "power-forge/v1", "kind": "trace"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         jsonio.artifacts_from_json({"schema": "other/v2", "kind": "construction"})
 
 
@@ -185,10 +185,13 @@ def test_conversions_ignore_the_str_digit_limit(rng):
         assert all(jsonio._int_text(n) == str(n) for n in values)
     finally:
         sys.set_int_max_str_digits(old_limit)
-    with pytest.raises(ValueError):
-        jsonio._parse_int("1" * 700 + "_1")
-    with pytest.raises(ValueError):
-        jsonio.parse_rational("1" * 700 + "/-3")
+    # text that is no number is bad input, at any length
+    for text in ("1" * 700 + "_1", "2x"):
+        with pytest.raises(ValidationError):
+            jsonio.poly_from_json(["1", text])
+    for text in ("1" * 700 + "/-3", "1/0", "x/2"):
+        with pytest.raises(ValidationError, match="cannot parse"):
+            jsonio.parse_rational(text)
 
 
 def test_artifacts_are_checked_against_their_recipe():

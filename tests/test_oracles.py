@@ -3,7 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from power_forge import oracles
+from power_forge import ValidationError, oracles
 from power_forge.ntheory import integer_nth_root
 from power_forge.oracles import (
     FERMAT_VARIANTS,
@@ -47,9 +47,9 @@ def test_lebesgue_only_trivial_x():
 
 def test_lebesgue_workers_and_validation():
     assert search_lebesgue(300, 8, workers=3) == search_lebesgue(300, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         search_lebesgue(-1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         search_lebesgue(10, 1)
 
 
@@ -123,7 +123,7 @@ def test_lebesgue_table_join_equals_roots(monkeypatch, x_bound, n_max):
 def test_fermat_table_join_equals_roots(monkeypatch, variant, ab_bound, n_max):
     n_min = oracles._FERMAT_FORMS[variant][4]
     if n_max < n_min:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             search_fermat_quartic(ab_bound, n_max, variant)
         return
     got = search_fermat_quartic(ab_bound, n_max, variant)
@@ -204,7 +204,7 @@ def test_catalan_empty_below_threshold():
     assert search_catalan(2, 20).solutions == ()
     assert catalan_expected(2, 20) == ()
     assert search_catalan(100, 2).solutions == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         search_catalan(1, 5)
 
 
@@ -251,13 +251,13 @@ def test_fermat_expected_families():
 
 
 def test_fermat_validation():
-    with pytest.raises(ValueError, match="variant"):
+    with pytest.raises(ValidationError, match="variant"):
         search_fermat_quartic(10, 5, variant="5cn")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         search_fermat_quartic(0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         search_fermat_quartic(10, 3, variant="24n")  # needs n_max >= 4
-    with pytest.raises(ValueError, match="variant"):
+    with pytest.raises(ValidationError, match="variant"):
         fermat_quartic_expected(10, 5, variant="nope")
 
 
@@ -277,9 +277,9 @@ def test_scan_gamma_known_hits():
 
 
 def test_scan_gamma_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         scan_gamma_minus_pow2(Fraction(0), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         scan_gamma_minus_pow2(Fraction(3), -1)
 
 
@@ -327,7 +327,7 @@ def test_scan_recurrence_rejects_degenerate():
         (1, 1, 2, 2),
         (1, 1, 2, -2),
     ]:
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValidationError, match="degenerate"):
             scan_recurrence_powers(*args, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         scan_recurrence_powers(1, 1, 2, 3, -1)

@@ -6,7 +6,7 @@ import pytest
 from power_forge import verify
 from power_forge.construct import PowerSetInput, ValidationError, construct, element_pairs
 from power_forge.poly import IntPoly
-from power_forge.powers import decompose_integer_power, decompose_rational_power
+from power_forge.powers import decompose_rational_power
 from power_forge.verify import (
     Hit,
     InvariantViolation,
@@ -229,14 +229,14 @@ def test_recipe_values_equal_horner_values(values, variant, window):
 
 # -- the row sieve ------------------------------------------------------------
 
-def _reference_rational_chunk(payload):
-    """One chunk of the rational scan point by point, as before the row sieve."""
-    f, recipe, vs, height = payload
+def _reference_chunk(payload):
+    """One chunk of the scan point by point, as before the row sieve."""
+    f, recipe, rows, lo, n = payload
     count = 0
     hits = []
-    for v in vs:
+    for v in rows:
         vd = v ** max(f.degree, 0)
-        us = [u for u in range(-height, height + 1) if gcd(u, v) == 1]
+        us = [u for u in range(lo, lo + n) if gcd(u, v) == 1]
         count += len(us)
         for u, num in _row_values(f, recipe, v, us):
             y = Fraction(num, vd)
@@ -246,22 +246,10 @@ def _reference_rational_chunk(payload):
     return count, hits
 
 
-def _reference_integer_chunk(payload):
-    """One chunk of the integer scan point by point, as before the row sieve."""
-    f, recipe, xs = payload
-    hits = []
-    for x, y in _row_values(f, recipe, 1, xs):
-        dec = decompose_integer_power(y)
-        if dec is not None:
-            hits.append(Hit(x=Fraction(x), value=Fraction(y), power=dec))
-    return len(xs), hits
-
-
 def _reference(monkeypatch, scan, *args, **kwargs):
-    """scan(*args, **kwargs) with the per-point chunks in place of the masked ones."""
+    """scan(*args, **kwargs) with the per-point chunk in place of the masked one."""
     with monkeypatch.context() as m:
-        m.setattr(verify, "_scan_rational_chunk", _reference_rational_chunk)
-        m.setattr(verify, "_scan_integer_chunk", _reference_integer_chunk)
+        m.setattr(verify, "_scan_chunk", _reference_chunk)
         return scan(*args, **kwargs)
 
 
@@ -272,15 +260,10 @@ def _masked_out_powers(f, variant, window):
     exactly; on a sound sieve the list is empty.
     """
     n = 2 * window + 1
-    if variant == "integer":
-        sieve = verify._RowSieve(f, -window, n, n)
-        return [
-            x for x in verify._set_bits(~sieve.mask(1) & (1 << n) - 1, -window)
-            if decompose_integer_power(f(x)) is not None
-        ]
-    sieve = verify._RowSieve(f, -window, n, window * n)
+    rows = range(1, window + 1) if variant == "rational" else (1,)
+    sieve = verify._RowSieve(f, -window, n, len(rows) * n)
     found = []
-    for v in range(1, window + 1):
+    for v in rows:
         for u in verify._set_bits(sieve.coprime(v) & ~sieve.mask(v), -window):
             if decompose_rational_power(f(Fraction(u, v))) is not None:
                 found.append(Fraction(u, v))

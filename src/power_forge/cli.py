@@ -28,6 +28,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from . import jsonio, oracles
@@ -90,7 +91,14 @@ def _add_workers(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Nothing mutates it once built, and argparse makes a fresh formatter
+    for each help or usage text, so every ``main`` call in a process
+    parses as a new parser would.  Importing this module builds nothing.
+    """
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="construct integer polynomials whose perfect-power values "

@@ -133,12 +133,9 @@ class PowerSetInput:
         values: Iterable[Union[int, str, Fraction]],
         variant: str = "rational",
     ) -> "PowerSetInput":
-        parsed = []
-        for v in values:
-            try:
-                parsed.append(Fraction(v))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"cannot parse {v!r} as a rational") from exc
+        from .jsonio import parse_rational  # jsonio imports this module
+
+        parsed = [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
         return cls(elements=tuple(parsed), variant=variant)
 
     def __len__(self) -> int:

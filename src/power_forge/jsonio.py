@@ -160,10 +160,23 @@ def decomposition_to_json(dec: Optional[PowerDecomposition]) -> Optional[dict]:
     return {"base": rational_text(dec.base), "exponent": dec.exponent}
 
 
+_DECOMPOSITION_FIELDS = {"base": (str, False), "exponent": (int, False)}
+
+
 def decomposition_from_json(obj: Optional[dict]) -> Optional[PowerDecomposition]:
+    """The decomposition an object of ``decomposition_to_json`` holds, or None.
+
+    A missing or mistyped field, or an exponent below 2, raises
+    ``ValidationError`` naming the field.
+    """
     if obj is None:
         return None
-    return PowerDecomposition(parse_rational(obj["base"]), int(obj["exponent"]))
+    if not isinstance(obj, dict):
+        raise ValidationError("a decomposition must be an object or null")
+    _check_fields(obj, _DECOMPOSITION_FIELDS, "decomposition")
+    if obj["exponent"] < 2:
+        raise ValidationError(f"decomposition: 'exponent' must be >= 2, got {obj['exponent']}")
+    return PowerDecomposition(parse_rational(obj["base"]), obj["exponent"])
 
 
 def _estimate_to_json(e: CapacityEstimate) -> dict:

@@ -29,9 +29,21 @@ def integer_nth_root(n: int, e: int) -> tuple[int, bool]:
 
     For n >= 0 returns the unique r with r**e <= n < (r+1)**e; negative n
     requires odd e and is handled sign-symmetrically (the root of -n,
-    negated).  The second component is True iff root**e == n.  Bit-exact:
-    binary search over the bracket given by the bit length, with
-    ``math.isqrt`` as the square-root fast path.
+    negated).  The second component is True iff root**e == n.  Bit-exact,
+    in ints only: ``math.isqrt`` for squares, binary search over the
+    bracket given by the bit length for roots of at most 64 bits, and
+    precision doubling above that (Bernstein, Math. Comp. 67, 1998).
+
+    Precision doubling, with R the real root and 2**q <= R < 2**(q+1):
+    drop h = (q + 1) // 2 low bits.  The floor root r0 of n >> (h*e),
+    found the same way, is floor(R / 2**h), as an integer power r**e is
+    at most floor(y) exactly when it is at most y; so r = (r0 + 1) << h
+    exceeds R.  From any integer r > R, the integer Newton step
+    ((e-1)*r + n // r**(e-1)) // e is below r, since n < r**e, and at
+    least floor(R), by the AM-GM inequality (the floors may be taken
+    last).  So the steps fall strictly to floor(R), where the next step
+    is no smaller and the loop stops.  The start lies within 2**h of R,
+    and quadratic convergence closes that in a few steps.
 
     >>> integer_nth_root(64, 3)
     (4, True)
@@ -54,17 +66,34 @@ def integer_nth_root(n: int, e: int) -> tuple[int, bool]:
     if e == 2:
         r = isqrt(n)
         return r, r * r == n
-    bits = n.bit_length()
-    # 2^floor((bits-1)/e) <= root < 2^(floor((bits-1)/e) + 1)
-    lo = 1 << ((bits - 1) // e)
-    hi = (lo << 1) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if mid**e <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, lo**e == n
+    r = _floor_root(n, e)
+    return r, r**e == n
+
+
+# roots of at most this many bits are found by binary search
+_BISECT_BITS = 64
+
+
+def _floor_root(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, e >= 2, as in ``integer_nth_root``."""
+    q = (n.bit_length() - 1) // e  # 2**q <= root < 2**(q + 1)
+    if q < _BISECT_BITS:
+        lo = 1 << q
+        hi = (lo << 1) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if mid**e <= n:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+    h = (q + 1) >> 1
+    r = (_floor_root(n >> (h * e), e) + 1) << h  # > n ** (1/e)
+    while True:
+        nxt = ((e - 1) * r + n // r ** (e - 1)) // e
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 # Deterministic Miller-Rabin base set, valid for all n < 3,317,044,064,679,887,385,961,981.

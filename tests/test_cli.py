@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from power_forge import jsonio, powers
+from power_forge import cli, jsonio, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
@@ -248,6 +251,34 @@ def test_usage_errors(capsys):
     assert main(["--help"]) == 0
     assert main(["oracle"]) == 2
     capsys.readouterr()
+
+
+# a usage error, help, a query with a leading minus, an oracle, and a usage error again
+_PARSER_REUSE_CALLS = (
+    ("frobnicate",),
+    ("--help",),
+    ("power", "-8/27"),
+    ("oracle", "fermat", "--variant", "24n"),
+    ("verify", "--height", "2"),
+)
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    cli._build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in _PARSER_REUSE_CALLS]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2]
+    for argv, got in zip(_PARSER_REUSE_CALLS, shared):
+        cli._build_parser.cache_clear()
+        assert run(capsys, *argv) == got, argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import power_forge.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
 
 
 def test_huge_coefficients_write_and_reload(capsys, tmp_path):

@@ -47,6 +47,12 @@ def test_input_sorts_and_normalizes():
     assert inp2.elements == ()
 
 
+def test_input_reads_values_past_the_str_digit_limit():
+    # 4 * 10**5000 = (2**2501 * 5**2500)**2, in 5,001 digits: more than int() reads
+    inp = PowerSetInput.from_values(["4" + "0" * 5000, "-8/27"])
+    assert inp.elements == (Fraction(-8, 27), Fraction(4 * 10**5000))
+
+
 def test_compute_k_from_denominator_primes():
     assert compute_k(()) == 4
     assert compute_k(((9, 25),)) == 4  # 5 - 1 = 4

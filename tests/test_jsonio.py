@@ -48,6 +48,17 @@ def test_decomposition_roundtrip():
     assert jsonio.decomposition_from_json(None) is None
 
 
+@pytest.mark.parametrize("obj, named", [
+    ({"base": "2", "exponent": 1}, "'exponent'"),
+    ({"base": "2", "exponent": "x"}, "'exponent'"),
+    ({"base": 2, "exponent": 3}, "'base'"),
+    ({}, "'base'"),
+])
+def test_decomposition_from_json_names_a_bad_field(obj, named):
+    with pytest.raises(ValidationError, match=named):
+        jsonio.decomposition_from_json(obj)
+
+
 def test_artifacts_roundtrip_rational():
     art = construct(PowerSetInput.from_values(["9/25", "4"]))
     doc = jsonio.artifacts_to_json(art)

@@ -95,6 +95,68 @@ def test_integer_nth_root_big_values():
     assert integer_nth_root(2**600, 100) == (64, True)
 
 
+def _bisection_root(n, e):
+    """Floor e-th root of n >= 1 by binary search: the root before precision doubling."""
+    lo = 1 << ((n.bit_length() - 1) // e)
+    hi = (lo << 1) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if mid**e <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _assert_root_matches_bisection(n, e):
+    root, exact = integer_nth_root(n, e)
+    assert root**e <= n < (root + 1) ** e, (n, e)
+    reference = _bisection_root(n, e)
+    assert (root, exact) == (reference, reference**e == n), (n, e)
+
+
+def _near_powers(r, e):
+    return [n for n in (r**e - 1, r**e, r**e + 1) if n >= 1]
+
+
+def test_integer_nth_root_matches_bisection(rng):
+    for e in range(3, 201):
+        # sizes log-uniform up to 20,000 bits: the reference's cost grows with the root
+        bits = max(1, int(2 ** rng.uniform(0, 14.3)) // e)
+        r = rng.getrandbits(bits) | 1 << (bits - 1)
+        for n in _near_powers(r, e) + [rng.getrandbits(rng.randint(1, e * bits + e))]:
+            if n >= 1:
+                _assert_root_matches_bisection(n, e)
+    for e, bits in ((17, 1176), (61, 328), (200, 100)):  # values of about 20,000 bits
+        r = rng.getrandbits(bits) | 1 << (bits - 1)
+        for n in _near_powers(r, e):
+            _assert_root_matches_bisection(n, e)
+
+
+def test_integer_nth_root_at_the_bisection_cutoff(rng):
+    # roots of 63 and 64 bits are bisected, roots of 65 bits and more are not
+    for e in (3, 5, 7, 31, 97, 200):
+        for bits in (63, 64, 65):
+            for r in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+                for n in _near_powers(r, e):
+                    _assert_root_matches_bisection(n, e)
+
+
+def test_integer_nth_root_matches_bisection_on_random_input():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 2**100), st.integers(3, 200), st.integers(-1, 1),
+                      st.integers(1, 2**3000))
+    def roots(r, e, offset, n):
+        if r**e + offset >= 1:
+            _assert_root_matches_bisection(r**e + offset, e)
+        _assert_root_matches_bisection(n, e)
+
+    roots()
+
+
 def test_factor_integer_recomposes(rng):
     for _ in range(250):
         n = rng.randint(2, 10**12)

@@ -135,7 +135,15 @@ class PowerSetInput:
     ) -> "PowerSetInput":
         from .jsonio import parse_rational  # jsonio imports this module
 
-        parsed = [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
+        parsed = []
+        for v in values:
+            if isinstance(v, str):
+                parsed.append(parse_rational(v))
+                continue
+            try:
+                parsed.append(Fraction(v))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ValidationError(f"cannot parse {v!r} as a rational") from exc
         return cls(elements=tuple(parsed), variant=variant)
 
     def __len__(self) -> int:

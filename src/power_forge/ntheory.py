@@ -30,12 +30,11 @@ def integer_nth_root(n: int, e: int) -> tuple[int, bool]:
     For n >= 0 returns the unique r with r**e <= n < (r+1)**e; negative n
     requires odd e and is handled sign-symmetrically (the root of -n,
     negated).  The second component is True iff root**e == n.  Bit-exact,
-    in ints only: ``math.isqrt`` for squares, binary search over the
-    bracket given by the bit length for roots of at most 64 bits, and
-    precision doubling above that (Bernstein, Math. Comp. 67, 1998).
+    in ints only: ``math.isqrt`` for squares and precision doubling for
+    every other exponent (Bernstein, Math. Comp. 67, 1998).
 
     Precision doubling, with R the real root and 2**q <= R < 2**(q+1):
-    drop h = (q + 1) // 2 low bits.  The floor root r0 of n >> (h*e),
+    if q == 0 the root is 1; else drop h = (q + 1) // 2 low bits.  The floor root r0 of n >> (h*e),
     found the same way, is floor(R / 2**h), as an integer power r**e is
     at most floor(y) exactly when it is at most y; so r = (r0 + 1) << h
     exceeds R.  From any integer r > R, the integer Newton step
@@ -70,23 +69,11 @@ def integer_nth_root(n: int, e: int) -> tuple[int, bool]:
     return r, r**e == n
 
 
-# roots of at most this many bits are found by binary search
-_BISECT_BITS = 64
-
-
 def _floor_root(n: int, e: int) -> int:
     """floor(n ** (1/e)) for n >= 1, e >= 2, as in ``integer_nth_root``."""
     q = (n.bit_length() - 1) // e  # 2**q <= root < 2**(q + 1)
-    if q < _BISECT_BITS:
-        lo = 1 << q
-        hi = (lo << 1) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if mid**e <= n:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    if q == 0:
+        return 1
     h = (q + 1) >> 1
     r = (_floor_root(n >> (h * e), e) + 1) << h  # > n ** (1/e)
     while True:

@@ -1,5 +1,6 @@
 import importlib
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,12 @@ def test_input_reads_values_past_the_str_digit_limit():
     # 4 * 10**5000 = (2**2501 * 5**2500)**2, in 5,001 digits: more than int() reads
     inp = PowerSetInput.from_values(["4" + "0" * 5000, "-8/27"])
     assert inp.elements == (Fraction(-8, 27), Fraction(4 * 10**5000))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), Decimal("NaN"), Decimal("-Infinity")])
+def test_input_refuses_values_that_are_no_rational(value):
+    with pytest.raises(ValidationError, match="cannot parse"):
+        PowerSetInput.from_values([4, value])
 
 
 def test_compute_k_from_denominator_primes():

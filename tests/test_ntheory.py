@@ -133,8 +133,18 @@ def test_integer_nth_root_matches_bisection(rng):
             _assert_root_matches_bisection(n, e)
 
 
-def test_integer_nth_root_at_the_bisection_cutoff(rng):
-    # roots of 63 and 64 bits are bisected, roots of 65 bits and more are not
+def test_integer_nth_root_at_the_recursion_base(rng):
+    # roots of 1 bit end the recursion; 2 and 3 bits recurse once, on a 1-bit root
+    for e in (3, 4, 5, 7, 31, 97, 200):
+        for n in range(1, 4**e, max(1, 4**e // 5000)):
+            _assert_root_matches_bisection(n, e)
+        for r in (1, 2, 3, 4, 7, 8):
+            for n in _near_powers(r, e):
+                _assert_root_matches_bisection(n, e)
+
+
+def test_integer_nth_root_at_machine_word_sizes(rng):
+    # roots of 63, 64 and 65 bits: the size of a machine word and one bit either side
     for e in (3, 5, 7, 31, 97, 200):
         for bits in (63, 64, 65):
             for r in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from math import gcd, isqrt
 
 from ._errors import ValidationError
@@ -101,7 +103,8 @@ def _power_table(limit: int, n_min: int, n_max: int) -> dict[int, list[tuple[int
     """Map each c^n <= limit, max(3, n_min) <= n <= n_max, to its (c, n) pairs.
 
     1 = 1^n is listed for every n in range.  Squares are left out: a
-    square test is one isqrt per value, while tabulating them would take
+    square test is a lookup in ``_square_residues`` and, for the few
+    values that pass it, one isqrt, while tabulating them would take
     about sqrt(limit) entries.
     """
     n_lo = max(3, n_min)
@@ -119,14 +122,17 @@ def _power_table(limit: int, n_min: int, n_max: int) -> dict[int, list[tuple[int
     return table
 
 
-def _powers_of(target: int, squares: bool, table: dict) -> list[tuple[int, int]]:
-    """Every (c, n) with c^n = target >= 1: n = 2 by isqrt when squares, the rest from table."""
-    found = table.get(target, [])
-    if squares:
-        r = isqrt(target)
-        if r * r == target:
-            found = [(r, 2), *found]
-    return found
+# 63 * 65 * 11 = 9 * 5 * 7 * 11 * 13: 2,016 of its 45,045 residues are squares
+_SQUARE_MODULUS = 45045
+
+
+@cache
+def _square_residues() -> bytes:
+    """Flag r*r % _SQUARE_MODULUS for every r; a target with no flag is no square."""
+    flags = bytearray(_SQUARE_MODULUS)
+    for r in range(_SQUARE_MODULUS // 2 + 1):
+        flags[r * r % _SQUARE_MODULUS] = 1
+    return bytes(flags)
 
 
 # -- X^2 + 1 = Y^n -----------------------------------------------------------
@@ -135,9 +141,18 @@ def _powers_of(target: int, squares: bool, table: dict) -> list[tuple[int, int]]
 def _lebesgue_chunk(payload: tuple[range, int]) -> list[tuple[int, int, int]]:
     xs, n_max = payload
     table = _power_table(xs[-1] * xs[-1] + 1, 3, n_max)
+    is_square = _square_residues()
     found = []
     for x in xs:
-        for y, n in _powers_of(x * x + 1, True, table):
+        m = x * x + 1
+        hits = table.get(m)
+        if is_square[m % _SQUARE_MODULUS]:
+            y = isqrt(m)
+            if y * y == m:
+                hits = [(y, 2), *(hits or ())]
+        if not hits:
+            continue
+        for y, n in hits:
             found.append((x, y, n))
             if x:
                 found.append((-x, y, n))
@@ -223,28 +238,45 @@ _FERMAT_FORMS = {
 
 
 def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
+    """Every coprime solution with a in a_range (inside [0, ab_bound]) and 0 <= b <= ab_bound.
+
+    When pa == pb the pairs (a, b) and (b, a) share their left-hand side,
+    so a pair with both coordinates in a_range is tested once, as b >= a,
+    and emitted in both orders; b < a_range.start is tested directly.
+    Each pair pays for the table lookup and the square test only; the
+    gcd and the sign expansion run on a hit.
+    """
     a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
     table = _power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
     squares = n_min <= 2 <= n_max
+    is_square = _square_residues()
+    b_powers = [b**pb for b in range(ab_bound + 1)]
+    mirror = pa == pb
+    lo, hi = a_range.start, a_range.stop
     found = []
     for a in a_range:
-        for b in range(ab_bound + 1):
-            if gcd(a, b) != 1:
+        a_power = a**pa
+        bs = chain(range(lo), range(a, ab_bound + 1)) if mirror else range(ab_bound + 1)
+        for b in bs:
+            target = a_power + b_powers[b]
+            if rhs_mult != 1:  # % 1 and // 1 would cost as much as the lookup
+                if target % rhs_mult:
+                    continue
+                target //= rhs_mult
+            hits = table.get(target)
+            if squares and is_square[target % _SQUARE_MODULUS]:
+                c = isqrt(target)
+                if c * c == target:
+                    hits = [(c, 2), *(hits or ())]
+            # a = b = 0, the one zero target, fails the gcd
+            if not hits or gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
                 continue
-            if nonzero and (a == 0 or b == 0):
-                continue
-            lhs = a**pa + b**pb
-            if lhs % rhs_mult:
-                continue
-            target = lhs // rhs_mult
-            if target == 0:
-                continue
-            for c, n in _powers_of(target, squares, table):
-                a_signs = (a,) if a == 0 else (a, -a)
-                b_signs = (b,) if b == 0 else (b, -b)
-                for sa in a_signs:
-                    for sb in b_signs:
-                        found.append((sa, sb, c, n))
+            pairs = ((a, b), (b, a)) if mirror and a < b < hi else ((a, b),)
+            for x, y in pairs:
+                for c, n in hits:
+                    for sx in (x,) if x == 0 else (x, -x):
+                        for sy in (y,) if y == 0 else (y, -y):
+                            found.append((sx, sy, c, n))
     return found
 
 

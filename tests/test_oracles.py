@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 
 import pytest
@@ -17,6 +18,7 @@ from power_forge.oracles import (
     search_catalan,
     search_fermat_quartic,
     search_lebesgue,
+    split_range,
 )
 
 
@@ -152,6 +154,55 @@ def test_chunks_equal_roots_on_dense_forms():
 @pytest.mark.parametrize("variant", ["cn", "24n"])
 def test_fermat_workers_agree(variant):
     assert search_fermat_quartic(30, 9, variant, workers=3) == search_fermat_quartic(30, 9, variant)
+
+
+@pytest.mark.parametrize("variant", ["cn", "2cn"])
+@pytest.mark.parametrize("ab_bound", [37, 60])
+def test_mirrored_pairs_across_chunk_edges(variant, ab_bound):
+    # pa == pb: a pair is tested once and emitted in both orders only when
+    # both coordinates lie in the chunk, so each chunk edge cuts mirrored pairs
+    one = search_fermat_quartic(ab_bound, 9, variant)
+    assert len(set(one.solutions)) == len(one.solutions)
+    for workers in (2, 3, 4):
+        assert search_fermat_quartic(ab_bound, 9, variant, workers=workers) == one
+
+
+def test_mirrored_chunks_on_dense_symmetric_forms():
+    # the quartic boxes hold only the trivial families, all inside the first
+    # chunk; these forms have solutions whose coordinates straddle every edge
+    for pa, rhs_mult in [(1, 1), (2, 2), (3, 1)]:
+        for ab_bound in (37, 60):
+            box = (ab_bound, 2, 9, pa, pa, rhs_mult, False)
+            want = sorted(_fermat_chunk_by_roots((range(ab_bound + 1), *box)))
+            for parts in range(1, 8):
+                got = []
+                for a_range in split_range(0, ab_bound + 1, parts):
+                    got += oracles._fermat_chunk((a_range, *box))
+                assert sorted(got) == want, (pa, rhs_mult, ab_bound, parts)
+
+
+def test_square_residues_flag_every_square_and_nothing_else():
+    flags = oracles._square_residues()
+    m = oracles._SQUARE_MODULUS
+    assert m == 63 * 65 * 11 and len(flags) == m
+    squares = {r * r % m for r in range(m)}
+    assert all(flags[s] for s in squares)
+    # 4/9 * 3/5 * 4/7 * 6/11 * 7/13 of the residues: the filter rejects most targets
+    assert sum(flags) == len(squares) == 2016
+
+
+def test_square_filter_equals_isqrt():
+    flags, m = oracles._square_residues(), oracles._SQUARE_MODULUS
+
+    def filtered(t):
+        return bool(flags[t % m]) and isqrt(t) ** 2 == t
+
+    def plain(t):
+        return isqrt(t) ** 2 == t
+
+    quartic_sums = {a**4 + b**4 for a in range(61) for b in range(61)}
+    for t in chain(range(10**6 + 1), quartic_sums):
+        assert filtered(t) == plain(t), t
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import gcd, isqrt
 
 from ._errors import ValidationError
@@ -63,21 +62,6 @@ class PowerHit:
     index: int
     value: Fraction
     power: PowerDecomposition
-
-
-def split_range(start: int, stop: int, parts: int) -> list[range]:
-    """Split range(start, stop) into <= parts contiguous nonempty chunks."""
-    total = stop - start
-    parts = max(1, min(parts, total)) if total > 0 else 1
-    step, extra = divmod(total, parts)
-    chunks = []
-    lo = start
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        if hi > lo:
-            chunks.append(range(lo, hi))
-        lo = hi
-    return chunks
 
 
 def map_chunks(worker, payloads, workers: int):
@@ -167,9 +151,10 @@ def search_lebesgue(x_bound: int, n_max: int, workers: int = 1) -> SolutionList:
     """All (X, Y, n) with X^2 + 1 = Y^n, |X| <= x_bound, 2 <= n <= n_max."""
     if x_bound < 0 or n_max < 2:
         raise ValidationError("need x_bound >= 0 and n_max >= 2")
-    chunks = split_range(0, x_bound + 1, workers)
+    parts = max(1, min(workers, x_bound + 1))
+    payloads = [(range(i, x_bound + 1, parts), n_max) for i in range(parts)]
     found: list[tuple[int, int, int]] = []
-    for part in map_chunks(_lebesgue_chunk, [(c, n_max) for c in chunks], workers):
+    for part in map_chunks(_lebesgue_chunk, payloads, workers):
         found.extend(part)
     return SolutionList(
         equation="X^2 + 1 = Y^n",
@@ -238,13 +223,13 @@ _FERMAT_FORMS = {
 
 
 def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
-    """Every coprime solution with a in a_range (inside [0, ab_bound]) and 0 <= b <= ab_bound.
+    """Every coprime solution owned by a_range (inside [0, ab_bound]), with 0 <= b <= ab_bound.
 
-    When pa == pb the pairs (a, b) and (b, a) share their left-hand side,
-    so a pair with both coordinates in a_range is tested once, as b >= a,
-    and emitted in both orders; b < a_range.start is tested directly.
-    Each pair pays for the table lookup and the square test only; the
-    gcd and the sign expansion run on a hit.
+    The chunk owns (a, b) by a.  When pa == pb the pairs (a, b) and (b, a)
+    share their left-hand side, so the unordered pair is owned by its
+    smaller coordinate: b walks from a, and a hit with a != b is emitted
+    in both orders.  Each pair pays for the table lookup and the square
+    test only; the gcd and the sign expansion run on a hit.
     """
     a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
     table = _power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
@@ -252,12 +237,10 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
     is_square = _square_residues()
     b_powers = [b**pb for b in range(ab_bound + 1)]
     mirror = pa == pb
-    lo, hi = a_range.start, a_range.stop
     found = []
     for a in a_range:
         a_power = a**pa
-        bs = chain(range(lo), range(a, ab_bound + 1)) if mirror else range(ab_bound + 1)
-        for b in bs:
+        for b in range(a if mirror else 0, ab_bound + 1):
             target = a_power + b_powers[b]
             if rhs_mult != 1:  # % 1 and // 1 would cost as much as the lookup
                 if target % rhs_mult:
@@ -271,7 +254,7 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
             # a = b = 0, the one zero target, fails the gcd
             if not hits or gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
                 continue
-            pairs = ((a, b), (b, a)) if mirror and a < b < hi else ((a, b),)
+            pairs = ((a, b), (b, a)) if mirror and a != b else ((a, b),)
             for x, y in pairs:
                 for c, n in hits:
                     for sx in (x,) if x == 0 else (x, -x):
@@ -296,8 +279,11 @@ def search_fermat_quartic(
     if ab_bound < 1 or n_max < n_min:
         raise ValidationError(f"need ab_bound >= 1 and n_max >= {n_min} for {variant!r}")
     nonzero = variant == "24n"
-    chunks = split_range(0, ab_bound + 1, workers)
-    payloads = [(c, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero) for c in chunks]
+    parts = max(1, min(workers, ab_bound + 1))
+    payloads = [
+        (range(i, ab_bound + 1, parts), ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero)
+        for i in range(parts)
+    ]
     found: list[tuple[int, int, int, int]] = []
     for part in map_chunks(_fermat_chunk, payloads, workers):
         found.extend(part)

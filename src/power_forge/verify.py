@@ -62,7 +62,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
 from .construct import ConstructionArtifacts, ValidationError, compute_k
-from .oracles import map_chunks, split_range
+from .oracles import map_chunks
 from .poly import IntPoly
 from .powers import (
     _SMALL_PRIMES,
@@ -313,7 +313,10 @@ def _scan(
         bad = [b for b in targets if b.denominator != 1]
         if bad:
             raise ValidationError(f"integer-variant scan with non-integer targets: {bad}")
-        chunks = [((1,), xs.start, len(xs)) for xs in split_range(-bound, bound + 1, workers)]
+        # a chunk sieves one run [lo, lo + n) of u; the first ``extra`` runs are one longer
+        n = min(max(workers, 1), 2 * bound + 1)
+        size, extra = divmod(2 * bound + 1, n)
+        chunks = [((1,), -bound + i * size + min(i, extra), size + (i < extra)) for i in range(n)]
     payloads = [(f, recipe, *chunk) for chunk in chunks]
     in_window = [b for b in targets if rational_height(b) <= bound]
     results = []

@@ -4,7 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from power_forge import ValidationError, oracles
+from power_forge import ValidationError, oracles, verify
 from power_forge.ntheory import integer_nth_root
 from power_forge.oracles import (
     FERMAT_VARIANTS,
@@ -18,8 +18,8 @@ from power_forge.oracles import (
     search_catalan,
     search_fermat_quartic,
     search_lebesgue,
-    split_range,
 )
+from power_forge.poly import IntPoly
 
 
 def test_lebesgue_matches_bruteforce():
@@ -143,12 +143,20 @@ def test_chunks_equal_roots_on_dense_forms():
             want = _lebesgue_chunk_by_roots(payload)
             assert sorted(oracles._lebesgue_chunk(payload)) == sorted(want)
     for pa, pb, rhs_mult in [(1, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 1), (1, 3, 3)]:
-        for a_range in (range(0, 1), range(0, 30), range(11, 25)):
-            for n_min, n_max in [(2, 2), (2, 9), (3, 3), (4, 12)]:
-                for nonzero in (False, True):
-                    payload = (a_range, 30, n_min, n_max, pa, pb, rhs_mult, nonzero)
-                    want = _fermat_chunk_by_roots(payload)
-                    assert sorted(oracles._fermat_chunk(payload)) == sorted(want), payload
+        for n_min, n_max in [(2, 2), (2, 9), (3, 3), (4, 12)]:
+            for nonzero in (False, True):
+                box = (30, n_min, n_max, pa, pb, rhs_mult, nonzero)
+                every = _fermat_chunk_by_roots((range(0, 31), *box))
+                for a_values in (range(0, 1), range(0, 30), range(11, 25), range(2, 31, 3)):
+                    want = [s for s in every if _fermat_owner(s, pa == pb) in a_values]
+                    got = oracles._fermat_chunk((a_values, *box))
+                    assert sorted(got) == sorted(want), (a_values, *box)
+
+
+def _fermat_owner(solution, mirror):
+    """The coordinate whose chunk owns a solution: |A|, or min(|A|, |B|) when pa == pb."""
+    a, b = abs(solution[0]), abs(solution[1])
+    return min(a, b) if mirror else a
 
 
 @pytest.mark.parametrize("variant", ["cn", "24n"])
@@ -159,8 +167,9 @@ def test_fermat_workers_agree(variant):
 @pytest.mark.parametrize("variant", ["cn", "2cn"])
 @pytest.mark.parametrize("ab_bound", [37, 60])
 def test_mirrored_pairs_across_chunk_edges(variant, ab_bound):
-    # pa == pb: a pair is tested once and emitted in both orders only when
-    # both coordinates lie in the chunk, so each chunk edge cuts mirrored pairs
+    # pa == pb: a pair is tested once, by the chunk that holds its smaller
+    # coordinate, and emitted in both orders; the round-robin chunks put the
+    # two coordinates of most pairs in different chunks
     one = search_fermat_quartic(ab_bound, 9, variant)
     assert len(set(one.solutions)) == len(one.solutions)
     for workers in (2, 3, 4):
@@ -168,17 +177,56 @@ def test_mirrored_pairs_across_chunk_edges(variant, ab_bound):
 
 
 def test_mirrored_chunks_on_dense_symmetric_forms():
-    # the quartic boxes hold only the trivial families, all inside the first
-    # chunk; these forms have solutions whose coordinates straddle every edge
+    # the quartic boxes hold only the trivial families; these forms have
+    # solutions whose two coordinates fall in different chunks of any split,
+    # and every partition of the box, round-robin or contiguous, must
+    # reassemble it
     for pa, rhs_mult in [(1, 1), (2, 2), (3, 1)]:
         for ab_bound in (37, 60):
             box = (ab_bound, 2, 9, pa, pa, rhs_mult, False)
             want = sorted(_fermat_chunk_by_roots((range(ab_bound + 1), *box)))
-            for parts in range(1, 8):
+            stop = ab_bound + 1
+            partitions = [[range(i, stop, parts) for i in range(parts)] for parts in range(1, 8)]
+            partitions += [
+                [range(0, 1), range(1, stop)],
+                [range(0, 10), range(10, 30), range(30, stop)],
+                [range(0, stop - 1), range(stop - 1, stop)],
+            ]
+            for partition in partitions:
                 got = []
-                for a_range in split_range(0, ab_bound + 1, parts):
-                    got += oracles._fermat_chunk((a_range, *box))
-                assert sorted(got) == want, (pa, rhs_mult, ab_bound, parts)
+                for a_values in partition:
+                    got += oracles._fermat_chunk((a_values, *box))
+                assert sorted(got) == want, (pa, rhs_mult, ab_bound, partition)
+
+
+def split_range(start: int, stop: int, parts: int) -> list[range]:
+    """Split range(start, stop) into <= parts contiguous nonempty chunks, the first ones longer.
+
+    The reference for the integer scan's split of u.
+    """
+    total = stop - start
+    parts = max(1, min(parts, total)) if total > 0 else 1
+    step, extra = divmod(total, parts)
+    chunks = []
+    lo = start
+    for i in range(parts):
+        hi = lo + step + (1 if i < extra else 0)
+        if hi > lo:
+            chunks.append(range(lo, hi))
+        lo = hi
+    return chunks
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("bound", [1, 2, 7])
+def test_integer_scan_keeps_the_contiguous_split(monkeypatch, capsys, bound, workers):
+    # row v = 1 has every u coprime, so a chunk's points are its length;
+    # the chunks run in this process, which leaves the split as it is
+    monkeypatch.setattr(verify, "map_chunks", lambda worker, payloads, _: map(worker, payloads))
+    verify.verify_polynomial(IntPoly((0, 1)), [], "integer", bound, workers=workers, progress=True)
+    lines = capsys.readouterr().err.splitlines()
+    points = [int(line.split("points=")[1].split(",")[0]) for line in lines]
+    assert points == [len(r) for r in split_range(-bound, bound + 1, workers)]
 
 
 def test_square_residues_flag_every_square_and_nothing_else():

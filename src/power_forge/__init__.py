@@ -7,86 +7,12 @@ of f.  Exhaustive bounded scans validate constructions empirically,
 per-point traces check the arithmetic invariants the construction rests
 on, and bounded searches document the classical Diophantine facts used
 along the way.  All arithmetic is exact.
-"""
 
-from .construct import (
-    CapacityError,
-    CapacityEstimate,
-    ConstructionArtifacts,
-    PowerSetInput,
-    SelectionPolicy,
-    ValidationError,
-    compute_k,
-    construct,
-    element_pairs,
-    find_deltas,
-)
-from .ntheory import factor_integer, integer_nth_root, is_prime
-from .oracles import (
-    PowerHit,
-    SolutionList,
-    scan_gamma_minus_pow2,
-    scan_recurrence_powers,
-    search_catalan,
-    search_fermat_quartic,
-    search_lebesgue,
-)
-from .poly import IntPoly, rational_roots
-from .powers import (
-    PowerDecomposition,
-    decompose_integer_power,
-    decompose_rational_power,
-    is_rational_perfect_power,
-)
-from .verify import (
-    Hit,
-    InvariantViolation,
-    TraceRecord,
-    VerificationReport,
-    ensure_trace,
-    rational_height,
-    trace_quantities,
-    verify_construction,
-    verify_polynomial,
-)
+Each name is imported from the module that defines it, for example
+``from power_forge.construct import construct``; the package root holds
+only ``__version__``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "CapacityEstimate",
-    "ConstructionArtifacts",
-    "Hit",
-    "IntPoly",
-    "InvariantViolation",
-    "PowerDecomposition",
-    "PowerHit",
-    "PowerSetInput",
-    "SelectionPolicy",
-    "SolutionList",
-    "TraceRecord",
-    "ValidationError",
-    "VerificationReport",
-    "compute_k",
-    "construct",
-    "decompose_integer_power",
-    "decompose_rational_power",
-    "element_pairs",
-    "ensure_trace",
-    "factor_integer",
-    "find_deltas",
-    "integer_nth_root",
-    "is_prime",
-    "is_rational_perfect_power",
-    "rational_height",
-    "rational_roots",
-    "scan_gamma_minus_pow2",
-    "scan_recurrence_powers",
-    "search_catalan",
-    "search_fermat_quartic",
-    "search_lebesgue",
-    "trace_quantities",
-    "verify_construction",
-    "verify_polynomial",
-    "__version__",
-]
+__all__ = ["__version__"]

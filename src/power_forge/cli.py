@@ -32,18 +32,16 @@ from functools import cache
 from typing import Optional, Sequence
 
 from . import jsonio, oracles
-from .construct import (
-    CapacityError,
-    PowerSetInput,
-    SelectionPolicy,
-    ValidationError,
-    construct,
-    element_pairs,
-)
+from .construct import VARIANTS, PowerSetInput, SelectionPolicy, construct, element_pairs
+from .errors import CapacityError, ValidationError
 from .powers import decompose_rational_power
 from .verify import trace_quantities, verify_construction
 
 PROG = "power-forge"
+
+# each worker is a process, all forked when the pool starts; this is past the
+# cores of any one machine, so a larger count is a mistake, refused unforked
+_MAX_WORKERS = 256
 
 
 def _parse_set(text: str) -> list[Fraction]:
@@ -64,6 +62,8 @@ def _resolve_workers(value: Optional[int]) -> int:
             ) from None
     if value < 1:
         raise ValidationError(f"workers must be >= 1, got {value}")
+    if value > _MAX_WORKERS:
+        raise ValidationError(f"workers must be <= {_MAX_WORKERS}, got {value}")
     return value
 
 
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("construct", help="build f for a set of perfect powers")
     pc.add_argument("--set", required=True, metavar="VALUES",
                     help='comma-separated perfect powers, e.g. "9/25,4"; "" for the empty set')
-    pc.add_argument("--variant", choices=("rational", "integer"), default="rational")
+    pc.add_argument("--variant", choices=VARIANTS, default="rational")
     pc.add_argument("--t-max", type=int, default=64,
                     help="scan depth for capacity estimates (default 64)")
     pc.add_argument("--kappa-cap", type=int, default=20,
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--set", metavar="VALUES", help="construct inline from this set")
     src.add_argument("--artifacts", "--artifact", metavar="FILE",
                      help="load artifacts JSON from construct")
-    pv.add_argument("--variant", choices=("rational", "integer"), default="rational",
+    pv.add_argument("--variant", choices=VARIANTS, default="rational",
                     help="used with --set; --artifacts carries its own variant")
     pv.add_argument("--height", type=int, help="height bound for the rational scan")
     pv.add_argument("--bound", type=int, help="absolute-value bound for the integer scan")
@@ -345,6 +345,13 @@ def _positional_guard(argv: list[str]) -> list[str]:
     return joined
 
 
+def _refuse_missing_values(args: argparse.Namespace) -> None:
+    """Python 3.11's argparse reads ``--opt=--`` as the value [], not as a string."""
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise ValidationError(f"--{dest.replace('_', '-')} needs a value")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     tokens = _positional_guard(list(sys.argv[1:] if argv is None else argv))
@@ -353,6 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _refuse_missing_values(args)
         return _DISPATCH[args.command](args)
     except (ValidationError, CapacityError, OSError) as exc:
         code = "capacity" if isinstance(exc, CapacityError) else "validation"

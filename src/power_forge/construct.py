@@ -45,15 +45,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Union
 
-from ._errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError
 from .ntheory import factor_integer
 from .oracles import scan_gamma_minus_pow2
 from .poly import IntPoly, rational_roots
 from .powers import is_rational_perfect_power
 
 __all__ = [
-    "ValidationError",
-    "CapacityError",
     "SelectionPolicy",
     "DEFAULT_POLICY",
     "PowerSetInput",

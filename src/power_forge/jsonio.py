@@ -22,12 +22,8 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .construct import (
-    CapacityEstimate,
-    ConstructionArtifacts,
-    PowerSetInput,
-    ValidationError,
-)
+from .construct import CapacityEstimate, ConstructionArtifacts, PowerSetInput
+from .errors import ValidationError
 from .oracles import PowerHit, SolutionList
 from .poly import IntPoly
 from .powers import PowerDecomposition

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
-from ._errors import ValidationError
+from .errors import ValidationError
 from .powers import PowerDecomposition, decompose_rational_power
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "scan_gamma_minus_pow2",
     "FERMAT_VARIANTS",
 ]
-
-FERMAT_VARIANTS = ("cn", "2cn", "24n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,16 +65,17 @@ class PowerHit:
 def map_chunks(worker, payloads, workers: int):
     """Yield worker(p) for each payload, in payload order.
 
-    More than one worker and payload runs them in a process pool; the
-    pool's module is imported only then, so commands that never start
-    one do not load ``multiprocessing``.
+    More than one worker and payload runs them in a process pool of one
+    process per payload, at most ``workers``; the pool's module is
+    imported only then, so commands that never start one do not load
+    ``multiprocessing``.
     """
     if workers <= 1 or len(payloads) <= 1:
         yield from map(worker, payloads)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         yield from pool.map(worker, payloads)
 
 
@@ -220,6 +219,7 @@ _FERMAT_FORMS = {
     "2cn": ("A^4 + B^4 = 2*C^n", 4, 4, 2, 2),
     "24n": ("A^2 + B^4 = C^n", 2, 4, 1, 4),
 }
+FERMAT_VARIANTS = tuple(_FERMAT_FORMS)
 
 
 def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:

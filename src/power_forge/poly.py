@@ -57,12 +57,6 @@ class IntPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def monomial(cls, degree: int, c: int = 1) -> "IntPoly":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (c,))
-
-    @classmethod
     def linear(cls, c: int, a: int) -> "IntPoly":
         """The polynomial c*X - a."""
         return cls((-a, c))

@@ -61,7 +61,8 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
-from .construct import ConstructionArtifacts, ValidationError, compute_k
+from .construct import VARIANTS, ConstructionArtifacts, compute_k
+from .errors import ValidationError
 from .oracles import map_chunks
 from .poly import IntPoly
 from .powers import (
@@ -301,7 +302,7 @@ def _scan(
     progress: bool,
 ) -> VerificationReport:
     """The scan behind both entry points; ``recipe`` None means Horner on f."""
-    if variant not in ("rational", "integer"):
+    if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if bound < 1:
         raise ValidationError("bound must be >= 1")

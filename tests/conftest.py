@@ -136,3 +136,28 @@ def mutant_lead_dropped(monkeypatch):
 
     _patch_source(monkeypatch, verify, verify._RowSieve, "mask",
                   " and gcd(self.f.lead, v) == 1", "")
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A ProcessPoolExecutor that starts no process: it records each max_workers
+    it is built with, in the list returned, and maps in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes

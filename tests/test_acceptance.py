@@ -176,7 +176,7 @@ def test_criterion_8_decomposition_sweeps(report):
 
 def test_criterion_9_adversarial_square_fails(report):
     t0 = time.perf_counter()
-    rep = verify_polynomial(IntPoly.monomial(2), [], variant="rational", bound=30)
+    rep = verify_polynomial(IntPoly([0, 0, 1]), [], variant="rational", bound=30)
     elapsed = time.perf_counter() - t0
     ok = rep.verdict == "FAIL" and len(rep.extras) > 0
     report(9, "adversarial f = X^2 against the empty set: verdict FAIL with extras", ok, elapsed)

@@ -1,8 +1,9 @@
-"""The public surface: exported names, the names the benchmark's tracer
-wraps, and what importing the command line loads."""
+"""The public surface: exported names and their one import path, the names
+the benchmark's tracer wraps, and what importing the package loads."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -25,6 +26,15 @@ def test_every_exported_name_exists(name):
     assert not missing
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_function_and_class_is_defined_where_it_is_exported(name):
+    module = importlib.import_module(name)
+    exported = [getattr(module, attr) for attr in getattr(module, "__all__", ())]
+    strays = [obj.__qualname__ for obj in exported
+              if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name]
+    assert not strays
+
+
 def test_every_name_the_bench_tracer_wraps_exists():
     # bench/layers.py imports nothing from power_forge, so it loads by path
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -39,10 +49,22 @@ def test_every_name_the_bench_tracer_wraps_exists():
             assert name in holder, (layer, attr)
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def _fresh_interpreter(probe):
+    """What ``probe`` prints in a new interpreter that imports this tree."""
     src = str(Path(power_forge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
     probe = "import sys, power_forge.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
+    assert _fresh_interpreter(probe) == "False\n"
+
+
+def test_the_package_root_loads_nothing_and_a_submodule_import_binds_the_module():
+    probe = ("import sys, types, power_forge; "
+             "print([m for m in sys.modules if m.startswith('power_forge.')]); "
+             "import power_forge.construct; "
+             "print(isinstance(power_forge.construct, types.ModuleType))")
+    assert _fresh_interpreter(probe) == "[]\nTrue\n"

@@ -507,3 +507,41 @@ def test_an_empty_oracle_box_is_bad_input(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "validation"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("construct", "--set=--"), "--set"),
+    (("trace", "--set=4", "--x=--"), "--x"),
+    (("oracle", "gamma", "--gamma=--"), "--gamma"),
+    (("oracle", "recurrence", "--a=--", "--b=1", "--alpha=3", "--beta=2"), "--a"),
+    (("oracle", "recurrence", "--a=1", "--b=--", "--alpha=3", "--beta=2"), "--b"),
+    (("oracle", "recurrence", "--a=1", "--b=1", "--alpha=--", "--beta=2"), "--alpha"),
+    (("oracle", "recurrence", "--a=1", "--b=1", "--alpha=3", "--beta=--"), "--beta"),
+    (("oracle", "lebesgue", "--bound=--"), "--bound"),
+    (("construct", "--set=4", "--out=--"), "--out"),
+], ids=["set", "x", "gamma", "a", "b", "alpha", "beta", "bound", "out"])
+def test_an_option_written_with_no_value_is_bad_input(capsys, argv, named):
+    # Python 3.11's argparse reads "--opt=--" as the value []
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)["error"]
+    assert doc["code"] == "validation" and doc["message"] == f"{named} needs a value"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("verify", "--set", "9/25", "--height", "3", "--workers", str(10**20)), None),
+    (("oracle", "lebesgue", "--bound", "10", "--workers", str(cli._MAX_WORKERS + 1)), None),
+    (("oracle", "fermat", "--bound", "10"), str(cli._MAX_WORKERS + 1)),
+], ids=["huge", "cap+1", "env"])
+def test_a_worker_count_past_the_cap_is_refused_before_any_pool(capsys, monkeypatch,
+                                                                serial_pool, argv, env):
+    monkeypatch.setenv("POWER_FORGE_WORKERS", env or "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and serial_pool == []
+    assert f"<= {cli._MAX_WORKERS}" in json.loads(err)["error"]["message"]
+
+
+def test_the_cap_itself_is_a_pool_of_one_process_per_chunk(capsys, serial_pool):
+    argv = ("oracle", "lebesgue", "--bound", "3", "--n-max", "4", "--workers")
+    assert run(capsys, *argv, str(cli._MAX_WORKERS)) == run(capsys, *argv, "1")
+    assert serial_pool == [4]  # |X| <= 3: four values of X, one chunk each

@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from power_forge.construct import (
-    CapacityError,
     ConstructionArtifacts,
     DEFAULT_POLICY,
     PowerSetInput,
     SelectionPolicy,
-    ValidationError,
     build_g_h_f,
     build_root_product,
     compute_k,
@@ -21,6 +19,7 @@ from power_forge.construct import (
     find_deltas,
     select_offset_exponent,
 )
+from power_forge.errors import CapacityError, ValidationError
 from power_forge.poly import IntPoly
 
 

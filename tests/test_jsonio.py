@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from power_forge import jsonio
-from power_forge.construct import PowerSetInput, ValidationError, construct
+from power_forge.construct import PowerSetInput, construct
+from power_forge.errors import ValidationError
 from power_forge.oracles import scan_gamma_minus_pow2, search_catalan
 from power_forge.poly import IntPoly
 from power_forge.powers import PowerDecomposition, decompose_integer_power

@@ -4,7 +4,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from power_forge import ValidationError, oracles, verify
+from power_forge import oracles, verify
+from power_forge.errors import ValidationError
 from power_forge.ntheory import integer_nth_root
 from power_forge.oracles import (
     FERMAT_VARIANTS,
@@ -430,3 +431,11 @@ def test_scan_recurrence_rejects_degenerate():
             scan_recurrence_powers(*args, 5)
     with pytest.raises(ValidationError):
         scan_recurrence_powers(1, 1, 2, 3, -1)
+
+
+def test_the_pool_has_no_more_processes_than_payloads(serial_pool):
+    assert list(oracles.map_chunks(abs, [-1, 2], 3)) == [1, 2]
+    assert list(oracles.map_chunks(abs, [-1, 2, -3], 2)) == [1, 2, 3]
+    # |X| <= 1 is two values of X, so two chunks however many workers
+    assert search_lebesgue(1, 4, workers=3) == search_lebesgue(1, 4)
+    assert serial_pool == [2, 2, 2]

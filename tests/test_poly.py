@@ -23,11 +23,7 @@ def test_construction_trims_and_validates():
 
 
 def test_constructors():
-    assert IntPoly.monomial(3).coeffs == (0, 0, 0, 1)
-    assert IntPoly.monomial(0, 5).coeffs == (5,)
     assert IntPoly.linear(25, 9).coeffs == (-9, 25)  # 25 X - 9
-    with pytest.raises(ValueError):
-        IntPoly.monomial(-1)
 
 
 def test_immutability_and_hash():
@@ -89,7 +85,7 @@ def test_miller_power_matches_repeated_product(rng):
     for n in range(41):
         assert IntPoly() ** n == _power_by_repeated_product(IntPoly(), n)
     assert IntPoly() ** 0 == IntPoly([1]) and IntPoly() ** 3 == IntPoly()
-    assert IntPoly([0, 0, 1]) ** 5 == IntPoly.monomial(10)
+    assert IntPoly([0, 0, 1]) ** 5 == IntPoly([0] * 10 + [1])
     with pytest.raises(ValueError):
         IntPoly() ** -1
 

@@ -19,20 +19,33 @@ only the survivors are evaluated and decomposed (``_RowSieve``):
   the u where l divides v**deg f(u/v) exactly once, which depends on
   u/v mod l**2 only; l then divides the reduced numerator of f(u/v)
   exactly once, and f(u/v) is no power;
-* on a row v > 1 with gcd(lead f, v) = 1, v**deg f(u/v) is prime to v,
-  so the reduced denominator is exactly v**deg and a power f(u/v) is a
-  p-th power for a prime p of ``_denominator_roots(v**deg)``; it
-  survives only if, for one such p, f(u/v) mod q is 0 or a p-th power
-  residue for every modulus q of ``_residue_table(p)`` not dividing v.
+* on a row v > 1, f(u/v) has one reduced denominator D for every u
+  prime to v (``_RowSieve.denominator``).  For l**a || v, the terms
+  c_i u**i v**(deg-i) of v**deg f(u/v) have l-adic valuations
+  e_i + a (deg - i), with e_i that of c_i, as u is prime to l.  A
+  unique least one, e, is the valuation of the sum, so the l-part of D
+  is l**(a deg - e), or 1 where e >= a deg; where l does not divide
+  lead f it is all of l**(a deg).  Where two terms tie below a deg, D
+  is left to u and the row gets the first kind of mask only.  A power f(u/v) is a p-th power for a prime p of
+  ``_denominator_roots(D)``, so a row with D > 1 and no such p holds no
+  power; otherwise a point survives only if, for one such p, f(u/v) mod
+  q is 0 or a p-th power residue for every modulus q of
+  ``_residue_table(p)`` not dividing v.
 
-A table of period m costs m evaluations of f mod m, so it is used only
-where it pays: m at most the row length 2H+1, and m (deg f + 1) at most
-the chunk's points.  So the degree-201 and degree-361 scans at heights
-8-9 use none.  Each pattern is built once per (table, v mod m) and
-tiled along the row by one multiplication.  The masks only reject, so
-hits, ``points_scanned`` and every report are those of the
-point-by-point scan.  On {9/25} at height 110, 1,600 of 14,863 points
-are evaluated; on the integer {4, 8, 36} to 20,000, 2,389 of 40,001.
+The tables are read from the exact values f(0), f(1), ..., which
+forward differences give at deg additions each.  A modulus m is used
+only where its table pays: m at most the row length 2H+1, and
+m (deg f + 1) at most the chunk's points.  So the degree-201 and
+degree-361 scans at heights 8-9 use none and read no coefficient's
+valuation.  Each pattern is built once per (table, v mod m) and tiled
+along the row by one multiplication, and a row adds no modulus once no
+point is left on it.  The masks only reject, so hits,
+``points_scanned`` and every report are those of the point-by-point
+scan.  On the ``scan-lowdeg`` sets as the tests fix them, {9/25} at
+height 110 evaluates 381 of 14,863 points (1,600 before the row
+denominators), and the integer {4, 8, 36} to 20,000 evaluates 2,389 of
+40,001.  A scan is
+refused up front past 10**7 points (``_MAX_POINTS``).
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
@@ -58,11 +71,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from itertools import accumulate
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional
 
 from .construct import VARIANTS, ConstructionArtifacts, compute_k
 from .errors import ValidationError
+from .ntheory import strip_prime
 from .oracles import map_chunks
 from .poly import IntPoly
 from .powers import (
@@ -127,6 +142,11 @@ class VerificationReport:
 
 # -- scanning ------------------------------------------------------------
 
+# the most points a scan may cover, estimated as its rows times the row
+# length 2H+1: height 2,235 or |x| <= 4,999,999, far above the benchmark's
+# windows (height 110: 24,310; |x| <= 20,000: 40,001)
+_MAX_POINTS = 10**7
+
 # (pairs, k, s): f = g h with g = P**k + 1, h = (X - 2**s) g + 2**s and
 # P = prod (c_i X - a_i) over the pairs (a_i, c_i)
 _Recipe = tuple[tuple[tuple[int, int], ...], int, int]
@@ -182,38 +202,74 @@ def _set_bits(mask: int, lo: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
-def _allowed(coeffs: tuple[int, ...], p: int, m: int) -> bytes:
+def _allowed(values: list[int], p: int, m: int) -> bytes:
     """Entry t: whether a point with u/v = t modulo the table's period may give a power.
 
-    p = 0 asks that the prime m not divide f(t) exactly once, a test on
-    f(t) mod m**2, so the period is m**2.  A prime p > 0 asks that f(t)
-    mod the prime m be 0 or a p-th power residue, with period m.
+    values[t] is f(t), for t up to the period at least.  p = 0 asks that
+    the prime m not divide f(t) exactly once, a test on f(t) mod m**2, so
+    the period is m**2.  A prime p > 0 asks that f(t) mod the prime m be
+    0 or a p-th power residue, with period m.
     """
     if p == 0:
         period = m * m
-        return bytes(r % m != 0 or r == 0 for r in _values_mod(coeffs, m * m, period))
+        return bytes(y % m != 0 or y % (m * m) == 0 for y in values[:period])
     cofactor = (m - 1) // p
-    return bytes(r == 0 or pow(r, cofactor, m) == 1 for r in _values_mod(coeffs, m, m))
+    return bytes(pow(y, cofactor, m) < 2 for y in values[:m])
 
 
-def _values_mod(coeffs: tuple[int, ...], m: int, period: int) -> Iterator[int]:
-    """f(t) mod m for t in range(period), by Horner on the reduced coefficients."""
-    reduced = [c % m for c in reversed(coeffs)]
-    for t in range(period):
+def _values(coeffs: tuple[int, ...], count: int) -> list[int]:
+    """f(0), f(1), ..., f(count - 1) exactly.
+
+    Horner gives the first deg + 1 values and from them the forward
+    differences of f at 0; past those, every order of differences is the
+    running sum of the next, so a value costs deg additions at C speed.
+    """
+    if not coeffs:
+        return [0] * count
+    head = []
+    for t in range(min(count, len(coeffs))):
         acc = 0
-        for c in reduced:
-            acc = (acc * t + c) % m
-        yield acc
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        head.append(acc)
+    if count <= len(head):
+        return head
+    starts = []
+    while head:
+        starts.append(head[0])
+        head = [b - a for a, b in zip(head, head[1:])]
+    values = [starts.pop()] * count
+    for start in reversed(starts):
+        values = list(accumulate(values[: count - 1], initial=start))
+    return values
+
+
+def _prime_powers(v: int) -> list[tuple[int, int]]:
+    """(l, a) with l**a exactly dividing v >= 1, l ascending, by trial division."""
+    found = []
+    l = 2
+    while l * l <= v:
+        if v % l == 0:
+            a = 0
+            while v % l == 0:
+                v //= l
+                a += 1
+            found.append((l, a))
+        l += 1 if l == 2 else 2
+    if v > 1:
+        found.append((v, 1))
+    return found
 
 
 class _RowSieve:
     """The masks of one chunk's rows over the numerators u in [lo, lo + n).
 
     The module docstring gives the two kinds of table and when a modulus
-    pays.  A table is read from f's coefficients reduced mod m, never
-    from the recipe that evaluates the survivors, and it is indexed by
-    the class t of u/v = u * v**-1 modulo its period; on a row v, the u
-    of class t are those with u = t v modulo the period.
+    pays.  A table is read from the values f(0), f(1), ... that f's
+    coefficients give, never from the recipe that evaluates the
+    survivors, and it is indexed by the class t of u/v = u * v**-1
+    modulo its period; on a row v, the u of class t are those with
+    u = t v modulo the period.
     """
 
     def __init__(self, f: IntPoly, lo: int, n: int, points: int):
@@ -224,36 +280,95 @@ class _RowSieve:
         # (p, m) -> (period, marked classes t, whether a marked class survives)
         self._tables: dict[tuple[int, int], tuple[int, list[int], bool]] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
+        self._values: list[int] = []  # f(0), f(1), ...: what the tables are read from
+        self._unit_masks: dict[int, int] = {}  # l -> the mask of the u prime to l
+        # (l, a) -> the exponent of l in the row denominator where l**a || v, None at a tie
+        self._exponents: dict[tuple[int, int], Optional[int]] = {}
 
     def coprime(self, v: int) -> int:
         """The mask of the u prime to v."""
-        lo = self.lo
-        return _tile(sum(1 << j for j in range(v) if gcd(lo + j, v) == 1), v, self.n)
+        mask = self.full
+        for l, _ in _prime_powers(v):
+            unit = self._unit_masks.get(l)
+            if unit is None:
+                lo = self.lo
+                pattern = sum(1 << j for j in range(l) if (lo + j) % l)
+                unit = self._unit_masks[l] = _tile(pattern, l, self.n)
+            mask &= unit
+        return mask
+
+    def denominator(self, v: int) -> Optional[int]:
+        """The reduced denominator of f(u/v), the same for every u prime to v, or None.
+
+        None where, for a prime power l**a || v, two terms of v**deg f(u/v)
+        tie at the least l-adic valuation below a deg (see the module
+        docstring).  The l-part depends on (l, a) only and is kept.
+        """
+        denominator = 1
+        for l, a in _prime_powers(v):
+            key = (l, a)
+            if key not in self._exponents:
+                self._exponents[key] = self._exponent(l, a)
+            exponent = self._exponents[key]
+            if exponent is None:
+                return None
+            denominator *= l**exponent
+        return denominator
+
+    def _exponent(self, l: int, a: int) -> Optional[int]:
+        """The exponent of l in the denominator on the rows l**a || v, or None at a tie.
+
+        Valuations are read from the top coefficient down, and only while
+        a (deg - i) can still reach the least value so far.
+        """
+        coeffs, deg = self.f.coeffs, self.f.degree
+        full = a * deg
+        least = min(strip_prime(coeffs[-1], l)[0], full)
+        tied = False
+        for i in range(deg - 1, -1, -1):
+            shift = a * (deg - i)
+            if shift > least:
+                break
+            if coeffs[i]:
+                term = shift + strip_prime(coeffs[i], l)[0]
+                if term < least:
+                    least, tied = term, False
+                elif term == least:
+                    tied = True
+        if tied and least < full:
+            return None
+        return full - least
 
     def mask(self, v: int) -> int:
-        """The mask of the u whose f(u/v) no modulus proves to be no power."""
+        """The mask of the u prime to v whose f(u/v) no modulus proves to be no power."""
         limit = self.limit
-        mask = self.full
+        mask = self.coprime(v)
         for l in _SMALL_PRIMES:
             if v % l and l * l <= limit:
                 mask &= self._pattern(0, l, v)
-        deg = self.f.degree
-        if v > 1 and deg >= 1 and gcd(self.f.lead, v) == 1:
-            residue = 0
-            for p, _ in _denominator_roots(v**deg):
-                survivors = mask
-                for q, _ in _residue_table(p):
-                    if v % q and q <= limit:
-                        survivors &= self._pattern(p, q, v)
-                residue |= survivors
-            mask = residue
-        return mask
+        # no residue table fits below 3, so the denominator is not read
+        denominator = self.denominator(v) if v > 1 and limit >= 3 else None
+        if denominator is None or denominator == 1:
+            return mask
+        residue = 0
+        for p, _ in _denominator_roots(denominator):
+            survivors = mask
+            for q, _ in _residue_table(p):
+                if not survivors:
+                    break
+                if v % q and q <= limit:
+                    survivors &= self._pattern(p, q, v)
+            residue |= survivors
+        return residue
 
     def _pattern(self, p: int, m: int, v: int) -> int:
         """The mask of table (p, m) on row v."""
         table = self._tables.get((p, m))
         if table is None:
-            allowed = _allowed(self.f.coeffs, p, m)
+            period = m * m if p == 0 else m
+            if len(self._values) < period:
+                self._values = _values(self.f.coeffs, max(period, self.limit))
+            allowed = _allowed(self._values, p, m)
             kept = [t for t, ok in enumerate(allowed) if ok]
             dropped = [t for t, ok in enumerate(allowed) if not ok]
             marked = (kept, True) if len(kept) <= len(dropped) else (dropped, False)
@@ -282,9 +397,8 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
     hits: list[Hit] = []
     for v in rows:
         vd = v ** max(f.degree, 0)
-        coprime = sieve.coprime(v)
-        count += coprime.bit_count()
-        for u, num in _row_values(f, recipe, v, _set_bits(coprime & sieve.mask(v), lo)):
+        count += sieve.coprime(v).bit_count()
+        for u, num in _row_values(f, recipe, v, _set_bits(sieve.mask(v), lo)):
             y = num if vd == 1 else Fraction(num, vd)
             dec = decompose_rational_power(y)
             if dec is not None:
@@ -306,6 +420,13 @@ def _scan(
         raise ValidationError(f"unknown variant {variant!r}")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
+    if variant == "rational":
+        rows, option, most = bound, "height", (isqrt(8 * _MAX_POINTS + 1) - 1) // 4
+    else:
+        rows, option, most = 1, "bound", (_MAX_POINTS - 1) // 2
+    if rows * (2 * bound + 1) > _MAX_POINTS:
+        raise ValidationError(f"{option} must be <= {most}: a scan covers at most "
+                              f"{_MAX_POINTS:,} points")
     targets = tuple(sorted(Fraction(e) for e in elements))
     if variant == "rational":
         n = min(max(workers, 1), bound)

@@ -131,11 +131,20 @@ def mutant_period_l(monkeypatch):
 
 @pytest.fixture
 def mutant_lead_dropped(monkeypatch):
-    """Residue masks also on the rows where lead f and v share a prime."""
+    """The row denominator keeps all of v**deg on a row where lead f and v share a prime."""
     from power_forge import verify
 
-    _patch_source(monkeypatch, verify, verify._RowSieve, "mask",
-                  " and gcd(self.f.lead, v) == 1", "")
+    _patch_source(monkeypatch, verify, verify._RowSieve, "_exponent",
+                  "return full - least", "return full")
+
+
+@pytest.fixture
+def mutant_tie_taken(monkeypatch):
+    """A tied least valuation taken as the valuation of v**deg f(u/v)."""
+    from power_forge import verify
+
+    _patch_source(monkeypatch, verify, verify._RowSieve, "_exponent",
+                  "if tied and least < full:", "if False:")
 
 
 @pytest.fixture

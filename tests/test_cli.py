@@ -541,6 +541,23 @@ def test_a_worker_count_past_the_cap_is_refused_before_any_pool(capsys, monkeypa
     assert f"<= {cli._MAX_WORKERS}" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("verify", "--set", "9/25", "--height", str(10**20)), "height"),
+    (("verify", "--set", "4", "--variant", "integer", "--bound", str(10**20)), "bound"),
+], ids=["height", "bound"])
+def test_a_window_past_the_point_cap_is_bad_input(capsys, monkeypatch, argv, option):
+    from power_forge import verify
+
+    def no_sieve(*args):
+        raise AssertionError("a sieve was built")
+
+    monkeypatch.setattr(verify, "_RowSieve", no_sieve)
+    code, out, err = run(capsys, *argv, "--workers", "1")
+    assert code == 2 and out == ""
+    doc = json.loads(err)["error"]
+    assert doc["code"] == "validation" and doc["message"].startswith(f"{option} must be <= ")
+
+
 def test_the_cap_itself_is_a_pool_of_one_process_per_chunk(capsys, serial_pool):
     argv = ("oracle", "lebesgue", "--bound", "3", "--n-max", "4", "--workers")
     assert run(capsys, *argv, str(cli._MAX_WORKERS)) == run(capsys, *argv, "1")

@@ -102,6 +102,23 @@ def test_verify_argument_validation():
         verify_polynomial(IntPoly([2]), [], variant="p-adic", bound=5)
 
 
+def test_a_window_past_the_point_cap_is_refused_before_any_sieve(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("a sieve was built")
+
+    monkeypatch.setattr(verify, "_RowSieve", no_sieve)
+    for variant, option, window in (("rational", "height", 10**20), ("rational", "height", 2236),
+                                    ("integer", "bound", 10**20), ("integer", "bound", 5 * 10**6)):
+        with pytest.raises(ValidationError, match=f"^{option} must be <= "):
+            verify_polynomial(IntPoly([2]), [], variant, window)
+    # the largest windows pass the check; no chunk is scanned
+    monkeypatch.setattr(verify, "map_chunks", lambda worker, payloads, workers: iter(()))
+    assert verify_polynomial(IntPoly([2]), [], "rational", 2235).points_scanned == 0
+    assert verify_polynomial(IntPoly([2]), [], "integer", 5 * 10**6 - 1).points_scanned == 0
+    # far above the windows of the benchmark and the CLI corpus
+    assert 110 * 221 * 100 < verify._MAX_POINTS and 40001 * 100 < verify._MAX_POINTS
+
+
 def test_trace_worked_example():
     rec = trace_quantities(((9, 25),), Fraction(1, 2))
     assert (rec.u, rec.v) == (1, 2)
@@ -283,6 +300,7 @@ BARE_SCANS = [
     (IntPoly([2, 1]), "integer", 300),  # 2 divides f(0) = 2 once but f(2) = 4
     (IntPoly([0, 0, 9]), "integer", 200),
     (IntPoly([-7, 0, 1]), "integer", 200),
+    (IntPoly([4, 5, 12]), "rational", 12),  # f(4/3) = 2**5, where 3 | lead and 5 X ties it
 ]
 
 
@@ -346,8 +364,19 @@ def test_the_sieve_masks_out_no_power_of_a_bench_set(values, variant, window):
     assert _masked_out_powers(art.f, variant, window) == []
 
 
+# (set, variant, window, points scanned, points evaluated) for the
+# scan-lowdeg sets; both counts are deterministic
+LOWDEG_EVALUATIONS = [
+    (["9/25"], "rational", 110, 14863, 381),
+    (["0", "9/25", "-8"], "rational", 50, 3095, 151),
+    (["-1/8", "4/25"], "rational", 40, 1959, 759),
+    (["1/169"], "rational", 40, 1959, 72),
+    (["-1/343", "16/9"], "rational", 24, 719, 351),
+    (["4", "8", "36"], "integer", 20000, 40001, 2389),
+]
+
+
 def test_the_sieve_leaves_few_points_to_evaluate(monkeypatch):
-    # of 14,863 and 40,001 points, the scan-lowdeg sets evaluate 1,600 and 2,389
     evaluated = []
 
     def counting(f, recipe, v, us, real=verify._row_values):
@@ -356,23 +385,81 @@ def test_the_sieve_leaves_few_points_to_evaluate(monkeypatch):
         return real(f, recipe, v, us)
 
     monkeypatch.setattr(verify, "_row_values", counting)
-    for values, variant, window, most in ((["9/25"], "rational", 110, 1600),
-                                          (["4", "8", "36"], "integer", 20000, 2389)):
+    for values, variant, window, points, evaluations in LOWDEG_EVALUATIONS:
         art = construct(PowerSetInput.from_values(values, variant=variant))
         evaluated.clear()
-        verify_construction(art, window)
-        assert len(evaluated) <= most
+        assert verify_construction(art, window).points_scanned == points
+        assert len(evaluated) == evaluations, values
+
+
+def _check_row_denominators(f, window):
+    """Each row denominator the sieve gives is that of f(u/v) at every u prime to v.
+
+    Returns the rows v > 1 where it gives one.
+    """
+    n = 2 * window + 1
+    sieve = verify._RowSieve(f, -window, n, window * n)
+    rows = []
+    for v in range(2, window + 1):
+        denominator = sieve.denominator(v)
+        if denominator is None:
+            continue
+        rows.append(v)
+        for u in range(-window, window + 1):
+            if gcd(u, v) == 1:
+                assert denominator == Fraction(f.eval_pair(u, v), v**f.degree).denominator, (u, v)
+    return rows
+
+
+@pytest.mark.parametrize("f", [
+    IntPoly([1, 2, 4]),  # lead 4; on the rows 2 || v, 2 X ties 4 X**2 at the full exponent
+    IntPoly([4, 5, 12]),  # lead 12; on the rows 3 || v, 5 X ties 12 X**2 below it
+    IntPoly([9, -6, 0, 18]),
+    IntPoly([2, 0, 27, 0, 27]),
+    IntPoly([-3, 25, 0, 1875]),  # 1875 = 3 * 5**4
+    IntPoly([0, 0, 0, 32]),  # 32 (u/v)**3 is an integer on the rows 2 || v
+])
+def test_the_row_denominator_is_that_of_every_value_on_its_row(f):
+    assert len(_check_row_denominators(f, 30)) > 10
+
+
+def test_the_row_denominator_of_a_scan_lowdeg_set():
+    # f of degree 9 with lead 5**16: on the rows 5 || v one 5 of v**9 is left,
+    # so no value there is a power; on the rows 25 || v two terms tie
+    f = construct(PowerSetInput.from_values(["9/25"])).f
+    sieve = verify._RowSieve(f, -50, 101, 50 * 101)
+    assert [sieve.denominator(v) for v in (5, 10, 25, 50)] == [5, 2**9 * 5, None, None]
+    assert len(_check_row_denominators(f, 50)) == 49 - 2
+
+
+def test_the_row_denominator_on_random_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shared = st.sampled_from([1, 2, 3, 4, 5, 9, 12, 18, 25, 27])
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        st.sampled_from([4, 12, 18, 27, 1875]),
+        st.lists(st.tuples(st.integers(-5, 5), shared), max_size=5),
+    )
+    def polynomials(lead, lower):
+        # coefficients that share primes with the lead, so that terms tie
+        _check_row_denominators(IntPoly([a * b for a, b in lower] + [lead]), 20)
+
+    polynomials()
 
 
 @pytest.mark.parametrize("f", [IntPoly([3, -1, 0, 2, 5]), IntPoly([-9, 0, 0, 0, 4]),
                                IntPoly([2, 0, 1])])
 def test_tables_follow_their_definitions(f):
+    values = verify._values(f.coeffs, 49)
+    assert values == [f(t) for t in range(49)]
     for l in (2, 3, 5, 7):
-        table = verify._allowed(f.coeffs, 0, l)
+        table = verify._allowed(values, 0, l)
         # l divides f(t) exactly once for no t that survives
         assert list(table) == [f(t) % l != 0 or f(t) % (l * l) == 0 for t in range(l * l)]
     for p, q in ((2, 3), (2, 11), (3, 7), (3, 13), (5, 11)):
-        table = verify._allowed(f.coeffs, p, q)
+        table = verify._allowed(values, p, q)
         powers = {pow(x, p, q) for x in range(q)}  # 0 and the p-th power residues
         assert list(table) == [f(t) % q in powers for t in range(q)]
 
@@ -383,7 +470,8 @@ def test_tables_follow_their_definitions(f):
         ("mutant_flipped_entry", BARE_SCANS[0]),  # loses 1/16 = (1/4)**2
         ("mutant_guard_dropped", BARE_SCANS[1]),  # loses 4/3, on the row 3 = q
         ("mutant_period_l", BARE_SCANS[7]),  # loses 2, as f(0) = 2
-        ("mutant_lead_dropped", BARE_SCANS[2]),  # loses 1/2: 2**3 is no square
+        ("mutant_lead_dropped", BARE_SCANS[2]),  # loses 1/2: 4 is no cube mod 7
+        ("mutant_tie_taken", BARE_SCANS[10]),  # loses 4/3, on a row read as no power
     ],
 )
 def test_each_sieve_mutant_masks_out_a_power(request, monkeypatch, mutant, case):
@@ -409,7 +497,7 @@ def test_row_patterns_at_the_window_edges(lo, n):
     f = IntPoly([3, -1, 0, 2, 5])
     sieve = verify._RowSieve(f, lo, n, 10**6)
     for p, m in ((0, 2), (0, 3), (2, 5), (3, 7), (2, 11)):
-        table = verify._allowed(f.coeffs, p, m)
+        table = verify._allowed([f(t) for t in range(m * m)], p, m)
         period = len(table)
         assert period == (m * m if p == 0 else m)
         for v in range(1, 15):

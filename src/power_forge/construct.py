@@ -21,11 +21,15 @@ Both variants are built from the same recipe.  With P = prod (c_i X - a_i)
     f = g h = (X - 2**s) (P**(2k) + 2 P**k + 1) + 2**s (P**k + 1),
 
 and the powers of P come from J.C.P. Miller's recurrence
-(``IntPoly.__pow__``), which spends O(|S|) big-int operations on each
-coefficient; multiplying out g * h costs O(k |S|) per coefficient.  Each
-power is certified against P by multiplication only (P Q' = n P' Q, see
-``_certify_power``): ``verify`` evaluates the recipe, not the stored f,
-so a wrong power would otherwise go unscanned.
+(``poly.power_coeffs``), which spends O(|S|) big-number operations on
+each coefficient; multiplying out g * h costs O(k |S|) per coefficient.
+One recurrence and one expansion serve two number types: ints for f, g
+and h (``build_g_h_f``), and exact ``decimal.Decimal`` values for the
+text a construction document stores (``recipe_text``), as str() of a
+Decimal is linear where str() of a big int is quadratic.  Each power of
+both builds is certified against P by multiplication only (P Q' = n P'
+Q, see ``_certify_power``): ``verify`` evaluates the recipe, not the
+stored f, so a wrong power would otherwise go unscanned.
 
 The empty set gets the constant polynomial 2, which is never a perfect
 power; the product formulas degenerate there (they would give a linear f
@@ -40,15 +44,15 @@ see ``SelectionPolicy``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, ValidationError
 from .ntheory import factor_integer
-from .oracles import scan_gamma_minus_pow2
-from .poly import IntPoly, rational_roots
+from .oracles import MAX_SCAN_DEPTH, scan_gamma_minus_pow2
+from .poly import IntPoly, power_coeffs, rational_roots
 from .powers import is_rational_perfect_power
 
 __all__ = [
@@ -64,18 +68,24 @@ __all__ = [
     "estimate_capacity",
     "select_offset_exponent",
     "build_g_h_f",
+    "recipe_text",
     "construct",
 ]
 
 VARIANTS = ("rational", "integer")
+
+# f has 2k|S| + 2 coefficients, nearly all scaled by the offset 2**s; a recipe
+# whose (2k|S| + 2) s passes this many bits is refused before anything is built
+_MAX_F_BITS = 10**8
 
 
 @dataclass(frozen=True, slots=True)
 class SelectionPolicy:
     """Knobs for the offset selection.
 
-    t_max caps the gamma - 2**t scan depth; kappa_cap caps the offset
-    search (s = 2**kappa - 1, 1 <= kappa <= kappa_cap).
+    t_max caps the gamma - 2**t scan depth, at most
+    ``oracles.MAX_SCAN_DEPTH``; kappa_cap caps the offset search
+    (s = 2**kappa - 1, 1 <= kappa <= kappa_cap).
     """
 
     t_max: int = 64
@@ -84,6 +94,8 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if self.t_max < 0 or self.kappa_cap < 1:
             raise ValidationError("need t_max >= 0 and kappa_cap >= 1")
+        if self.t_max > MAX_SCAN_DEPTH:
+            raise ValidationError(f"t_max must be <= {MAX_SCAN_DEPTH}, got {self.t_max}")
 
 
 DEFAULT_POLICY = SelectionPolicy()
@@ -239,8 +251,11 @@ def select_offset_exponent(
     )
 
 
-def _certify_power(P: IntPoly, n: int, Q: IntPoly) -> None:
-    """Raise ArithmeticError unless Q = P**n, checked by multiplication only.
+def _certify_power(p: Sequence, n: int, q: Sequence) -> None:
+    """Raise ArithmeticError unless q = p**n, checked by multiplication only.
+
+    p and q are coefficient sequences, ascending and trimmed, of ints or
+    of exact ``decimal.Decimal`` integers.
 
     With P = X**z R and R(0) = r_0 != 0, Q must be X**(zn) T with
     deg T = n deg R, t_0 = r_0**n and R T' - n R' T = 0.  The coefficient
@@ -252,7 +267,6 @@ def _certify_power(P: IntPoly, n: int, Q: IntPoly) -> None:
     ones below it, so only R**n passes.  Nothing here divides, and nothing
     is shared with the recurrence that computed Q.
     """
-    p, q = P.coeffs, Q.coeffs
     z = 0
     while p[z] == 0:
         z += 1
@@ -269,34 +283,76 @@ def _certify_power(P: IntPoly, n: int, Q: IntPoly) -> None:
             raise ArithmeticError(f"P**{n} fails its certificate at X**{j} of P Q' - n P' Q")
 
 
+def _times_shift(a: list, offset) -> list:
+    """The coefficients of (X - offset) A."""
+    return [x - offset * y for x, y in zip([0, *a], [*a, 0])]
+
+
+def _expand(p: Sequence, pk: Sequence, p2k: Sequence, k: int, offset) -> tuple[list, list, list]:
+    """g, h and f from P, P**k and P**(2k), certified first, and offset = 2**s.
+
+    g = P**k + 1, h = (X - 2**s) g + 2**s, f = (X - 2**s) (P**(2k) + 2 P**k + 1) + 2**s g.
+    """
+    _certify_power(p, k, pk)
+    _certify_power(p, 2 * k, p2k)
+    g = list(pk)
+    g[0] += 1
+    u = list(p2k)
+    for i, c in enumerate(pk):
+        u[i] += 2 * c
+    u[0] += 1
+    h = _times_shift(g, offset)
+    h[0] += offset
+    f = _times_shift(u, offset)
+    for i, c in enumerate(g):
+        f[i] += offset * c
+    return g, h, f
+
+
 def build_g_h_f(
     pairs: Iterable[tuple[int, int]], k: int, s: int
 ) -> tuple[IntPoly, IntPoly, IntPoly]:
     """g = P**k + 1, h = (X - 2**s) g + 2**s and f = g h, with P = prod (c_i X - a_i).
 
-    f is expanded from the recipe rather than multiplied out as g * h:
-
-        f = (X - 2**s) (P**(2k) + 2 P**k + 1) + 2**s (P**k + 1),
-
-    where both powers of P come from Miller's recurrence in
-    ``IntPoly.__pow__``, so the build costs O(|S|) big-int operations per
-    coefficient of f instead of the O(k |S|) of the product g * h.  Each
-    power is certified against P by ``_certify_power``, which raises
-    ArithmeticError on a wrong one.
+    f is expanded from the recipe rather than multiplied out as g * h (see
+    ``_expand``); both powers of P come from ``IntPoly.__pow__`` and are
+    certified by ``_certify_power``, which raises ArithmeticError on a
+    wrong one.
     """
     pairs = tuple(pairs)
     if not pairs:
         raise ValidationError("empty set has no product construction; use construct()")
     P = build_root_product(pairs)
     Pk, P2k = P**k, P ** (2 * k)
-    _certify_power(P, k, Pk)
-    _certify_power(P, 2 * k, P2k)
-    g = Pk + 1
-    offset = 1 << s
-    shift = IntPoly.linear(1, offset)  # X - 2**s
-    h = shift * g + offset
-    f = shift * (P2k + 2 * Pk + 1) + offset * g
-    return g, h, f
+    g, h, f = _expand(P.coeffs, Pk.coeffs, P2k.coeffs, k, 1 << s)
+    return IntPoly(g), IntPoly(h), IntPoly(f)
+
+
+def recipe_text(
+    pairs: Iterable[tuple[int, int]], k: int, s: int, context=None
+) -> tuple[list[str], list[str], list[str]]:
+    """The decimal text of g, h and f, as a construction document stores them.
+
+    The recurrence, certificates and expansion of ``build_g_h_f`` run on
+    ``decimal.Decimal`` integers, so no big coefficient is converted
+    between int and decimal.  ``context`` defaults to an exact one
+    (``MAX_PREC`` digits, the widest exponents, every inexact or invalid
+    step trapped); in any context, a rounded step raises ArithmeticError.
+    """
+    import decimal as dec
+
+    if context is None:
+        traps = [dec.Inexact, dec.Rounded, dec.InvalidOperation, dec.DivisionByZero, dec.Overflow]
+        context = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN, traps=traps)
+    with dec.localcontext(context) as ctx:
+        ctx.clear_flags()
+        p = [dec.Decimal(c) for c in build_root_product(pairs).coeffs]
+        # 2**s as a power of Decimal(2): converting the int 1 << s is quadratic
+        polys = _expand(p, power_coeffs(p, k), power_coeffs(p, 2 * k), k, dec.Decimal(2) ** s)
+        if ctx.flags[dec.Inexact] or ctx.flags[dec.Rounded]:
+            raise ArithmeticError("the decimal build of the recipe is not exact")
+    # a zero may carry a sign (Decimal(0) * -3 is -0); its text has none
+    return tuple([str(c) if c else "0" for c in poly] for poly in polys)
 
 
 @dataclass(frozen=True)
@@ -317,8 +373,15 @@ class ConstructionArtifacts:
     even): with P = X**z R and R(0) != 0, the X**(zk) coefficient of f
     is -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when
     z = 0.
-    A kappa stored with a recipe must give s = 2**kappa - 1.  Without a
-    recipe, f is a bare polynomial and must be given.
+    A recipe whose f would hold more than ``_MAX_F_BITS`` bits, estimated
+    as (2k|S| + 2) s, is refused, and a kappa stored with a recipe must
+    give s = 2**kappa - 1.  Without a recipe, f is a bare polynomial and
+    must be given.
+
+    ``text`` (init-only) maps "f", "g" and "h" to their stored decimal
+    text, or None, in place of f, g and h: the cheap tests read f's text,
+    and each must equal ``recipe_text`` entry for entry, so a coefficient
+    spelled another way, such as "007" or "-0", is refused.
     """
 
     input: PowerSetInput
@@ -331,8 +394,9 @@ class ConstructionArtifacts:
     deltas: Optional[tuple[Fraction, ...]] = None
     estimates: Optional[tuple[CapacityEstimate, ...]] = None
     notes: str = ""
+    text: InitVar[Optional[Mapping[str, Optional[list[str]]]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, text: Optional[Mapping[str, Optional[list[str]]]]) -> None:
         k, s = self.k, self.s
         if (k is None) != (s is None):
             raise ValidationError(f"k and s come both or neither, not k={k}, s={s}")
@@ -352,8 +416,14 @@ class ConstructionArtifacts:
                     f"stored k={k} is not a positive multiple of the canonical k={canonical}"
                 )
         recipe = f"the recipe of k={k}, s={s}"
-        if self.f is not None:
-            self._check_cheaply(k, s, recipe)
+        f_text = None if text is None else text.get("f")
+        if self.f is not None or f_text is not None:
+            self._check_cheaply(k, s, recipe, f_text)
+        size = (2 * k * len(self.input) + 2) * s
+        if size > _MAX_F_BITS:
+            raise ValidationError(
+                f"s={s} is out of range: f would hold about {size} bits, over {_MAX_F_BITS}"
+            )
         # s = 2**kappa - 1, tested by bits: a stored kappa may be far too large to raise 2 to
         kappa = self.kappa
         if kappa is not None and (s & (s + 1) or (s + 1).bit_length() != kappa + 1):
@@ -362,17 +432,30 @@ class ConstructionArtifacts:
             )
         g, h, f = build_g_h_f(self.pairs, k, s)
         built = {"f": f, "g": g, "h": h}
-        wrong = [name for name, poly in built.items() if getattr(self, name) not in (None, poly)]
+        if text is None:
+            stored, made = {name: getattr(self, name) for name in built}, built
+        else:
+            stored, made = text, dict(zip("ghf", recipe_text(self.pairs, k, s)))
+        wrong = [name for name in built if stored.get(name) not in (None, made[name])]
         if wrong:
             raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
         for name, poly in built.items():
             object.__setattr__(self, name, poly)
 
-    def _check_cheaply(self, k: int, s: int, recipe: str) -> None:
-        """The tests on k and s against the given f that need no build."""
-        if self.f.degree != 2 * k * len(self.input) + 1:
-            raise ValidationError(f"stored f has degree {self.f.degree}, not that of {recipe}")
-        bits = max(abs(c).bit_length() for c in self.f.coeffs)
+    def _check_cheaply(self, k: int, s: int, recipe: str, f_text: Optional[list[str]]) -> None:
+        """The tests on k and s against the given f, or its text, that need no build."""
+        degree = self.f.degree if f_text is None else len(f_text) - 1
+        if degree != 2 * k * len(self.input) + 1:
+            raise ValidationError(f"stored f has degree {degree}, not that of {recipe}")
+        if f_text is None:
+            bits = max(abs(c).bit_length() for c in self.f.coeffs)
+        else:  # the longest text is the largest value, or fails the comparison later
+            digits = max((t.removeprefix("-") for t in f_text), key=lambda t: (len(t), t))
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValidationError(f"not a decimal integer: {digits[:40]!r}")
+            from decimal import Decimal
+
+            bits = int(Decimal(digits)).bit_length()
         if s >= bits:
             raise ValidationError(
                 f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"

@@ -5,7 +5,13 @@ Encoding rules, applied uniformly:
 * rationals and unbounded integers (coefficients, trace quantities) are
   decimal strings, e.g. "-3/2", "7", so nothing is squeezed through a
   float on the way out.  ``_int_text`` and ``_parse_int`` write and read
-  them at any size, whatever ``sys.get_int_max_str_digits()`` allows;
+  them at any size, whatever ``sys.get_int_max_str_digits()`` allows.
+  The f, g and h of a construction with a recipe are the exception: their
+  text comes from the recipe's exact decimal build
+  (``construct.recipe_text``) when written, and is compared with that
+  build's text when loaded, so none of those coefficients is converted
+  between int and decimal.  A bare f (the empty set) and every other
+  integer go through ``_int_text`` and ``_parse_int``;
 * small structural integers (exponents, degrees, bounds, counts, scan
   indices) are plain JSON numbers;
 * every top-level document carries ``schema`` ("power-forge/v1") and a
@@ -22,7 +28,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .construct import CapacityEstimate, ConstructionArtifacts, PowerSetInput
+from .construct import CapacityEstimate, ConstructionArtifacts, PowerSetInput, recipe_text
 from .errors import ValidationError
 from .oracles import PowerHit, SolutionList
 from .poly import IntPoly
@@ -100,12 +106,20 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.encode().isdigit()
 
 
-def _parse_int(text: str) -> int:
-    """``int(text)`` at any size, for the strings ``_int_text`` writes and no others."""
-    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+def _digits_of(text: str) -> str:
+    """The digits of a decimal integer's text, without its sign; ValidationError if it is none."""
+    digits = text.removeprefix("-")
     if not _is_digits(digits):
         raise ValidationError(f"not a decimal integer: {text[:40]!r}")
-    return int(text) if len(text) <= _DIRECT_DIGITS else sign * _digits_value(digits)
+    return digits
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` at any size, for the strings ``_int_text`` writes and no others."""
+    digits = _digits_of(text)
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    return -_digits_value(digits) if text.startswith("-") else _digits_value(digits)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -194,6 +208,12 @@ def _estimate_from_json(obj: dict) -> CapacityEstimate:
 
 
 def artifacts_to_json(art: ConstructionArtifacts) -> dict:
+    """The construction document; f, g and h of a recipe come from ``recipe_text``."""
+    if art.k is None:
+        g = h = None
+        f = poly_to_json(art.f)
+    else:
+        g, h, f = recipe_text(art.pairs, art.k, art.s)
     return {
         "schema": SCHEMA,
         "kind": "construction",
@@ -206,9 +226,9 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
         "capacity_estimates": None
         if art.estimates is None
         else [_estimate_to_json(e) for e in art.estimates],
-        "g": None if art.g is None else poly_to_json(art.g),
-        "h": None if art.h is None else poly_to_json(art.h),
-        "f": poly_to_json(art.f),
+        "g": g,
+        "h": h,
+        "f": f,
         "degree": art.f.degree,
         "notes": art.notes,
     }
@@ -265,23 +285,35 @@ def artifacts_from_json(obj: Any) -> ConstructionArtifacts:
     present and of its type, and a ``degree`` that is that of ``f``; a
     fault raises ``ValidationError`` naming the field.
     ``ConstructionArtifacts`` then raises ``ValidationError`` when the
-    stored f, g and h are not those of the stored k and s.
+    stored f, g and h are not those of the stored k and s.  With a recipe
+    (k or s given), they are handed over as text, never parsed; without
+    one, f is a bare polynomial and is parsed.
     """
     kind = (obj.get("schema"), obj.get("kind")) if isinstance(obj, dict) else None
     if kind != (SCHEMA, "construction"):
         raise ValidationError("not a construction document")
     _check_fields(obj, _CONSTRUCTION_FIELDS, "construction document")
-    f = poly_from_json(obj["f"])
-    if f.degree != obj["degree"]:
-        raise ValidationError(f"stored degree {obj['degree']} is not the degree {f.degree} of f")
+    if obj["k"] is None and obj["s"] is None:
+        text = None
+        polys = {name: None if obj[name] is None else poly_from_json(obj[name]) for name in "fgh"}
+        degree = polys["f"].degree
+    else:
+        # refused as a parse would refuse it, but nothing is converted
+        text = {name: obj[name] for name in "fgh"}
+        for data in filter(None, text.values()):
+            for entry in data:
+                _digits_of(entry)
+        polys = dict.fromkeys("fgh")
+        degree = len(obj["f"]) - 1
+    if degree != obj["degree"]:
+        raise ValidationError(f"stored degree {obj['degree']} is not the degree {degree} of f")
     inp = PowerSetInput.from_values(
         [parse_rational(e) for e in obj["elements"]], variant=obj["variant"]
     )
     return ConstructionArtifacts(
         input=inp,
-        f=f,
-        g=None if obj["g"] is None else poly_from_json(obj["g"]),
-        h=None if obj["h"] is None else poly_from_json(obj["h"]),
+        **polys,
+        text=text,
         k=obj["k"],
         kappa=obj["kappa"],
         s=obj["s"],

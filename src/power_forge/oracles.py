@@ -36,6 +36,7 @@ __all__ = [
     "scan_recurrence_powers",
     "scan_gamma_minus_pow2",
     "FERMAT_VARIANTS",
+    "MAX_SCAN_DEPTH",
 ]
 
 
@@ -315,6 +316,17 @@ def fermat_quartic_expected(
 
 # -- power scans --------------------------------------------------------------
 
+# the deepest power scan: its t-th term has about t bits or more, so the scan
+# costs more than linearly in t (a gamma - 2**t scan to 100,000 takes seconds)
+MAX_SCAN_DEPTH = 100_000
+
+
+def _check_depth(t_max: int) -> None:
+    if t_max < 0:
+        raise ValidationError("t_max must be >= 0")
+    if t_max > MAX_SCAN_DEPTH:
+        raise ValidationError(f"t_max must be <= {MAX_SCAN_DEPTH}, got {t_max}")
+
 
 def scan_recurrence_powers(
     a: Fraction | int,
@@ -327,11 +339,10 @@ def scan_recurrence_powers(
 
     Degenerate data (a zero coefficient or root, or alpha = +-beta) is
     rejected: those sequences collapse and their power count is not the
-    finite quantity of interest.
+    finite quantity of interest.  So is t_max above ``MAX_SCAN_DEPTH``.
     """
     a, b, alpha, beta = Fraction(a), Fraction(b), Fraction(alpha), Fraction(beta)
-    if t_max < 0:
-        raise ValidationError("t_max must be >= 0")
+    _check_depth(t_max)
     if a == 0 or b == 0 or alpha == 0 or beta == 0 or alpha == beta or alpha == -beta:
         raise ValidationError("degenerate recurrence (zero datum or alpha = +-beta)")
     hits = []
@@ -351,12 +362,12 @@ def scan_gamma_minus_pow2(gamma: Fraction | int, t_max: int) -> tuple[PowerHit, 
 
     This is the recurrence scan specialized to u_t = gamma*1^t - 1*2^t, kept
     separate because the capacity estimate consumes exactly this sequence.
+    t_max is at most ``MAX_SCAN_DEPTH``.
     """
     gamma = Fraction(gamma)
     if gamma == 0:
         raise ValidationError("gamma must be nonzero")
-    if t_max < 0:
-        raise ValidationError("t_max must be >= 0")
+    _check_depth(t_max)
     hits = []
     pw = 1
     for t in range(t_max + 1):

@@ -6,19 +6,24 @@ degree -1.  Evaluation at a rational point uses homogeneous Horner so the
 result is built from integer arithmetic only and lands in ``Fraction``
 exactly.  In the scans, Horner serves bare polynomials only: a
 constructed f is evaluated from its recipe (``verify._row_values``).
+
+Powers come from ``power_coeffs``, one Miller recurrence over coefficient
+sequences: ``construct`` runs it on ints and on exact ``decimal.Decimal``
+values, and certifies the powers of both builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 from .ntheory import divisors
 
-__all__ = ["IntPoly", "rational_roots"]
+__all__ = ["IntPoly", "power_coeffs", "rational_roots"]
 
 _Scalar = Union[int, "IntPoly"]
+_N = TypeVar("_N")  # an exact number type: int, or decimal.Decimal in an exact context
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -147,18 +152,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        """self**n by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
-
-        For P = sum p_i X**i of degree m with p_0 != 0, Q = P**n satisfies
-        P Q' = n P' Q; comparing coefficients of X**(j-1) gives q_0 = p_0**n
-        and
-
-            q_j = sum_{i=1..min(m,j)} ((n+1) i - j) p_i q_{j-i} / (j p_0),
-
-        O(m) big-int operations per coefficient instead of the O(m n) of a
-        schoolbook product.  The division is exact over the integers; a
-        remainder raises ArithmeticError.  A zero constant term is handled
-        by factoring out X**z first and shifting the result by z n.
+        """self**n by Miller's recurrence; see ``power_coeffs``.
 
         >>> (IntPoly([-1, 1]) ** 3).coeffs             # (X - 1)**3
         (-1, 3, -3, 1)
@@ -171,23 +165,7 @@ class IntPoly:
             return IntPoly((1,))
         if not self.coeffs:
             return IntPoly()
-        z = 0
-        while self.coeffs[z] == 0:
-            z += 1
-        p0, *rest = self.coeffs[z:]
-        terms = [(i, c) for i, c in enumerate(rest, 1) if c]
-        q = [p0**n]
-        for j in range(1, len(rest) * n + 1):
-            acc = 0
-            for i, c in terms:
-                if i > j:
-                    break
-                acc += ((n + 1) * i - j) * c * q[j - i]
-            quo, rem = divmod(acc, j * p0)
-            if rem:
-                raise ArithmeticError(f"inexact division in Miller's recurrence at X**{j}")
-            q.append(quo)
-        return IntPoly((0,) * (z * n) + tuple(q))
+        return IntPoly(power_coeffs(self.coeffs, n))
 
     # -- evaluation ------------------------------------------------------
 
@@ -216,6 +194,44 @@ class IntPoly:
             acc = acc * u + c * vp
             vp *= v
         return acc
+
+
+def power_coeffs(coeffs: Sequence[_N], n: int) -> list[_N]:
+    """The coefficients of P**n, n >= 1, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    For P = sum p_i X**i of degree m with p_0 != 0, Q = P**n satisfies
+    P Q' = n P' Q; comparing coefficients of X**(j-1) gives q_0 = p_0**n
+    and
+
+        q_j = sum_{i=1..min(m,j)} ((n+1) i - j) p_i q_{j-i} / (j p_0),
+
+    O(m) big-number operations per coefficient instead of the O(m n) of a
+    schoolbook product.  The division is exact; a remainder raises
+    ArithmeticError.  (``Decimal`` divmod truncates toward zero where int
+    divmod floors; the two agree only because every division is exact.)
+    A zero constant term is handled by factoring out
+    X**z first and shifting the result by z n.  ``coeffs`` is ascending,
+    trimmed and not all zero, of ints or of ``decimal.Decimal`` integers
+    in an exact context: ``IntPoly.__pow__`` and the decimal text of a
+    construction document run this same loop.
+    """
+    z = 0
+    while not coeffs[z]:
+        z += 1
+    p0, *rest = coeffs[z:]
+    terms = [(i, c) for i, c in enumerate(rest, 1) if c]
+    q = [p0**n]
+    for j in range(1, len(rest) * n + 1):
+        acc = 0
+        for i, c in terms:
+            if i > j:
+                break
+            acc += ((n + 1) * i - j) * c * q[j - i]
+        quo, rem = divmod(acc, j * p0)
+        if rem:
+            raise ArithmeticError(f"inexact division in Miller's recurrence at X**{j}")
+        q.append(quo)
+    return [coeffs[0]] * (z * n) + q  # coeffs[0] is a zero of their type when z > 0
 
 
 

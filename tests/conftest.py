@@ -87,11 +87,15 @@ def _patch_source(monkeypatch, module, owner, name, old, new):
 
 @pytest.fixture
 def mutant_recurrence(monkeypatch):
-    """IntPoly.__pow__ with Miller's factor (n+1) i - j miswritten as n i - j."""
-    from power_forge import poly
+    """Miller's recurrence with its factor (n+1) i - j miswritten as n i - j.
 
-    _patch_source(monkeypatch, poly, poly.IntPoly, "__pow__",
-                  "((n + 1) * i - j)", "(n * i - j)")
+    Both builds get it: ``IntPoly.__pow__`` and ``construct.recipe_text``
+    call the one ``poly.power_coeffs``.
+    """
+    from power_forge import construct, poly
+
+    _patch_source(monkeypatch, poly, poly, "power_coeffs", "((n + 1) * i - j)", "(n * i - j)")
+    monkeypatch.setattr(construct, "power_coeffs", poly.power_coeffs)
 
 
 # mutants of the scan's row sieve (verify._RowSieve); each masks out a power

@@ -62,6 +62,28 @@ def test_importing_the_cli_loads_no_process_pool():
     assert _fresh_interpreter(probe) == "False\n"
 
 
+def test_importing_the_cli_imports_decimal_nowhere_in_the_package():
+    # fractions imports decimal itself, so the probe records who asks for it
+    probe = """
+import sys
+
+importers = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "decimal":
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"].startswith(("importlib", "_frozen_importlib")):
+                frame = frame.f_back
+            importers.append(frame.f_globals["__name__"])
+
+sys.meta_path.insert(0, Spy())
+import power_forge.cli
+print(importers)
+"""
+    assert _fresh_interpreter(probe) == "['fractions']\n"
+
+
 def test_the_package_root_loads_nothing_and_a_submodule_import_binds_the_module():
     probe = ("import sys, types, power_forge; "
              "print([m for m in sys.modules if m.startswith('power_forge.')]); "

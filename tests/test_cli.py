@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from power_forge import cli, jsonio, powers
+from power_forge import cli, jsonio, oracles, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
@@ -312,6 +312,36 @@ def test_verify_artifacts_checks_the_recipe(capsys, tmp_path):
     assert "out of range" in json.loads(err)["error"]["message"]
 
 
+def test_a_recipe_document_converts_no_big_coefficient(capsys, tmp_path, monkeypatch):
+    # f, g and h are written from the decimal build and compared as text when loaded
+    big = []
+    int_text, parse_int = jsonio._int_text, jsonio._parse_int
+
+    def counted_text(n):
+        if abs(n).bit_length() > 2000:
+            big.append(("_int_text", n.bit_length()))
+        return int_text(n)
+
+    def counted_parse(text):
+        n = parse_int(text)
+        if abs(n).bit_length() > 2000:
+            big.append(("_parse_int", n.bit_length()))
+        return n
+
+    monkeypatch.setattr(jsonio, "_int_text", counted_text)
+    monkeypatch.setattr(jsonio, "_parse_int", counted_parse)
+    target = tmp_path / "p179.json"
+    code, out, _ = run(capsys, "construct", f"--set=1/{179**2}", "--out", str(target))
+    assert code == 0 and "k=356" in out
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "1")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    assert big == []
+    # the counters do see a conversion where there is one
+    f = jsonio.artifacts_from_json(json.loads(target.read_text())).f
+    assert jsonio.poly_from_json(poly_to_json(f)) == f
+    assert {name for name, _ in big} == {"_int_text", "_parse_int"}
+
+
 def test_power_past_the_str_digit_limit(capsys):
     value = 3**9500  # 4,533 digits
     code, out, _ = run(capsys, "power", jsonio._int_text(value))
@@ -497,6 +527,25 @@ def test_an_unreadable_artifact_is_bad_input(capsys, tmp_path, write, named):
     assert code == 2 and out == ""
     doc = json.loads(err)["error"]
     assert doc["code"] == "validation" and named in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--set", "9/25", "--t-max", str(10**20)),
+    ("oracle", "gamma", "--gamma", "9/25", "--t-max", str(10**20)),
+    ("oracle", "recurrence", "--a", "1", "--b", "-1", "--alpha", "3", "--beta", "2",
+     "--t-max", str(10**20)),
+], ids=["construct", "gamma", "recurrence"])
+def test_a_scan_depth_past_the_cap_is_bad_input(capsys, monkeypatch, argv):
+    # refused by the check alone: no term of any scan is decomposed
+    def no_scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(oracles, "decompose_rational_power", no_scan)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    assert error["message"] == f"t_max must be <= {oracles.MAX_SCAN_DEPTH}, got {10**20}"
 
 
 @pytest.mark.parametrize("argv", [

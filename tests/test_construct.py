@@ -17,9 +17,11 @@ from power_forge.construct import (
     element_pairs,
     estimate_capacity,
     find_deltas,
+    recipe_text,
     select_offset_exponent,
 )
 from power_forge.errors import CapacityError, ValidationError
+from power_forge.oracles import MAX_SCAN_DEPTH
 from power_forge.poly import IntPoly
 
 
@@ -280,6 +282,37 @@ def test_a_rational_recipe_needs_s_at_least_one(monkeypatch, s):
         ConstructionArtifacts(input=inp, f=f, g=g, h=h, k=4, s=s)
 
 
+@pytest.mark.parametrize("s", [10**9, 10**12])
+def test_a_huge_s_is_refused_before_anything_is_built(monkeypatch, s):
+    construct_module = importlib.import_module("power_forge.construct")
+
+    def no_build(*args):
+        raise AssertionError("built a recipe")
+
+    for name in ("build_g_h_f", "recipe_text"):
+        monkeypatch.setattr(construct_module, name, no_build)
+    with pytest.raises(ValidationError, match=f"^s={s} is out of range: f would hold"):
+        ConstructionArtifacts(input=PowerSetInput.from_values(["9/25"]), k=4, s=s)
+
+
+def test_the_size_cap_sits_far_above_every_built_recipe():
+    # (2k|S| + 2) s of the largest recipes of the benchmark and the tests
+    cap = importlib.import_module("power_forge.construct")._MAX_F_BITS
+    for values in ([Fraction(1, 179**2)], [Fraction(1, 1009**2)], [Fraction(1, 2**2000)],
+                   [3**9500]):
+        inp = PowerSetInput.from_values(values)
+        pairs = element_pairs(inp)
+        s, _, _ = select_offset_exponent(find_deltas(pairs))
+        assert 100 * (2 * compute_k(pairs) * len(inp) + 2) * s < cap
+
+
+def test_the_scan_depth_is_capped():
+    assert SelectionPolicy(t_max=MAX_SCAN_DEPTH).t_max == MAX_SCAN_DEPTH
+    for t_max in (MAX_SCAN_DEPTH + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"t_max must be <= {MAX_SCAN_DEPTH}, got"):
+            SelectionPolicy(t_max=t_max)
+
+
 def test_construct_fixed_points_random_sets(rng, power_pool):
     for _ in range(12):
         size = rng.randint(1, 4)
@@ -319,6 +352,9 @@ def test_certificate_refuses_a_wrong_recurrence(mutant_recurrence, values):
     assert P**k != product
     with pytest.raises(ArithmeticError, match="certificate"):
         construct(inp)
+    # the decimal build runs the same recurrence, and its own certificate
+    with pytest.raises(ArithmeticError, match="certificate"):
+        recipe_text(pairs, k, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
+import decimal
+import importlib.util
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from power_forge import jsonio
-from power_forge.construct import PowerSetInput, construct
+from power_forge.cli import main
+from power_forge.construct import PowerSetInput, construct, element_pairs, recipe_text
 from power_forge.errors import ValidationError
 from power_forge.oracles import scan_gamma_minus_pow2, search_catalan
 from power_forge.poly import IntPoly
@@ -231,3 +236,119 @@ def test_artifacts_are_checked_against_their_recipe():
     for k, s in ((4, 0), (2, 1)):
         with pytest.raises(ValidationError, match=f"not k={k}, s={s}"):
             jsonio.artifacts_from_json(dict(doc, k=k, s=s))
+
+
+# -- the decimal text of a recipe ------------------------------------------------
+
+_CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+@pytest.fixture(scope="module")
+def bench_pools():
+    """POOL_K12 + POOL_K4 of bench/workloads.py, which imports nothing from power_forge."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(bench))  # for its own "import checks"
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(bench))
+        for name in (spec.name, "checks"):
+            sys.modules.pop(name, None)
+    return workloads.POOL_K12 + workloads.POOL_K4
+
+
+# the construct sets of the CLI corpus; then a set holding 0, one whose g has
+# zero coefficients that the decimal build reaches as -0 (P = X**2 - 64), and
+# one whose coefficients have about 4,820 digits, past str()'s limit of 4,300
+FIXED_SETS = [
+    (["9/25"], "rational"),
+    (["9/25", "4"], "rational"),
+    (["-1/8", "4/25"], "rational"),
+    (["1/49", "8/27", "4/121"], "rational"),
+    (["4", "8", "36"], "integer"),
+    (["0", "9/25", "-8"], "rational"),
+    (["-8", "8"], "rational"),
+    (["-8", "8"], "integer"),
+    ([f"1/{2**2000}"], "rational"),
+]
+
+
+@pytest.mark.parametrize("limit", [640, 0])
+def test_the_decimal_build_writes_the_text_of_the_int_coefficients(rng, bench_pools, limit):
+    sets = [PowerSetInput.from_values(values, variant) for values, variant in FIXED_SETS]
+    sets += [PowerSetInput(tuple(rng.sample(bench_pools, rng.randint(1, 4)))) for _ in range(12)]
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for inp in sets:
+            art = construct(inp)
+            doc = jsonio.artifacts_to_json(art)
+            for name in "fgh":
+                text = doc[name]
+                assert text == [jsonio._int_text(c) for c in getattr(art, name).coeffs], name
+                assert all(_CANONICAL.fullmatch(t) for t in text), name
+            assert jsonio.artifacts_from_json(doc) == art
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def test_a_context_that_is_not_exact_raises_rather_than_round():
+    # P = 25X - 9 to the 8th has at most 13 digits; 2**2047 has 617 and rounds at 50
+    pairs = element_pairs(PowerSetInput.from_values(["9/25"]))
+    exact = recipe_text(pairs, 4, 2047)
+    assert max(len(t) for t in exact[2]) > 600
+    # with nothing trapped the flags give it away; a trap raises at once
+    for traps in ([], None, [decimal.Rounded]):
+        with pytest.raises(ArithmeticError):
+            recipe_text(pairs, 4, 2047, decimal.Context(prec=50, traps=traps))
+    # where the powers round too, their certificate fails as well
+    pairs = element_pairs(PowerSetInput.from_values([f"1/{2**2000}"]))
+    with pytest.raises(ArithmeticError):
+        recipe_text(pairs, 4, 1, decimal.Context(prec=50, traps=[]))
+
+
+def _tampered(doc):
+    """(edited document, the name its refusal must carry) for each edit of the grid."""
+    for name in "fgh":
+        stored = doc[name]
+        zero = stored.index("0") if "0" in stored else None
+        edits = {
+            "plus-one": (1, str(int(stored[1]) + 1)),
+            "leading-zero": (2, re.sub(r"^(-?)", r"\g<1>0", stored[2])),
+            "minus-zero": (zero, "-0"),
+        }
+        for edit, (i, text) in edits.items():
+            if i is not None:
+                yield f"{name}-{edit}", dict(doc, **{name: stored[:i] + [text] + stored[i + 1:]}), \
+                    f"stored {name}"
+        # f's length is its degree, checked first; g and h are refused by the build
+        yield f"{name}-drop-last", dict(doc, **{name: stored[:-1]}), \
+            "of f" if name == "f" else f"stored {name}"
+    yield "degree", dict(doc, degree=doc["degree"] + 1), "stored degree"
+    yield "k", dict(doc, k=2 * doc["k"]), f"k={2 * doc['k']}"
+    yield "s", dict(doc, s=doc["s"] + 2), f"s={doc['s'] + 2}"
+    yield "kappa", dict(doc, kappa=doc["kappa"] + 1), f"kappa={doc['kappa'] + 1}"
+
+
+TAMPER_SETS = [["9/25", "4"], ["0", "9/25", "-8"]]
+
+
+@pytest.mark.parametrize("values", TAMPER_SETS, ids=["9/25,4", "0,9/25,-8"])
+def test_every_tampered_field_is_refused_naming_it(capsys, tmp_path, values):
+    doc = jsonio.artifacts_to_json(construct(PowerSetInput.from_values(values)))
+    edits = list(_tampered(doc))
+    # the set holding 0 has zero coefficients in f, g and h alike
+    assert sum(edit.endswith("minus-zero") for edit, _, _ in edits) == (3 if "0" in values else 0)
+    target = tmp_path / "art.json"
+    for edit, bad, named in edits:
+        with pytest.raises(ValidationError) as caught:
+            jsonio.artifacts_from_json(bad)
+        assert named in str(caught.value), edit
+        target.write_text(jsonio.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", "--artifacts", str(target), "--height", "1"]) == 2, edit
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "validation" and named in error["message"], edit

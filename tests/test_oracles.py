@@ -383,6 +383,27 @@ def test_scan_gamma_validation():
         scan_gamma_minus_pow2(Fraction(3), -1)
 
 
+class _Scanned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("scan", [
+    lambda t_max: scan_gamma_minus_pow2(Fraction(9, 25), t_max),
+    lambda t_max: scan_recurrence_powers(1, -1, 3, 2, t_max),
+], ids=["gamma", "recurrence"])
+def test_a_scan_depth_past_the_cap_is_refused_before_any_term(monkeypatch, scan):
+    # the first term's decomposition raises: the depth passed its check
+    def scanned(*args):
+        raise _Scanned
+
+    monkeypatch.setattr(oracles, "decompose_rational_power", scanned)
+    with pytest.raises(_Scanned):
+        scan(oracles.MAX_SCAN_DEPTH)
+    for t_max in (oracles.MAX_SCAN_DEPTH + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"^t_max must be <= {oracles.MAX_SCAN_DEPTH}, "):
+            scan(t_max)
+
+
 def test_scan_gamma_agrees_with_bruteforce(rng):
     from power_forge.powers import decompose_rational_power
 

@@ -51,7 +51,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, ValidationError
 from .ntheory import factor_integer
-from .oracles import MAX_SCAN_DEPTH, scan_gamma_minus_pow2
+from .oracles import check_depth, scan_gamma_minus_pow2
 from .poly import IntPoly, power_coeffs, rational_roots
 from .powers import is_rational_perfect_power
 
@@ -83,8 +83,8 @@ _MAX_F_BITS = 10**8
 class SelectionPolicy:
     """Knobs for the offset selection.
 
-    t_max caps the gamma - 2**t scan depth, at most
-    ``oracles.MAX_SCAN_DEPTH``; kappa_cap caps the offset search
+    t_max caps the gamma - 2**t scan depth, within
+    ``oracles.check_depth``; kappa_cap caps the offset search
     (s = 2**kappa - 1, 1 <= kappa <= kappa_cap).
     """
 
@@ -94,8 +94,7 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if self.t_max < 0 or self.kappa_cap < 1:
             raise ValidationError("need t_max >= 0 and kappa_cap >= 1")
-        if self.t_max > MAX_SCAN_DEPTH:
-            raise ValidationError(f"t_max must be <= {MAX_SCAN_DEPTH}, got {self.t_max}")
+        check_depth(self.t_max)
 
 
 DEFAULT_POLICY = SelectionPolicy()
@@ -329,28 +328,24 @@ def build_g_h_f(
 
 
 def recipe_text(
-    pairs: Iterable[tuple[int, int]], k: int, s: int, context=None
+    pairs: Iterable[tuple[int, int]], k: int, s: int
 ) -> tuple[list[str], list[str], list[str]]:
     """The decimal text of g, h and f, as a construction document stores them.
 
     The recurrence, certificates and expansion of ``build_g_h_f`` run on
     ``decimal.Decimal`` integers, so no big coefficient is converted
-    between int and decimal.  ``context`` defaults to an exact one
-    (``MAX_PREC`` digits, the widest exponents, every inexact or invalid
-    step trapped); in any context, a rounded step raises ArithmeticError.
+    between int and decimal.  The context is exact (``MAX_PREC`` digits,
+    the widest exponents), and traps every inexact or invalid step, so a
+    rounded step raises ArithmeticError.
     """
     import decimal as dec
 
-    if context is None:
-        traps = [dec.Inexact, dec.Rounded, dec.InvalidOperation, dec.DivisionByZero, dec.Overflow]
-        context = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN, traps=traps)
-    with dec.localcontext(context) as ctx:
-        ctx.clear_flags()
+    traps = [dec.Inexact, dec.Rounded, dec.InvalidOperation, dec.DivisionByZero, dec.Overflow]
+    context = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN, traps=traps)
+    with dec.localcontext(context):
         p = [dec.Decimal(c) for c in build_root_product(pairs).coeffs]
         # 2**s as a power of Decimal(2): converting the int 1 << s is quadratic
         polys = _expand(p, power_coeffs(p, k), power_coeffs(p, 2 * k), k, dec.Decimal(2) ** s)
-        if ctx.flags[dec.Inexact] or ctx.flags[dec.Rounded]:
-            raise ArithmeticError("the decimal build of the recipe is not exact")
     # a zero may carry a sign (Decimal(0) * -3 is -0); its text has none
     return tuple([str(c) if c else "0" for c in poly] for poly in polys)
 
@@ -449,13 +444,13 @@ class ConstructionArtifacts:
             raise ValidationError(f"stored f has degree {degree}, not that of {recipe}")
         if f_text is None:
             bits = max(abs(c).bit_length() for c in self.f.coeffs)
-        else:  # the longest text is the largest value, or fails the comparison later
-            digits = max((t.removeprefix("-") for t in f_text), key=lambda t: (len(t), t))
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValidationError(f"not a decimal integer: {digits[:40]!r}")
+        else:  # without leading zeros the longest text is the largest value
+            digits = max(
+                (t.removeprefix("-").lstrip("0") for t in f_text), key=lambda t: (len(t), t)
+            )
             from decimal import Decimal
 
-            bits = int(Decimal(digits)).bit_length()
+            bits = int(Decimal(digits or "0")).bit_length()
         if s >= bits:
             raise ValidationError(
                 f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"

@@ -529,13 +529,13 @@ def test_an_unreadable_artifact_is_bad_input(capsys, tmp_path, write, named):
     assert doc["code"] == "validation" and named in doc["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("construct", "--set", "9/25", "--t-max", str(10**20)),
-    ("oracle", "gamma", "--gamma", "9/25", "--t-max", str(10**20)),
-    ("oracle", "recurrence", "--a", "1", "--b", "-1", "--alpha", "3", "--beta", "2",
-     "--t-max", str(10**20)),
+@pytest.mark.parametrize("argv, cap", [
+    (("construct", "--set", "9/25", "--t-max", str(10**20)), oracles.MAX_SCAN_BITS // 3),
+    (("oracle", "gamma", "--gamma", "9/25", "--t-max", str(10**20)), oracles.MAX_SCAN_BITS // 3),
+    (("oracle", "recurrence", "--a", "1", "--b", "-1", "--alpha", "3", "--beta", "2",
+      "--t-max", str(10**20)), oracles.MAX_SCAN_BITS // 4),
 ], ids=["construct", "gamma", "recurrence"])
-def test_a_scan_depth_past_the_cap_is_bad_input(capsys, monkeypatch, argv):
+def test_a_scan_depth_past_the_cap_is_bad_input(capsys, monkeypatch, argv, cap):
     # refused by the check alone: no term of any scan is decomposed
     def no_scan(*args):
         raise AssertionError("scanned")
@@ -545,7 +545,7 @@ def test_a_scan_depth_past_the_cap_is_bad_input(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["code"] == "validation"
-    assert error["message"] == f"t_max must be <= {oracles.MAX_SCAN_DEPTH}, got {10**20}"
+    assert error["message"] == f"t_max must be <= {cap}, got {10**20}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,7 @@ from power_forge.construct import (
     select_offset_exponent,
 )
 from power_forge.errors import CapacityError, ValidationError
-from power_forge.oracles import MAX_SCAN_DEPTH
+from power_forge.oracles import MAX_SCAN_BITS
 from power_forge.poly import IntPoly
 
 
@@ -307,9 +307,11 @@ def test_the_size_cap_sits_far_above_every_built_recipe():
 
 
 def test_the_scan_depth_is_capped():
-    assert SelectionPolicy(t_max=MAX_SCAN_DEPTH).t_max == MAX_SCAN_DEPTH
-    for t_max in (MAX_SCAN_DEPTH + 1, 10**20):
-        with pytest.raises(ValidationError, match=f"t_max must be <= {MAX_SCAN_DEPTH}, got"):
+    # the cap of a gamma - 2**t scan, whose step gains at most 3 bits
+    cap = MAX_SCAN_BITS // 3
+    assert SelectionPolicy(t_max=cap).t_max == cap
+    for t_max in (cap + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"t_max must be <= {cap}, got {t_max}"):
             SelectionPolicy(t_max=t_max)
 
 

@@ -295,19 +295,15 @@ def test_the_decimal_build_writes_the_text_of_the_int_coefficients(rng, bench_po
         sys.set_int_max_str_digits(old_limit)
 
 
-def test_a_context_that_is_not_exact_raises_rather_than_round():
+def test_a_context_that_is_not_exact_raises_rather_than_round(monkeypatch):
     # P = 25X - 9 to the 8th has at most 13 digits; 2**2047 has 617 and rounds at 50
     pairs = element_pairs(PowerSetInput.from_values(["9/25"]))
     exact = recipe_text(pairs, 4, 2047)
     assert max(len(t) for t in exact[2]) > 600
-    # with nothing trapped the flags give it away; a trap raises at once
-    for traps in ([], None, [decimal.Rounded]):
-        with pytest.raises(ArithmeticError):
-            recipe_text(pairs, 4, 2047, decimal.Context(prec=50, traps=traps))
-    # where the powers round too, their certificate fails as well
-    pairs = element_pairs(PowerSetInput.from_values([f"1/{2**2000}"]))
+    # the context's precision is read at call time: a rounded step is trapped
+    monkeypatch.setattr(decimal, "MAX_PREC", 50)
     with pytest.raises(ArithmeticError):
-        recipe_text(pairs, 4, 1, decimal.Context(prec=50, traps=[]))
+        recipe_text(pairs, 4, 2047)
 
 
 def _tampered(doc):
@@ -315,10 +311,14 @@ def _tampered(doc):
     for name in "fgh":
         stored = doc[name]
         zero = stored.index("0") if "0" in stored else None
+        shortest = min(range(len(stored)), key=lambda i: len(stored[i]))
+        zeros = "0" * max(map(len, stored))
         edits = {
             "plus-one": (1, str(int(stored[1]) + 1)),
             "leading-zero": (2, re.sub(r"^(-?)", r"\g<1>0", stored[2])),
             "minus-zero": (zero, "-0"),
+            # the longest text, but not the largest value: f's refusal still names f, not s
+            "padded-longest": (shortest, re.sub(r"^(-?)", r"\g<1>" + zeros, stored[shortest])),
         }
         for edit, (i, text) in edits.items():
             if i is not None:

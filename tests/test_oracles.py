@@ -387,20 +387,24 @@ class _Scanned(Exception):
     pass
 
 
-@pytest.mark.parametrize("scan", [
-    lambda t_max: scan_gamma_minus_pow2(Fraction(9, 25), t_max),
-    lambda t_max: scan_recurrence_powers(1, -1, 3, 2, t_max),
-], ids=["gamma", "recurrence"])
-def test_a_scan_depth_past_the_cap_is_refused_before_any_term(monkeypatch, scan):
+# the cap is MAX_SCAN_BITS over the height bits of alpha plus those of beta
+@pytest.mark.parametrize("scan, step", [
+    (lambda t_max: scan_gamma_minus_pow2(Fraction(9, 25), t_max), 1 + 2),
+    (lambda t_max: scan_recurrence_powers(1, -1, 3, 2, t_max), 2 + 2),
+    (lambda t_max: scan_recurrence_powers(1, 1, 10**6, 1, t_max), 20 + 1),
+    (lambda t_max: scan_recurrence_powers(1, 1, Fraction(1, 10**6), 10**6, t_max), 20 + 20),
+], ids=["gamma", "recurrence", "big-root", "big-roots"])
+def test_a_scan_depth_past_the_cap_is_refused_before_any_term(monkeypatch, scan, step):
     # the first term's decomposition raises: the depth passed its check
     def scanned(*args):
         raise _Scanned
 
     monkeypatch.setattr(oracles, "decompose_rational_power", scanned)
+    cap = oracles.MAX_SCAN_BITS // step
     with pytest.raises(_Scanned):
-        scan(oracles.MAX_SCAN_DEPTH)
-    for t_max in (oracles.MAX_SCAN_DEPTH + 1, 10**20):
-        with pytest.raises(ValidationError, match=f"^t_max must be <= {oracles.MAX_SCAN_DEPTH}, "):
+        scan(cap)
+    for t_max in (cap + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"^t_max must be <= {cap}, got {t_max}$"):
             scan(t_max)
 
 

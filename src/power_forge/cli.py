@@ -15,9 +15,10 @@ failed invariant, expectation mismatch, or a non-power answer from
 ``ValidationError`` or ``CapacityError``, or an ``OSError`` on a named
 file), 3 an internal fault (any other exception, a stray ``ValueError``
 or ``ZeroDivisionError`` included, such as a build that fails its
-certificate).  Bad input and internal faults are reported as a JSON
+certificate).  A usage error leaves argparse's usage text and message
+on stderr; other bad input and internal faults are reported as a JSON
 error object on stderr, with code "validation", "capacity" or
-"internal"; an internal one also carries the traceback.
+"internal", and an internal one also carries the traceback.
 
 Worker counts default to the POWER_FORGE_WORKERS environment variable.
 """

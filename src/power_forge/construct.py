@@ -75,7 +75,8 @@ __all__ = [
 VARIANTS = ("rational", "integer")
 
 # f has 2k|S| + 2 coefficients, nearly all scaled by the offset 2**s; a recipe
-# whose (2k|S| + 2) s passes this many bits is refused before anything is built
+# whose (2k|S| + 2) s passes this many bits is refused before anything is built,
+# and so is a trace whose B**k or w**k would pass it (verify.trace_quantities)
 _MAX_F_BITS = 10**8
 
 
@@ -371,7 +372,7 @@ class ConstructionArtifacts:
     A recipe whose f would hold more than ``_MAX_F_BITS`` bits, estimated
     as (2k|S| + 2) s, is refused, and a kappa stored with a recipe must
     give s = 2**kappa - 1.  Without a recipe, f is a bare polynomial and
-    must be given.
+    must be given, and g, h, kappa, deltas and estimates must be None.
 
     ``text`` (init-only) maps "f", "g" and "h" to their stored decimal
     text, or None, in place of f, g and h: the cheap tests read f's text,
@@ -398,6 +399,10 @@ class ConstructionArtifacts:
         if k is None:
             if self.f is None:
                 raise ValidationError("artifacts without a recipe (k, s) need f")
+            fields = ("g", "h", "kappa", "deltas", "estimates")
+            stray = [name for name in fields if getattr(self, name) is not None]
+            if stray:
+                raise ValidationError(f"artifacts without a recipe have no {', '.join(stray)}")
             return
         if self.input.variant == "integer":
             if (k, s) != (2, 0):

@@ -59,46 +59,24 @@ SCHEMA = "power-forge/v1"
 
 # Ints of at most this many bits have at most 603 digits, below the 640
 # that ``sys.set_int_max_str_digits`` accepts as its least nonzero limit,
-# so ``str`` and ``int`` convert them under any setting.
+# so ``str`` and ``int`` convert them under any setting.  Larger ones are
+# split in two halves of their digits at a power of ten made for that
+# split, recursively, which keeps the conversion subquadratic (Brent and
+# Zimmermann, Modern Computer Arithmetic, 1.7); nothing is kept between calls.
 _DIRECT_BITS = 2000
 _DIRECT_DIGITS = 603
 
-# Larger ints are split at the rungs 10**(600 * 2**i) of one fixed ladder,
-# so only O(log digits) distinct powers of ten ever exist; each is built
-# once, by squaring the rung below it, and kept.
-_RUNG_DIGITS = 600
-_RUNGS = [10**_RUNG_DIGITS]
-
-
-def _rung(i: int) -> int:
-    """10**(_RUNG_DIGITS << i)."""
-    while len(_RUNGS) <= i:
-        _RUNGS.append(_RUNGS[-1] ** 2)
-    return _RUNGS[i]
-
 
 def _int_text(n: int) -> str:
-    """``str(n)`` at any size: larger ints are split at a rung of the ladder."""
+    """``str(n)`` at any size: a larger int is split in two halves of its digits."""
     if n < 0:
         return "-" + _int_text(-n)
     if n.bit_length() <= _DIRECT_BITS:
         return str(n)
-    i = 0  # the highest rung <= n, so the high part is nonzero
-    while _rung(i + 1) <= n:
-        i += 1
-    high, low = divmod(n, _rung(i))
-    return _int_text(high) + _int_text(low).zfill(_RUNG_DIGITS << i)
-
-
-def _digits_value(digits: str) -> int:
-    """The value of a string of ASCII digits, split at rungs of the ladder."""
-    if len(digits) <= _DIRECT_DIGITS:
-        return int(digits)
-    i = 0  # the highest rung with fewer digits than the string
-    while (_RUNG_DIGITS << (i + 1)) < len(digits):
-        i += 1
-    cut = len(digits) - (_RUNG_DIGITS << i)
-    return _digits_value(digits[:cut]) * _rung(i) + _digits_value(digits[cut:])
+    # 10**h has under half the bits of n (log2(10) < 10/3), so high is nonzero
+    h = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**h)
+    return _int_text(high) + _int_text(low).zfill(h)
 
 
 def _is_digits(text: str) -> bool:
@@ -119,25 +97,23 @@ def _parse_int(text: str) -> int:
     digits = _digits_of(text)
     if len(text) <= _DIRECT_DIGITS:
         return int(text)
-    return -_digits_value(digits) if text.startswith("-") else _digits_value(digits)
+    h = len(digits) // 2
+    value = _parse_int(digits[:-h]) * 10**h + _parse_int(digits[-h:])
+    return -value if text.startswith("-") else value
 
 
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)`` at any size: the inverse of ``rational_text``.
 
-    Long text of the form ``int`` or ``int/int`` is read without the
-    ``int()`` digit limit; everything else goes to ``Fraction`` itself.
-    Surrounding whitespace is ignored; text that is no rational, such as
-    "1/0", raises ValidationError.
+    ASCII text of the form ``int`` or ``int/int`` is read by ``_parse_int``,
+    without the ``int()`` digit limit; everything else goes to ``Fraction``
+    itself.  Surrounding whitespace is ignored; text that is no rational,
+    such as "1/0", raises ValidationError.
     """
     stripped = text.strip()
     num, slash, den = stripped.partition("/")
     try:
-        if (
-            len(stripped) > _DIRECT_DIGITS
-            and _is_digits(num.removeprefix("-"))
-            and (not slash or _is_digits(den))
-        ):
+        if _is_digits(num.removeprefix("-")) and (not slash or _is_digits(den)):
             return Fraction(_parse_int(num), _parse_int(den) if slash else 1)
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:

@@ -75,7 +75,7 @@ from itertools import accumulate
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional
 
-from .construct import VARIANTS, ConstructionArtifacts, compute_k
+from .construct import _MAX_F_BITS, VARIANTS, ConstructionArtifacts, compute_k
 from .errors import ValidationError
 from .ntheory import strip_prime
 from .oracles import map_chunks
@@ -571,7 +571,9 @@ def trace_quantities(
     k defaults to the canonical exponent for the pairs; a caller-supplied
     k must still be a positive multiple of 4, and the invariants are only
     promised for k divisible by p - 1 for every prime p in the
-    denominators.
+    denominators.  A k that would make B**k or w**k longer than the
+    package's size cap (``construct._MAX_F_BITS`` bits) is refused before
+    either is built.
 
     >>> rec = trace_quantities([(9, 25)], Fraction(1, 2))
     >>> (rec.A, rec.B, rec.w, rec.power_sum)
@@ -591,6 +593,11 @@ def trace_quantities(
     d = gcd(A, V)
     B = A // d
     w = V // d
+    size = k * max(B.bit_length(), w.bit_length())
+    if size > _MAX_F_BITS:
+        raise ValidationError(
+            f"k={k} is out of range: B**k + w**k would hold about {size} bits, over {_MAX_F_BITS}"
+        )
     power_sum = B**k + w**k
 
     shared = gcd(power_sum, v)

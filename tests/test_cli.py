@@ -10,6 +10,7 @@ import pytest
 from power_forge import cli, jsonio, oracles, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
+from power_forge.errors import ValidationError
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
 from power_forge.oracles import search_catalan
 from power_forge.poly import IntPoly
@@ -611,3 +612,114 @@ def test_the_cap_itself_is_a_pool_of_one_process_per_chunk(capsys, serial_pool):
     argv = ("oracle", "lebesgue", "--bound", "3", "--n-max", "4", "--workers")
     assert run(capsys, *argv, str(cli._MAX_WORKERS)) == run(capsys, *argv, "1")
     assert serial_pool == [4]  # |X| <= 3: four values of X, one chunk each
+
+
+_STRAY_FIELDS = {
+    "g": ["5", "1"],
+    "h": ["7"],
+    "kappa": 3,
+    "deltas": ["1/2"],
+    "capacity_estimates": [{"gamma": "3", "log2_bound": 2, "last_power_index": 1, "value": 1}],
+}
+
+
+@pytest.mark.parametrize("field", list(_STRAY_FIELDS))
+def test_a_construction_without_a_recipe_refuses_stray_fields(capsys, tmp_path, field):
+    doc = artifacts_to_json(construct(PowerSetInput.from_values([])))
+    assert doc["k"] is None and all(doc[name] is None for name in _STRAY_FIELDS)
+    bad = dict(doc, **{field: _STRAY_FIELDS[field]})
+    named = field.removeprefix("capacity_")
+    with pytest.raises(ValidationError, match=f"without a recipe have no {named}$"):
+        jsonio.artifacts_from_json(bad)
+    target = tmp_path / "stray.json"
+    target.write_text(dumps(bad))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].endswith(f"have no {named}")
+
+
+def test_trace_refuses_an_oversized_k_before_any_power(capsys, monkeypatch):
+    from power_forge import verify
+
+    argv = ("trace", "--set", "9/25", "--x", "1/2", "--k", "400")
+    assert run(capsys, *argv)[0] == 0
+    # B = 7 and w = 2 at x = 1/2, so k = 400 comes to 1,200 bits
+    monkeypatch.setattr(verify, "_MAX_F_BITS", 1000)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith("k=400 is out of range")
+
+
+_ODD_RATIONALS = ("", "-", "/2", "1/0", "0/0", "x", "1.5", "nan", "inf", "+4", "4,,9",
+                  "9/25,9/25", "1_000", "５", "--", "-1/8")
+_ODD_INTEGERS = ("-1", "0", "1", "x", "", "1.5", str(10**20), str(-(10**20)), "--")
+
+# command -> (base arguments, options set in turn to each odd token); a rational
+# option already among the base arguments replaces its base value
+_RATIONAL_GRID = {
+    ("construct",): ("--set",),
+    ("verify", "--height", "3"): ("--set",),
+    ("trace", "--set", "9/25", "--x", "1/2"): ("--set", "--x"),
+    ("oracle", "gamma", "--gamma", "3", "--t-max", "10"): ("--gamma",),
+    ("oracle", "recurrence", "--a", "1", "--b", "1", "--alpha", "3", "--beta", "2",
+     "--t-max", "10"): ("--a", "--b", "--alpha", "--beta"),
+    ("power",): (None,),
+}
+_INTEGER_GRID = {
+    ("construct", "--set", "9/25"): ("--t-max", "--kappa-cap"),
+    ("verify", "--set", "9/25", "--height", "3"): ("--height", "--workers"),
+    ("verify", "--set", "4", "--variant", "integer", "--bound", "10"): ("--bound",),
+    ("trace", "--set", "9/25", "--x", "1/2"): ("--k",),
+    ("oracle", "lebesgue", "--bound", "20", "--n-max", "4"): ("--bound", "--n-max", "--workers"),
+    ("oracle", "catalan", "--base-bound", "10", "--exp-bound", "4"): ("--base-bound",
+                                                                       "--exp-bound"),
+    ("oracle", "fermat", "--bound", "10", "--n-max", "4"): ("--bound", "--n-max", "--workers"),
+    ("oracle", "recurrence", "--a", "1", "--b", "1", "--alpha", "3", "--beta", "2",
+     "--t-max", "10"): ("--t-max",),
+    ("oracle", "gamma", "--gamma", "3", "--t-max", "10"): ("--t-max",),
+}
+# ROADMAP item 6 still lets these box bounds run for minutes at 10**20
+_UNBOUNDED_BOXES = {("lebesgue", "--bound"), ("lebesgue", "--n-max"), ("catalan", "--base-bound"),
+                    ("catalan", "--exp-bound"), ("fermat", "--bound"), ("fermat", "--n-max")}
+
+
+def _with(base, option, token):
+    """base with option set to token: replaced in place if present, else appended."""
+    if option is None:
+        return [*base, token]
+    argv = list(base)
+    if option in argv:
+        argv[argv.index(option) + 1] = token
+        return argv
+    return [*argv, option, token]
+
+
+def _odd_input_grid():
+    for base, options in _RATIONAL_GRID.items():
+        for option in options:
+            for token in _ODD_RATIONALS:
+                yield _with(base, option, token)
+    for base, options in _INTEGER_GRID.items():
+        for option in options:
+            for token in _ODD_INTEGERS:
+                if token == str(10**20) and (base[1:2] + (option,)) in _UNBOUNDED_BOXES:
+                    continue
+                yield _with(base, option, token)
+
+
+def test_every_odd_input_exits_0_1_or_2(capsys, monkeypatch, serial_pool):
+    # --workers takes only 1 or counts refused before any pool exists
+    monkeypatch.setenv("POWER_FORGE_WORKERS", "1")
+    codes, wrong = {}, []
+    for argv in _odd_input_grid():
+        code, _, err = run(capsys, *argv)
+        codes[code] = codes.get(code, 0) + 1
+        if code == 2 and not err.startswith("usage: "):
+            error = json.loads(err)["error"]
+            if error["code"] not in ("validation", "capacity"):
+                wrong.append((argv, code, error["code"]))
+        elif code not in (0, 1, 2):
+            wrong.append((argv, code, err[-300:]))
+    assert wrong == []
+    assert serial_pool == []
+    assert set(codes) == {0, 1, 2} and sum(codes.values()) > 250

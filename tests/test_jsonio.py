@@ -186,6 +186,9 @@ def test_integers_past_the_str_digit_limit_roundtrip():
 
 
 def test_conversions_ignore_the_str_digit_limit(rng):
+    # texts at the split points of the halving: 603 and 604 characters, a leading run of zeros
+    texts = ["0" * 700 + "5", "8" * 603, "8" * 604, "-" + "8" * 602, "-" + "8" * 603]
+    expected = {text: int(text) for text in texts}  # under the default limit of 4,300
     # 640 is the least nonzero limit Python accepts
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -193,6 +196,12 @@ def test_conversions_ignore_the_str_digit_limit(rng):
         values = [0, -1, 10**603 - 1, 10**603, -(10**1200), 10**2400 + 1]
         for bits in (2001, 4000, 9000, 40000):
             values.append(rng.getrandbits(bits) * rng.choice((1, -1)))
+        # ints at the split points: either side of the direct bound, powers of ten
+        # and their neighbours, low halves that are zeros or start with zeros
+        split = [rng.getrandbits(bits - 1) | 1 << (bits - 1) for bits in (2000, 2001)]
+        split += [10**k + d for k in (602, 603, 604, 1206, 5000) for d in (-1, 1)]
+        split += [7 * 10**2000, 10**3001 + 1]
+        values += split + [-n for n in split]
         for n in values:
             text = jsonio._int_text(n)
             assert jsonio._parse_int(text) == n
@@ -200,6 +209,13 @@ def test_conversions_ignore_the_str_digit_limit(rng):
             assert jsonio.parse_rational(jsonio.rational_text(q)) == q
         sys.set_int_max_str_digits(0)
         assert all(jsonio._int_text(n) == str(n) for n in values)
+        assert all(jsonio._parse_int(str(n)) == n for n in values)
+        for limit in (640, 0):
+            sys.set_int_max_str_digits(limit)
+            for text, n in expected.items():
+                assert jsonio._parse_int(text) == n and jsonio.parse_rational(text) == n
+            assert jsonio.parse_rational("-0/5") == 0
+            assert jsonio.parse_rational("007/3") == Fraction(7, 3)
     finally:
         sys.set_int_max_str_digits(old_limit)
     # text that is no number is bad input, at any length

@@ -185,21 +185,21 @@ def build_root_product(pairs: Iterable[tuple[int, int]]) -> IntPoly:
     return out
 
 
+def _is_delta(P: IntPoly, r: Fraction) -> bool:
+    """Whether r is a nonzero root of P - 1 or P + 1."""
+    return r != 0 and P(r) in (1, -1)
+
+
 def find_deltas(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
     """Nonzero rational roots of P**2 - 1, i.e. of P - 1 and P + 1, sorted.
 
     For |S| = 1, P -+ 1 are linear and ``rational_roots`` factors nothing.
-    Each root is confirmed against P**2 - 1 by exact evaluation before
+    Each root r is confirmed by one exact evaluation, P(r) = -+1, before
     being reported, which checks that shortcut at run time.
     """
     P = build_root_product(pairs)
-    F = P * P - 1
-    deltas = set()
-    for shifted in (P - 1, P + 1):
-        for r in rational_roots(shifted):
-            if r != 0 and F(r) == 0:
-                deltas.add(r)
-    return tuple(sorted(deltas))
+    roots = {r for shifted in (P - 1, P + 1) for r in rational_roots(shifted)}
+    return tuple(sorted(r for r in roots if _is_delta(P, r)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,23 +211,23 @@ class CapacityEstimate:
     last_power_index: Optional[int]
     value: int
 
+    @classmethod
+    def of(cls, gamma: Fraction, last_power_index: Optional[int]) -> "CapacityEstimate":
+        """The estimate of gamma != 0 whose scan found its last power at that index, or none."""
+        num, den = abs(gamma.numerator), gamma.denominator
+        # the least L >= 0 with den * 2**L >= num, i.e. with 2**L >= ceil(num / den)
+        log2_bound = ((num - 1) // den).bit_length()
+        last = last_power_index if last_power_index is not None else 0
+        return cls(gamma, log2_bound, last_power_index, max(log2_bound, last))
+
 
 def estimate_capacity(gamma: Fraction, policy: SelectionPolicy = DEFAULT_POLICY) -> CapacityEstimate:
     """max(0, ceil(log2 |gamma|), last t <= t_max with gamma - 2**t a perfect power)."""
     gamma = Fraction(gamma)
     if gamma == 0:
         raise ValidationError("capacity estimate needs gamma != 0")
-    num, den = abs(gamma.numerator), gamma.denominator
-    # the least L >= 0 with den * 2**L >= num, i.e. with 2**L >= ceil(num / den)
-    log2_bound = ((num - 1) // den).bit_length()
     hits = scan_gamma_minus_pow2(gamma, policy.t_max)
-    last = hits[-1].index if hits else None
-    return CapacityEstimate(
-        gamma=gamma,
-        log2_bound=log2_bound,
-        last_power_index=last,
-        value=max(log2_bound, last if last is not None else 0),
-    )
+    return CapacityEstimate.of(gamma, hits[-1].index if hits else None)
 
 
 def select_offset_exponent(
@@ -372,7 +372,15 @@ class ConstructionArtifacts:
     A recipe whose f would hold more than ``_MAX_F_BITS`` bits, estimated
     as (2k|S| + 2) s, is refused, and a kappa stored with a recipe must
     give s = 2**kappa - 1.  Without a recipe, f is a bare polynomial and
-    must be given, and g, h, kappa, deltas and estimates must be None.
+    must be given, and g, h, kappa, deltas and estimates must be None;
+    an integer recipe has no deltas or estimates either.
+
+    A rational recipe's stored deltas must be nonzero, distinct,
+    ascending and have P(delta) = -+1; its stored estimates, one per
+    delta in order, must have gamma = 4 delta, the log2_bound and value
+    that gamma and last_power_index give (``CapacityEstimate.of``), and
+    a value of at most s.  Whether the deltas are all of them is not
+    checked: that needs the roots of P -+ 1, found by factoring.
 
     ``text`` (init-only) maps "f", "g" and "h" to their stored decimal
     text, or None, in place of f, g and h: the cheap tests read f's text,
@@ -399,14 +407,12 @@ class ConstructionArtifacts:
         if k is None:
             if self.f is None:
                 raise ValidationError("artifacts without a recipe (k, s) need f")
-            fields = ("g", "h", "kappa", "deltas", "estimates")
-            stray = [name for name in fields if getattr(self, name) is not None]
-            if stray:
-                raise ValidationError(f"artifacts without a recipe have no {', '.join(stray)}")
+            self._refuse(("g", "h", "kappa", "deltas", "estimates"), "artifacts without a recipe")
             return
         if self.input.variant == "integer":
             if (k, s) != (2, 0):
                 raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
+            self._refuse(("deltas", "estimates"), "integer-variant artifacts")
         else:
             if s < 1:
                 raise ValidationError(f"s={s} is out of range: a rational recipe has s >= 1")
@@ -430,6 +436,8 @@ class ConstructionArtifacts:
             raise ValidationError(
                 f"stored kappa={kappa} does not match s={s}: s must be 2**kappa - 1"
             )
+        if self.input.variant == "rational":
+            self._check_capacity(s)
         g, h, f = build_g_h_f(self.pairs, k, s)
         built = {"f": f, "g": g, "h": h}
         if text is None:
@@ -441,6 +449,49 @@ class ConstructionArtifacts:
             raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
         for name, poly in built.items():
             object.__setattr__(self, name, poly)
+
+    def _refuse(self, fields: tuple[str, ...], whose: str) -> None:
+        """Raise ValidationError naming each of ``fields`` that is given."""
+        stray = [name for name in fields if getattr(self, name) is not None]
+        if stray:
+            raise ValidationError(f"{whose} have no {', '.join(stray)}")
+
+    def _check_capacity(self, s: int) -> None:
+        """The stored deltas and estimates of a rational recipe against P and s.
+
+        Without deltas, the gammas / 4 of the estimates are checked as deltas.
+        """
+        deltas, estimates, name = self.deltas, self.estimates, "deltas"
+        if deltas is None:
+            if estimates is None:
+                return
+            deltas, name = tuple(Fraction(e.gamma) / 4 for e in estimates), "estimates' gamma / 4"
+        if any(a >= b for a, b in zip(deltas, deltas[1:])):
+            raise ValidationError(f"stored {name} are not distinct and ascending")
+        P = build_root_product(self.pairs)
+        bad = [d for d in deltas if not _is_delta(P, d)]
+        if bad:
+            raise ValidationError(
+                f"stored {name} hold {_format_values(bad[:1])}, no nonzero root of P - 1 or P + 1"
+            )
+        if estimates is None:
+            return
+        if len(estimates) != len(deltas):
+            raise ValidationError(f"stored estimates number {len(estimates)}, "
+                                  f"not one per delta ({len(deltas)})")
+        for i, (delta, e) in enumerate(zip(deltas, estimates)):
+            where = f"stored estimates[{i}]"
+            if e.gamma != 4 * delta:
+                raise ValidationError(f"{where} has gamma {_format_values([e.gamma])}, "
+                                      f"not 4 delta = {_format_values([4 * delta])}")
+            want = CapacityEstimate.of(e.gamma, e.last_power_index)
+            if (e.log2_bound, e.value) != (want.log2_bound, want.value):
+                raise ValidationError(
+                    f"{where} has log2_bound {e.log2_bound} and value {e.value}, not the "
+                    f"{want.log2_bound} and {want.value} of its gamma and last_power_index"
+                )
+            if e.value > s:
+                raise ValidationError(f"{where} has value {e.value}, over s={s}")
 
     def _check_cheaply(self, k: int, s: int, recipe: str, f_text: Optional[list[str]]) -> None:
         """The tests on k and s against the given f, or its text, that need no build."""

@@ -26,26 +26,29 @@ only the survivors are evaluated and decomposed (``_RowSieve``):
   unique least one, e, is the valuation of the sum, so the l-part of D
   is l**(a deg - e), or 1 where e >= a deg; where l does not divide
   lead f it is all of l**(a deg).  Where two terms tie below a deg, D
-  is left to u and the row gets the first kind of mask only.  A power f(u/v) is a p-th power for a prime p of
-  ``_denominator_roots(D)``, so a row with D > 1 and no such p holds no
-  power; otherwise a point survives only if, for one such p, f(u/v) mod
-  q is 0 or a p-th power residue for every modulus q of
-  ``_residue_table(p)`` not dividing v.
+  is left to u and the row gets the first kind of mask only.  A power
+  f(u/v) is a p-th power for a prime p of ``_denominator_roots(D)``, so
+  a row with D > 1 and no such p holds no power; otherwise a point
+  survives only if, for one such p, f(u/v) mod q is 0 or a p-th power
+  residue for every modulus q of ``_residue_table(p)`` not dividing v.
 
-The tables are read from the exact values f(0), f(1), ..., which
-forward differences give at deg additions each.  A modulus m is used
-only where its table pays: m at most the row length 2H+1, and
-m (deg f + 1) at most the chunk's points.  So the degree-201 and
-degree-361 scans at heights 8-9 use none and read no coefficient's
-valuation.  Each pattern is built once per (table, v mod m) and tiled
-along the row by one multiplication, and a row adds no modulus once no
-point is left on it.  The masks only reject, so hits,
-``points_scanned`` and every report are those of the point-by-point
-scan.  On the ``scan-lowdeg`` sets as the tests fix them, {9/25} at
-height 110 evaluates 381 of 14,863 points (1,600 before the row
-denominators), and the integer {4, 8, 36} to 20,000 evaluates 2,389 of
-40,001.  A scan is
-refused up front past 10**7 points (``_MAX_POINTS``).
+The tables are read from the exact values f(0), f(1), ... up to the
+period of the largest table built, which the scan's own evaluator gives
+(``_row_values`` on the row v = 1).  ``ConstructionArtifacts``
+certifies the coefficients against the recipe, and the survivors are
+evaluated the same way, so a mask rejects exactly the points whose
+computed value fails a residue test.  A modulus m is used only where
+its table pays: m at most the row length 2H+1, and m (deg f + 1) at
+most the chunk's points.  So the degree-201 and degree-361 scans at
+heights 8-9 use none and read no coefficient's valuation.  Each pattern
+is built once per (table, v mod m) and tiled along the row by one
+multiplication, and a row adds no modulus once no point is left on it.
+The masks only reject, so hits, ``points_scanned`` and every report are
+those of the point-by-point scan.  On the ``scan-lowdeg`` sets as the
+tests fix them, {9/25} at height 110 evaluates 381 of 14,863 points
+(1,600 before the row denominators) and 169 table values, and the
+integer {4, 8, 36} to 20,000 evaluates 2,389 of 40,001 and 169 table
+values.  A scan is refused up front past 10**7 points (``_MAX_POINTS``).
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
@@ -71,7 +74,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional
 
@@ -217,33 +219,6 @@ def _allowed(values: list[int], p: int, m: int) -> bytes:
     return bytes(pow(y, cofactor, m) < 2 for y in values[:m])
 
 
-def _values(coeffs: tuple[int, ...], count: int) -> list[int]:
-    """f(0), f(1), ..., f(count - 1) exactly.
-
-    Horner gives the first deg + 1 values and from them the forward
-    differences of f at 0; past those, every order of differences is the
-    running sum of the next, so a value costs deg additions at C speed.
-    """
-    if not coeffs:
-        return [0] * count
-    head = []
-    for t in range(min(count, len(coeffs))):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        head.append(acc)
-    if count <= len(head):
-        return head
-    starts = []
-    while head:
-        starts.append(head[0])
-        head = [b - a for a, b in zip(head, head[1:])]
-    values = [starts.pop()] * count
-    for start in reversed(starts):
-        values = list(accumulate(values[: count - 1], initial=start))
-    return values
-
-
 def _prime_powers(v: int) -> list[tuple[int, int]]:
     """(l, a) with l**a exactly dividing v >= 1, l ascending, by trial division."""
     found = []
@@ -265,15 +240,16 @@ class _RowSieve:
     """The masks of one chunk's rows over the numerators u in [lo, lo + n).
 
     The module docstring gives the two kinds of table and when a modulus
-    pays.  A table is read from the values f(0), f(1), ... that f's
-    coefficients give, never from the recipe that evaluates the
-    survivors, and it is indexed by the class t of u/v = u * v**-1
-    modulo its period; on a row v, the u of class t are those with
+    pays.  A table is read from the values f(0), f(1), ... that
+    ``_row_values`` gives, from the recipe that evaluates the survivors
+    or by Horner without one, built only up to the period of the
+    largest table yet; it is indexed by the class t of u/v = u * v**-1
+    modulo its period, and on a row v the u of class t are those with
     u = t v modulo the period.
     """
 
-    def __init__(self, f: IntPoly, lo: int, n: int, points: int):
-        self.f = f
+    def __init__(self, f: IntPoly, recipe: Optional[_Recipe], lo: int, n: int, points: int):
+        self.f, self.recipe = f, recipe
         self.lo, self.n = lo, n
         self.full = (1 << n) - 1
         self.limit = min(n, points // len(f.coeffs)) if f.coeffs else 0
@@ -367,7 +343,8 @@ class _RowSieve:
         if table is None:
             period = m * m if p == 0 else m
             if len(self._values) < period:
-                self._values = _values(self.f.coeffs, max(period, self.limit))
+                more = range(len(self._values), period)
+                self._values += [y for _, y in _row_values(self.f, self.recipe, 1, more)]
             allowed = _allowed(self._values, p, m)
             kept = [t for t, ok in enumerate(allowed) if ok]
             dropped = [t for t, ok in enumerate(allowed) if not ok]
@@ -392,7 +369,7 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
     Where v**deg is 1 (the integer scan's row v = 1) a value is a Fraction only at a hit.
     """
     f, recipe, rows, lo, n = payload
-    sieve = _RowSieve(f, lo, n, len(rows) * n)
+    sieve = _RowSieve(f, recipe, lo, n, len(rows) * n)
     count = 0
     hits: list[Hit] = []
     for v in rows:

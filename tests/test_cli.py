@@ -723,3 +723,52 @@ def test_every_odd_input_exits_0_1_or_2(capsys, monkeypatch, serial_pool):
     assert wrong == []
     assert serial_pool == []
     assert set(codes) == {0, 1, 2} and sum(codes.values()) > 250
+
+
+def _estimate(i, **fields):
+    def edit(doc):
+        estimates = [dict(e) for e in doc["capacity_estimates"]]
+        estimates[i].update(fields)
+        return dict(doc, capacity_estimates=estimates)
+    return edit
+
+
+@pytest.mark.parametrize("values, edit, named", [
+    (["9/25"], _estimate(0, value=999), "estimates[0] has log2_bound 1 and value 999, not the 1"),
+    (["9/25"], _estimate(0, log2_bound=500), "estimates[0] has log2_bound 500 and value 1"),
+    (["9/25"], _estimate(0, gamma="7"), "estimates[0] has gamma 7, not 4 delta = 32/25"),
+    (["9/25"], lambda doc: dict(doc, deltas=["1/3"]), "deltas hold 1/3, no nonzero root"),
+    (["9/25"], lambda doc: _estimate(0, value=999, log2_bound=500, gamma="7")(
+        dict(doc, deltas=["1/3"])), "deltas hold 1/3"),
+    (["9/25"], _estimate(1, last_power_index=5, value=5), "estimates[1] has value 5, over s=1"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][::-1]), "deltas are not distinct"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1] * 2), "deltas are not distinct"),
+    (["9/25"], lambda doc: dict(doc, deltas=["0", *doc["deltas"]]), "deltas hold 0,"),
+    (["9/25"], lambda doc: dict(doc, capacity_estimates=doc["capacity_estimates"][:1]),
+     "estimates number 1, not one per delta (2)"),
+    (["9/25"], lambda doc: _estimate(0, gamma="1/5")(dict(doc, deltas=None)),
+     "estimates' gamma / 4 hold 1/20"),
+    (["4"], lambda doc: dict(doc, deltas=["3", "5"]), "integer-variant artifacts have no deltas"),
+    (["4"], lambda doc: dict(doc, capacity_estimates=[]), "have no estimates"),
+], ids=["value", "log2-bound", "gamma", "delta", "all-four", "value-over-s", "descending",
+        "repeated", "zero", "estimate-dropped", "gamma-without-deltas", "integer-deltas",
+        "integer-estimates"])
+def test_stored_deltas_and_estimates_are_those_of_the_recipe(capsys, tmp_path, monkeypatch,
+                                                             values, edit, named):
+    variant = "rational" if "/" in values[0] else "integer"
+    bad = edit(artifacts_to_json(construct(PowerSetInput.from_values(values, variant))))
+
+    def no_build(*args):
+        raise AssertionError("built a recipe")
+
+    # each is refused before any power of P is built
+    monkeypatch.setattr(sys.modules["power_forge.construct"], "build_g_h_f", no_build)
+    with pytest.raises(ValidationError) as refused:
+        jsonio.artifacts_from_json(bad)
+    assert named in str(refused.value)
+    target = tmp_path / "art.json"
+    target.write_text(dumps(bad))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "5")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation" and named in error["message"]

@@ -240,6 +240,9 @@ def test_recipe_values_equal_horner_values(values, variant, window):
         xs = range(-window, window + 1)
         assert list(_row_values(f, recipe, 1, xs)) == [(x, f(x)) for x in xs]
         return
+    # the sieve's tables read f(0), f(1), ... below the row length from row 1
+    ts = range(2 * window + 1)
+    assert list(_row_values(f, recipe, 1, ts)) == [(t, f(t)) for t in ts]
     for v in range(1, window + 1):
         us = [u for u in range(-window, window + 1) if gcd(u, v) == 1]
         assert list(_row_values(f, recipe, v, us)) == [(u, f.eval_pair(u, v)) for u in us]
@@ -279,7 +282,7 @@ def _masked_out_powers(f, variant, window):
     """
     n = 2 * window + 1
     rows = range(1, window + 1) if variant == "rational" else (1,)
-    sieve = verify._RowSieve(f, -window, n, len(rows) * n)
+    sieve = verify._RowSieve(f, None, -window, n, len(rows) * n)
     found = []
     for v in rows:
         for u in verify._set_bits(sieve.coprime(v) & ~sieve.mask(v), -window):
@@ -364,32 +367,41 @@ def test_the_sieve_masks_out_no_power_of_a_bench_set(values, variant, window):
     assert _masked_out_powers(art.f, variant, window) == []
 
 
-# (set, variant, window, points scanned, points evaluated) for the
-# scan-lowdeg sets; both counts are deterministic
+# (set, variant, window, points scanned, points evaluated, table values) for
+# the scan-lowdeg sets; all three counts are deterministic.  The tables read
+# f(0), f(1), ... only up to the period of the largest one built.
 LOWDEG_EVALUATIONS = [
-    (["9/25"], "rational", 110, 14863, 381),
-    (["0", "9/25", "-8"], "rational", 50, 3095, 151),
-    (["-1/8", "4/25"], "rational", 40, 1959, 759),
-    (["1/169"], "rational", 40, 1959, 72),
-    (["-1/343", "16/9"], "rational", 24, 719, 351),
-    (["4", "8", "36"], "integer", 20000, 40001, 2389),
+    (["9/25"], "rational", 110, 14863, 381, 169),
+    (["0", "9/25", "-8"], "rational", 50, 3095, 151, 101),
+    (["-1/8", "4/25"], "rational", 40, 1959, 759, 67),
+    (["1/169"], "rational", 40, 1959, 72, 71),
+    (["-1/343", "16/9"], "rational", 24, 719, 351, 23),
+    (["4", "8", "36"], "integer", 20000, 40001, 2389, 169),
 ]
 
 
 def test_the_sieve_leaves_few_points_to_evaluate(monkeypatch):
-    evaluated = []
+    evaluated, survivors = [], []
 
     def counting(f, recipe, v, us, real=verify._row_values):
         us = list(us)
         evaluated.extend(us)
         return real(f, recipe, v, us)
 
+    def surviving(mask, lo, real=verify._set_bits):
+        us = list(real(mask, lo))
+        survivors.extend(us)
+        return iter(us)
+
     monkeypatch.setattr(verify, "_row_values", counting)
-    for values, variant, window, points, evaluations in LOWDEG_EVALUATIONS:
+    monkeypatch.setattr(verify, "_set_bits", surviving)
+    for values, variant, window, points, evaluations, tables in LOWDEG_EVALUATIONS:
         art = construct(PowerSetInput.from_values(values, variant=variant))
         evaluated.clear()
+        survivors.clear()
         assert verify_construction(art, window).points_scanned == points
-        assert len(evaluated) == evaluations, values
+        assert len(survivors) == evaluations, values
+        assert len(evaluated) - len(survivors) == tables, values
 
 
 def _check_row_denominators(f, window):
@@ -398,7 +410,7 @@ def _check_row_denominators(f, window):
     Returns the rows v > 1 where it gives one.
     """
     n = 2 * window + 1
-    sieve = verify._RowSieve(f, -window, n, window * n)
+    sieve = verify._RowSieve(f, None, -window, n, window * n)
     rows = []
     for v in range(2, window + 1):
         denominator = sieve.denominator(v)
@@ -427,7 +439,7 @@ def test_the_row_denominator_of_a_scan_lowdeg_set():
     # f of degree 9 with lead 5**16: on the rows 5 || v one 5 of v**9 is left,
     # so no value there is a power; on the rows 25 || v two terms tie
     f = construct(PowerSetInput.from_values(["9/25"])).f
-    sieve = verify._RowSieve(f, -50, 101, 50 * 101)
+    sieve = verify._RowSieve(f, None, -50, 101, 50 * 101)
     assert [sieve.denominator(v) for v in (5, 10, 25, 50)] == [5, 2**9 * 5, None, None]
     assert len(_check_row_denominators(f, 50)) == 49 - 2
 
@@ -452,8 +464,7 @@ def test_the_row_denominator_on_random_polynomials():
 @pytest.mark.parametrize("f", [IntPoly([3, -1, 0, 2, 5]), IntPoly([-9, 0, 0, 0, 4]),
                                IntPoly([2, 0, 1])])
 def test_tables_follow_their_definitions(f):
-    values = verify._values(f.coeffs, 49)
-    assert values == [f(t) for t in range(49)]
+    values = [f(t) for t in range(49)]
     for l in (2, 3, 5, 7):
         table = verify._allowed(values, 0, l)
         # l divides f(t) exactly once for no t that survives
@@ -495,7 +506,7 @@ def test_tile_repeats_the_pattern_to_the_last_bit(m, n):
 def test_row_patterns_at_the_window_edges(lo, n):
     # bit i stands for u = lo + i: a negative lo and a length n that no period divides
     f = IntPoly([3, -1, 0, 2, 5])
-    sieve = verify._RowSieve(f, lo, n, 10**6)
+    sieve = verify._RowSieve(f, None, lo, n, 10**6)
     for p, m in ((0, 2), (0, 3), (2, 5), (3, 7), (2, 11)):
         table = verify._allowed([f(t) for t in range(m * m)], p, m)
         period = len(table)

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, ValidationError
 from .ntheory import factor_integer
-from .oracles import check_depth, scan_gamma_minus_pow2
+from .oracles import MAX_SCAN_BITS, check_depth, scan_gamma_minus_pow2
 from .poly import IntPoly, power_coeffs, rational_roots
 from .powers import is_rational_perfect_power
 
@@ -74,9 +74,10 @@ __all__ = [
 
 VARIANTS = ("rational", "integer")
 
-# f has 2k|S| + 2 coefficients, nearly all scaled by the offset 2**s; a recipe
-# whose (2k|S| + 2) s passes this many bits is refused before anything is built,
-# and so is a trace whose B**k or w**k would pass it (verify.trace_quantities)
+# f has 2k|S| + 2 coefficients, each below 2**(s + 4) N**(2k) (see
+# ConstructionArtifacts); a recipe whose bound on f passes this many bits is
+# refused before anything is built, and so is a trace whose B**k or w**k would
+# pass it (verify.trace_quantities)
 _MAX_F_BITS = 10**8
 
 
@@ -204,21 +205,12 @@ def find_deltas(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True, slots=True)
 class CapacityEstimate:
-    """Bounded estimate of D(gamma) for one scanned value."""
+    """Bounded estimate of D(gamma); a rescan to t = last_power_index (or 0) gives it back."""
 
     gamma: Fraction
     log2_bound: int
     last_power_index: Optional[int]
     value: int
-
-    @classmethod
-    def of(cls, gamma: Fraction, last_power_index: Optional[int]) -> "CapacityEstimate":
-        """The estimate of gamma != 0 whose scan found its last power at that index, or none."""
-        num, den = abs(gamma.numerator), gamma.denominator
-        # the least L >= 0 with den * 2**L >= num, i.e. with 2**L >= ceil(num / den)
-        log2_bound = ((num - 1) // den).bit_length()
-        last = last_power_index if last_power_index is not None else 0
-        return cls(gamma, log2_bound, last_power_index, max(log2_bound, last))
 
 
 def estimate_capacity(gamma: Fraction, policy: SelectionPolicy = DEFAULT_POLICY) -> CapacityEstimate:
@@ -227,7 +219,11 @@ def estimate_capacity(gamma: Fraction, policy: SelectionPolicy = DEFAULT_POLICY)
     if gamma == 0:
         raise ValidationError("capacity estimate needs gamma != 0")
     hits = scan_gamma_minus_pow2(gamma, policy.t_max)
-    return CapacityEstimate.of(gamma, hits[-1].index if hits else None)
+    last = hits[-1].index if hits else None
+    num, den = abs(gamma.numerator), gamma.denominator
+    # the least L >= 0 with den * 2**L >= num, i.e. with 2**L >= ceil(num / den)
+    log2_bound = ((num - 1) // den).bit_length()
+    return CapacityEstimate(gamma, log2_bound, last, max(log2_bound, last or 0))
 
 
 def select_offset_exponent(
@@ -369,18 +365,22 @@ class ConstructionArtifacts:
     even): with P = X**z R and R(0) != 0, the X**(zk) coefficient of f
     is -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when
     z = 0.
-    A recipe whose f would hold more than ``_MAX_F_BITS`` bits, estimated
-    as (2k|S| + 2) s, is refused, and a kappa stored with a recipe must
+    With N = prod (|a_i| + c_i) >= ||P||_1, each coefficient of P**n is
+    at most N**n and each of f is below 2**(s + 4) N**(2k), so f holds
+    at most (2k|S| + 2)(s + 4 + 2k bits(N)) bits; a recipe whose bound
+    passes ``_MAX_F_BITS`` is refused.  A kappa stored with a recipe must
     give s = 2**kappa - 1.  Without a recipe, f is a bare polynomial and
     must be given, and g, h, kappa, deltas and estimates must be None;
     an integer recipe has no deltas or estimates either.
 
-    A rational recipe's stored deltas must be nonzero, distinct,
-    ascending and have P(delta) = -+1; its stored estimates, one per
-    delta in order, must have gamma = 4 delta, the log2_bound and value
-    that gamma and last_power_index give (``CapacityEstimate.of``), and
-    a value of at most s.  Whether the deltas are all of them is not
-    checked: that needs the roots of P -+ 1, found by factoring.
+    A rational recipe stores deltas and estimates both or neither.  The
+    deltas must be distinct, ascending, nonzero roots of P - 1 or P + 1;
+    the estimates, one per delta, must have a value of at most s and be
+    ``estimate_capacity(4 delta)`` rescanned to t_max = last_power_index
+    (0 when None, at most ``MAX_SCAN_BITS // 3``).  Left unchecked: a
+    last_power_index below a later power within the original t_max,
+    which needs that t_max, and whether the deltas are all the roots of
+    P -+ 1, which needs factoring.
 
     ``text`` (init-only) maps "f", "g" and "h" to their stored decimal
     text, or None, in place of f, g and h: the cheap tests read f's text,
@@ -425,10 +425,12 @@ class ConstructionArtifacts:
         f_text = None if text is None else text.get("f")
         if self.f is not None or f_text is not None:
             self._check_cheaply(k, s, recipe, f_text)
-        size = (2 * k * len(self.input) + 2) * s
+        n = prod(abs(a) + c for a, c in self.pairs)
+        size = (2 * k * len(self.input) + 2) * (s + 4 + 2 * k * n.bit_length())
         if size > _MAX_F_BITS:
             raise ValidationError(
-                f"s={s} is out of range: f would hold about {size} bits, over {_MAX_F_BITS}"
+                f"s={s} is out of range: f would hold up to {size} bits with k={k}, "
+                f"over {_MAX_F_BITS}"
             )
         # s = 2**kappa - 1, tested by bits: a stored kappa may be far too large to raise 2 to
         kappa = self.kappa
@@ -457,41 +459,29 @@ class ConstructionArtifacts:
             raise ValidationError(f"{whose} have no {', '.join(stray)}")
 
     def _check_capacity(self, s: int) -> None:
-        """The stored deltas and estimates of a rational recipe against P and s.
-
-        Without deltas, the gammas / 4 of the estimates are checked as deltas.
-        """
-        deltas, estimates, name = self.deltas, self.estimates, "deltas"
+        """The stored deltas and estimates of a rational recipe, each rescanned to its own depth."""
+        deltas, estimates = self.deltas, self.estimates
+        if (deltas is None) != (estimates is None):
+            raise ValidationError("deltas and estimates come both or neither")
         if deltas is None:
-            if estimates is None:
-                return
-            deltas, name = tuple(Fraction(e.gamma) / 4 for e in estimates), "estimates' gamma / 4"
-        if any(a >= b for a, b in zip(deltas, deltas[1:])):
-            raise ValidationError(f"stored {name} are not distinct and ascending")
-        P = build_root_product(self.pairs)
-        bad = [d for d in deltas if not _is_delta(P, d)]
-        if bad:
-            raise ValidationError(
-                f"stored {name} hold {_format_values(bad[:1])}, no nonzero root of P - 1 or P + 1"
-            )
-        if estimates is None:
             return
+        P = build_root_product(self.pairs)
+        if tuple(deltas) != tuple(sorted({d for d in deltas if _is_delta(P, d)})):
+            raise ValidationError(f"stored deltas {_format_values(deltas)} are not distinct "
+                                  "ascending nonzero roots of P - 1 or P + 1")
         if len(estimates) != len(deltas):
             raise ValidationError(f"stored estimates number {len(estimates)}, "
                                   f"not one per delta ({len(deltas)})")
         for i, (delta, e) in enumerate(zip(deltas, estimates)):
-            where = f"stored estimates[{i}]"
-            if e.gamma != 4 * delta:
-                raise ValidationError(f"{where} has gamma {_format_values([e.gamma])}, "
-                                      f"not 4 delta = {_format_values([4 * delta])}")
-            want = CapacityEstimate.of(e.gamma, e.last_power_index)
-            if (e.log2_bound, e.value) != (want.log2_bound, want.value):
-                raise ValidationError(
-                    f"{where} has log2_bound {e.log2_bound} and value {e.value}, not the "
-                    f"{want.log2_bound} and {want.value} of its gamma and last_power_index"
-                )
+            where, last = f"stored estimates[{i}]", e.last_power_index
             if e.value > s:
                 raise ValidationError(f"{where} has value {e.value}, over s={s}")
+            if last is not None and not 0 <= last <= MAX_SCAN_BITS // 3:
+                raise ValidationError(f"{where} has last_power_index {last}, "
+                                      f"not in 0..{MAX_SCAN_BITS // 3}")
+            if e != estimate_capacity(4 * delta, SelectionPolicy(t_max=last or 0)):
+                raise ValidationError(f"{where} is not the estimate of 4 delta = "
+                                      f"{_format_values([4 * delta])} to t = {last or 0}")
 
     def _check_cheaply(self, k: int, s: int, recipe: str, f_text: Optional[list[str]]) -> None:
         """The tests on k and s against the given f, or its text, that need no build."""

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -678,7 +679,7 @@ _INTEGER_GRID = {
      "--t-max", "10"): ("--t-max",),
     ("oracle", "gamma", "--gamma", "3", "--t-max", "10"): ("--t-max",),
 }
-# ROADMAP item 6 still lets these box bounds run for minutes at 10**20
+# ROADMAP item 7 still lets these box bounds run for minutes at 10**20
 _UNBOUNDED_BOXES = {("lebesgue", "--bound"), ("lebesgue", "--n-max"), ("catalan", "--base-bound"),
                     ("catalan", "--exp-bound"), ("fermat", "--bound"), ("fermat", "--n-max")}
 
@@ -734,20 +735,23 @@ def _estimate(i, **fields):
 
 
 @pytest.mark.parametrize("values, edit, named", [
-    (["9/25"], _estimate(0, value=999), "estimates[0] has log2_bound 1 and value 999, not the 1"),
-    (["9/25"], _estimate(0, log2_bound=500), "estimates[0] has log2_bound 500 and value 1"),
-    (["9/25"], _estimate(0, gamma="7"), "estimates[0] has gamma 7, not 4 delta = 32/25"),
-    (["9/25"], lambda doc: dict(doc, deltas=["1/3"]), "deltas hold 1/3, no nonzero root"),
+    (["9/25"], _estimate(0, value=999), "estimates[0] has value 999, over s=1"),
+    (["9/25"], _estimate(0, log2_bound=500),
+     "estimates[0] is not the estimate of 4 delta = 32/25 to t = 0"),
+    (["9/25"], _estimate(0, gamma="7"), "estimates[0] is not the estimate of 4 delta = 32/25"),
+    (["9/25"], lambda doc: dict(doc, deltas=["1/3"]),
+     "deltas 1/3 are not distinct ascending nonzero roots of P - 1 or P + 1"),
     (["9/25"], lambda doc: _estimate(0, value=999, log2_bound=500, gamma="7")(
-        dict(doc, deltas=["1/3"])), "deltas hold 1/3"),
+        dict(doc, deltas=["1/3"])), "deltas 1/3 are not"),
     (["9/25"], _estimate(1, last_power_index=5, value=5), "estimates[1] has value 5, over s=1"),
-    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][::-1]), "deltas are not distinct"),
-    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1] * 2), "deltas are not distinct"),
-    (["9/25"], lambda doc: dict(doc, deltas=["0", *doc["deltas"]]), "deltas hold 0,"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][::-1]), "deltas 2/5, 8/25 are not"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1] * 2), "deltas 8/25, 8/25 are not"),
+    (["9/25"], lambda doc: dict(doc, deltas=["0", *doc["deltas"]]),
+     "deltas 0, 8/25, 2/5 are not"),
     (["9/25"], lambda doc: dict(doc, capacity_estimates=doc["capacity_estimates"][:1]),
      "estimates number 1, not one per delta (2)"),
     (["9/25"], lambda doc: _estimate(0, gamma="1/5")(dict(doc, deltas=None)),
-     "estimates' gamma / 4 hold 1/20"),
+     "deltas and estimates come both or neither"),
     (["4"], lambda doc: dict(doc, deltas=["3", "5"]), "integer-variant artifacts have no deltas"),
     (["4"], lambda doc: dict(doc, capacity_estimates=[]), "have no estimates"),
 ], ids=["value", "log2-bound", "gamma", "delta", "all-four", "value-over-s", "descending",
@@ -772,3 +776,87 @@ def test_stored_deltas_and_estimates_are_those_of_the_recipe(capsys, tmp_path, m
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["code"] == "validation" and named in error["message"]
+
+
+def _refused(capsys, tmp_path, doc):
+    """The error message of verify --artifacts on doc, which must exit 2."""
+    target = tmp_path / "art.json"
+    target.write_text(dumps(doc))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    return error["message"]
+
+
+def test_a_last_power_index_without_a_power_there_is_refused(capsys, tmp_path):
+    # 32/25 - 2**1 = -18/25 is no power; value 1 is the log2_bound, so only the rescan sees it
+    doc = _estimate(0, last_power_index=1)(
+        artifacts_to_json(construct(PowerSetInput.from_values(["9/25"]))))
+    assert doc["capacity_estimates"][0]["value"] == 1
+    assert _refused(capsys, tmp_path, doc) == (
+        "stored estimates[0] is not the estimate of 4 delta = 32/25 to t = 1")
+
+
+# the t <= 200 with gamma - 2**t a perfect power, for each 4 delta of the sets below
+_HITS = {Fraction(13): (2, 8), Fraction(14): (), Fraction(28): (0,), Fraction(36): (2, 5),
+         Fraction(2): (0, 1), Fraction(8): (2, 3, 4), Fraction(10): (0, 1), Fraction(20): (2, 4),
+         Fraction(41, 2): (), Fraction(24): (3, 4, 5, 10), Fraction(26): (0,)}
+
+
+@pytest.mark.parametrize("value", ["27/8", "8", "1/4", "9/4", "81/16", "25/4"])
+def test_estimates_load_at_any_depth_and_an_edited_index_is_refused(capsys, tmp_path, value):
+    target, refused, loaded = tmp_path / "art.json", 0, 0
+    for t_max in (0, 3, 64, 200):
+        argv = ("construct", f"--set={value}", "--t-max", str(t_max), "--out", str(target))
+        assert run(capsys, *argv)[0] == 0
+        code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
+        assert code == 0 and json.loads(out)["verdict"] == "PASS"
+        doc = json.loads(target.read_text())
+        for i, e in enumerate(doc["capacity_estimates"]):
+            hits, last = _HITS[jsonio.parse_rational(e["gamma"])], e["last_power_index"]
+            assert last == max((t for t in hits if t <= t_max), default=None)
+            edits = {last + 1, last - 1, None, 0} if last is not None else {1, 0}
+            for new in edits - {last}:
+                bad = _estimate(i, last_power_index=new,
+                                value=max(e["log2_bound"], new or 0))(doc)
+                # a rescan to new gives new back only when new is itself the last
+                # power up to there, as it would be for a scan to t_max = new
+                if new == max((t for t in hits if t <= (new or 0)), default=None):
+                    assert jsonio.artifacts_from_json(bad).estimates[i].last_power_index == new
+                    loaded += 1
+                else:
+                    assert f"stored estimates[{i}] " in _refused(capsys, tmp_path, bad)
+                    refused += 1
+    assert refused > loaded
+
+
+@pytest.mark.parametrize("last", [-1, 10**20])
+def test_a_last_power_index_out_of_range_is_refused_before_any_scan(capsys, tmp_path,
+                                                                    monkeypatch, last):
+    doc = _estimate(0, last_power_index=last)(
+        artifacts_to_json(construct(PowerSetInput.from_values(["9/25"]))))
+
+    def no_scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(sys.modules["power_forge.construct"], "scan_gamma_minus_pow2", no_scan)
+    assert _refused(capsys, tmp_path, doc) == (
+        f"stored estimates[0] has last_power_index {last}, not in 0..{oracles.MAX_SCAN_BITS // 3}")
+
+
+@pytest.mark.parametrize("prime", [2003, 10007, 1000003])
+def test_a_recipe_past_the_size_bound_is_refused_before_anything_is_built(capsys, monkeypatch,
+                                                                         prime):
+    def no_build(*args):
+        raise AssertionError("built a recipe")
+
+    for name in ("build_g_h_f", "recipe_text"):
+        monkeypatch.setattr(sys.modules["power_forge.construct"], name, no_build)
+    for argv in (("construct",), ("verify", "--height", "2")):
+        code, out, err = run(capsys, *argv, f"--set=1/{prime**2}")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert error["message"].startswith("s=1 is out of range: f would hold up to ")
+        assert f" bits with k={lcm(4, prime - 1)}, over " in error["message"]

@@ -57,6 +57,10 @@ CASES = {
         ["construct", "--set", "9/25,4", "--out", "art.json"],
         ["verify", "--artifacts", "art.json", "--height", "15"],
     ],
+    "roundtrip-rational-t-max": [
+        ["construct", "--set=25/4", "--t-max", "5", "--out", "art.json"],
+        ["verify", "--artifacts", "art.json", "--height", "3"],
+    ],
     "roundtrip-integer": [
         ["construct", "--set", "4,8", "--variant", "integer", "--out", "art.json"],
         ["verify", "--artifacts", "art.json", "--bound", "50", "--workers", "2"],

@@ -2,6 +2,7 @@ import importlib
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -295,15 +296,49 @@ def test_a_huge_s_is_refused_before_anything_is_built(monkeypatch, s):
         ConstructionArtifacts(input=PowerSetInput.from_values(["9/25"]), k=4, s=s)
 
 
-def test_the_size_cap_sits_far_above_every_built_recipe():
-    # (2k|S| + 2) s of the largest recipes of the benchmark and the tests
-    cap = importlib.import_module("power_forge.construct")._MAX_F_BITS
+def _f_bits(f):
+    return sum(abs(c).bit_length() for c in f.coeffs)
+
+
+def test_the_size_cap_sits_far_above_every_built_recipe(monkeypatch):
+    # the bound (2k|S| + 2)(s + 4 + 2k bits(N)), N = prod (|a_i| + c_i), of the largest
+    # recipes of the benchmark and the tests lies between the real size of f and the cap
+    construct_module = importlib.import_module("power_forge.construct")
+    cap = construct_module._MAX_F_BITS
     for values in ([Fraction(1, 179**2)], [Fraction(1, 1009**2)], [Fraction(1, 2**2000)],
-                   [3**9500]):
-        inp = PowerSetInput.from_values(values)
-        pairs = element_pairs(inp)
-        s, _, _ = select_offset_exponent(find_deltas(pairs))
-        assert 100 * (2 * compute_k(pairs) * len(inp) + 2) * s < cap
+                   [3**9500], ["1/49", "8/27", "4/121"]):
+        art = construct(PowerSetInput.from_values(values))
+        n = prod(abs(a) + c for a, c in art.pairs)
+        bound = (2 * art.k * len(art.input) + 2) * (art.s + 4 + 2 * art.k * n.bit_length())
+        assert _f_bits(art.f) <= bound < cap
+        # and it is the bound the refusal names
+        with monkeypatch.context() as patched:
+            patched.setattr(construct_module, "_MAX_F_BITS", bound - 1)
+            with pytest.raises(ValidationError, match=f" up to {bound} bits with k={art.k}, "):
+                ConstructionArtifacts(input=art.input, k=art.k, s=art.s)
+
+
+def test_the_size_bound_holds_on_random_sets(monkeypatch, power_pool):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    construct_module = importlib.import_module("power_forge.construct")
+    pool = [b for b in power_pool if max(abs(b.numerator), b.denominator) <= 16]
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True),
+                      st.booleans())
+    def sets(values, integer):
+        values = [v for v in values if v.denominator == 1] if integer else values
+        hypothesis.assume(values)
+        inp = PowerSetInput.from_values(values, "integer" if integer else "rational")
+        art = construct(inp)
+        # a cap one bit below the real size of f must refuse the recipe
+        with monkeypatch.context() as patched:
+            patched.setattr(construct_module, "_MAX_F_BITS", _f_bits(art.f) - 1)
+            with pytest.raises(ValidationError, match="f would hold up to"):
+                ConstructionArtifacts(input=inp, k=art.k, s=art.s)
+
+    sets()
 
 
 def test_the_scan_depth_is_capped():

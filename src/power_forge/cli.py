@@ -33,7 +33,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from . import jsonio, oracles
-from .construct import VARIANTS, PowerSetInput, SelectionPolicy, construct, element_pairs
+from .construct import VARIANTS, PowerSetInput, SelectionPolicy, construct, element_pairs, text_bits
 from .errors import CapacityError, ValidationError
 from .powers import decompose_rational_power
 from .verify import trace_quantities, verify_construction
@@ -182,12 +182,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     inp = PowerSetInput.from_values(_parse_set(args.set), variant=args.variant)
     policy = SelectionPolicy(t_max=args.t_max, kappa_cap=args.kappa_cap)
     art = construct(inp, policy)
-    used_stdout = _emit(jsonio.artifacts_to_json(art), args.out)
-    bits = max((c.bit_length() for c in art.f.coeffs), default=0)
+    doc = jsonio.artifacts_to_json(art)
+    used_stdout = _emit(doc, args.out)
     kappa = "-" if art.kappa is None else art.kappa
     _summary(
         f"constructed variant={inp.variant} |S|={len(inp)} k={art.k} kappa={kappa} "
-        f"s={art.s} deg={art.f.degree} coeff_bits<={bits}",
+        f"s={art.s} deg={doc['degree']} coeff_bits<={text_bits(doc['f'])}",
         used_stdout,
     )
     return 0

@@ -26,10 +26,11 @@ each coefficient; multiplying out g * h costs O(k |S|) per coefficient.
 One recurrence and one expansion serve two number types: ints for f, g
 and h (``build_g_h_f``), and exact ``decimal.Decimal`` values for the
 text a construction document stores (``recipe_text``), as str() of a
-Decimal is linear where str() of a big int is quadratic.  Each power of
-both builds is certified against P by multiplication only (P Q' = n P'
-Q, see ``_certify_power``): ``verify`` evaluates the recipe, not the
-stored f, so a wrong power would otherwise go unscanned.
+Decimal is linear where str() of a big int is quadratic.  Ints are built
+when f, g or h is first read, text when a document is written or read.
+Each power of both builds is certified against P by multiplication only
+(P Q' = n P' Q, see ``_certify_power``): ``verify`` evaluates the recipe,
+not the stored f, so a wrong power would otherwise go unscanned.
 
 The empty set gets the constant polynomial 2, which is never a perfect
 power; the product formulas degenerate there (they would give a linear f
@@ -45,6 +46,7 @@ see ``SelectionPolicy``.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -69,6 +71,7 @@ __all__ = [
     "select_offset_exponent",
     "build_g_h_f",
     "recipe_text",
+    "text_bits",
     "construct",
 ]
 
@@ -347,31 +350,47 @@ def recipe_text(
     return tuple([str(c) if c else "0" for c in poly] for poly in polys)
 
 
+def text_bits(coeffs: Sequence[str]) -> int:
+    """The bit length of the largest of some decimal integers, from the longest text.
+
+    Counted by exact powers of two in ``decimal``: linear, where int() of the text is quadratic.
+    """
+    import decimal as dec
+    digits = max((t.lstrip("-0") for t in coeffs), key=lambda t: (len(t), t), default="") or "0"
+    bits = (len(digits) - 1) * 3321928 // 10**6  # 2**bits <= 10**(len - 1): log2(10) > 3.321928
+    with dec.localcontext(dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, traps=[dec.Inexact])):
+        value, power = dec.Decimal(digits), dec.Decimal(2) ** bits
+        while power <= value:
+            power, bits = 2 * power, bits + 1
+    return bits
+
+
+def _refuse(whose: str, **given: object) -> None:
+    """Raise ValidationError naming each field of ``given`` that is not None."""
+    stray = [name for name, value in given.items() if value is not None]
+    if stray:
+        raise ValidationError(f"{whose} have no {', '.join(stray)}")
+
+
 @dataclass(frozen=True)
 class ConstructionArtifacts:
     """Everything construct() decided, sufficient to re-verify every step.
 
     With a recipe (k and s, which come both or neither), f, g and h are
-    always the polynomials of (pairs, k, s): left out, they are built
-    here, certificate included; given, they are rebuilt and compared, and
-    a mismatch raises ValidationError naming the fields that differ.
-    Cheap tests refuse a tampered k or s before anything is built.  With
-    or without f, the integer variant has k = 2 and s = 0; a rational
-    recipe has s >= 1, and its k must be a positive multiple of
-    ``compute_k``, since the theorem needs p - 1 | k for every prime p
-    in a denominator.  A given f must
-    also have degree 2k|S| + 1, and s must be below the bit length of
-    its largest coefficient.  The last holds for every genuine k (k is
-    even): with P = X**z R and R(0) != 0, the X**(zk) coefficient of f
-    is -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when
-    z = 0.
+    those of (pairs, k, s), built by ``build_g_h_f`` on the first read of
+    any of them (a ``dataclasses.replace`` copy builds its own).  Cheap
+    tests refuse a tampered k or s before anything is built.  The
+    integer variant has k = 2 and s = 0; a rational recipe has s >= 1,
+    and its k must be a positive multiple of ``compute_k``, since the
+    theorem needs p - 1 | k for every prime p in a denominator.
     With N = prod (|a_i| + c_i) >= ||P||_1, each coefficient of P**n is
     at most N**n and each of f is below 2**(s + 4) N**(2k), so f holds
     at most (2k|S| + 2)(s + 4 + 2k bits(N)) bits; a recipe whose bound
     passes ``_MAX_F_BITS`` is refused.  A kappa stored with a recipe must
-    give s = 2**kappa - 1.  Without a recipe, f is a bare polynomial and
-    must be given, and g, h, kappa, deltas and estimates must be None;
-    an integer recipe has no deltas or estimates either.
+    give s = 2**kappa - 1.  Without a recipe, f is the polynomial
+    ``bare``, which is given there and only there, g and h are None, and
+    kappa, deltas, estimates and any ``text`` must be None; an integer
+    recipe has no deltas or estimates either.
 
     A rational recipe stores deltas and estimates both or neither.  The
     deltas must be distinct, ascending, nonzero roots of P - 1 or P + 1;
@@ -382,16 +401,19 @@ class ConstructionArtifacts:
     which needs that t_max, and whether the deltas are all the roots of
     P -+ 1, which needs factoring.
 
-    ``text`` (init-only) maps "f", "g" and "h" to their stored decimal
-    text, or None, in place of f, g and h: the cheap tests read f's text,
-    and each must equal ``recipe_text`` entry for entry, so a coefficient
-    spelled another way, such as "007" or "-0", is refused.
+    ``text`` (init-only), the one way to hand over stored polynomials,
+    maps "f", "g" and "h" to their decimal text, or None.  f's must have
+    degree 2k|S| + 1, and s must be below the bit length of its largest
+    coefficient, which holds for every genuine k (k is even): with
+    P = X**z R and R(0) != 0, the X**(zk) coefficient of f is
+    -2**s R(0)**k when z > 0 and -2**s R(0)**k (R(0)**k + 1) when z = 0.
+    Each must then equal ``recipe_text`` entry for entry, so a
+    coefficient spelled another way, such as "007" or "-0", is refused;
+    a mismatch raises ValidationError naming the fields that differ.
     """
 
     input: PowerSetInput
-    f: Optional[IntPoly] = None
-    g: Optional[IntPoly] = None
-    h: Optional[IntPoly] = None
+    bare: Optional[IntPoly] = None
     k: Optional[int] = None
     kappa: Optional[int] = None
     s: Optional[int] = None
@@ -401,62 +423,52 @@ class ConstructionArtifacts:
     text: InitVar[Optional[Mapping[str, Optional[list[str]]]]] = None
 
     def __post_init__(self, text: Optional[Mapping[str, Optional[list[str]]]]) -> None:
-        k, s = self.k, self.s
+        k, s, text = self.k, self.s, text or {}
         if (k is None) != (s is None):
             raise ValidationError(f"k and s come both or neither, not k={k}, s={s}")
         if k is None:
-            if self.f is None:
-                raise ValidationError("artifacts without a recipe (k, s) need f")
-            self._refuse(("g", "h", "kappa", "deltas", "estimates"), "artifacts without a recipe")
+            if self.bare is None:
+                raise ValidationError("artifacts without a recipe (k, s) need bare")
+            _refuse("artifacts without a recipe", **text, kappa=self.kappa, deltas=self.deltas,
+                    estimates=self.estimates)
             return
+        _refuse("artifacts with a recipe", bare=self.bare)
         if self.input.variant == "integer":
             if (k, s) != (2, 0):
                 raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
-            self._refuse(("deltas", "estimates"), "integer-variant artifacts")
+            _refuse("integer-variant artifacts", deltas=self.deltas, estimates=self.estimates)
         else:
             if s < 1:
                 raise ValidationError(f"s={s} is out of range: a rational recipe has s >= 1")
             canonical = compute_k(self.pairs)
             if k < 1 or k % canonical:
-                raise ValidationError(
-                    f"stored k={k} is not a positive multiple of the canonical k={canonical}"
-                )
-        recipe = f"the recipe of k={k}, s={s}"
-        f_text = None if text is None else text.get("f")
-        if self.f is not None or f_text is not None:
-            self._check_cheaply(k, s, recipe, f_text)
+                raise ValidationError(f"stored k={k} is not a positive multiple "
+                                      f"of the canonical k={canonical}")
+        recipe, f_text = f"the recipe of k={k}, s={s}", text.get("f")
+        if f_text is not None:
+            degree, bits = len(f_text) - 1, text_bits(f_text)
+            if degree != 2 * k * len(self.input) + 1:
+                raise ValidationError(f"stored f has degree {degree}, not that of {recipe}")
+            if s >= bits:
+                raise ValidationError(f"stored s={s} is out of range: the largest "
+                                      f"coefficient of f has {bits} bits")
         n = prod(abs(a) + c for a, c in self.pairs)
         size = (2 * k * len(self.input) + 2) * (s + 4 + 2 * k * n.bit_length())
         if size > _MAX_F_BITS:
-            raise ValidationError(
-                f"s={s} is out of range: f would hold up to {size} bits with k={k}, "
-                f"over {_MAX_F_BITS}"
-            )
+            raise ValidationError(f"s={s} is out of range: f would hold up to {size} bits "
+                                  f"with k={k}, over {_MAX_F_BITS}")
         # s = 2**kappa - 1, tested by bits: a stored kappa may be far too large to raise 2 to
         kappa = self.kappa
         if kappa is not None and (s & (s + 1) or (s + 1).bit_length() != kappa + 1):
-            raise ValidationError(
-                f"stored kappa={kappa} does not match s={s}: s must be 2**kappa - 1"
-            )
+            raise ValidationError(f"stored kappa={kappa} does not match s={s}: "
+                                  "s must be 2**kappa - 1")
         if self.input.variant == "rational":
             self._check_capacity(s)
-        g, h, f = build_g_h_f(self.pairs, k, s)
-        built = {"f": f, "g": g, "h": h}
-        if text is None:
-            stored, made = {name: getattr(self, name) for name in built}, built
-        else:
-            stored, made = text, dict(zip("ghf", recipe_text(self.pairs, k, s)))
-        wrong = [name for name in built if stored.get(name) not in (None, made[name])]
-        if wrong:
-            raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
-        for name, poly in built.items():
-            object.__setattr__(self, name, poly)
-
-    def _refuse(self, fields: tuple[str, ...], whose: str) -> None:
-        """Raise ValidationError naming each of ``fields`` that is given."""
-        stray = [name for name in fields if getattr(self, name) is not None]
-        if stray:
-            raise ValidationError(f"{whose} have no {', '.join(stray)}")
+        if text:
+            made = dict(zip("ghf", recipe_text(self.pairs, k, s)))
+            wrong = [name for name in "fgh" if text.get(name) not in (None, made[name])]
+            if wrong:
+                raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
 
     def _check_capacity(self, s: int) -> None:
         """The stored deltas and estimates of a rational recipe, each rescanned to its own depth."""
@@ -483,24 +495,16 @@ class ConstructionArtifacts:
                 raise ValidationError(f"{where} is not the estimate of 4 delta = "
                                       f"{_format_values([4 * delta])} to t = {last or 0}")
 
-    def _check_cheaply(self, k: int, s: int, recipe: str, f_text: Optional[list[str]]) -> None:
-        """The tests on k and s against the given f, or its text, that need no build."""
-        degree = self.f.degree if f_text is None else len(f_text) - 1
-        if degree != 2 * k * len(self.input) + 1:
-            raise ValidationError(f"stored f has degree {degree}, not that of {recipe}")
-        if f_text is None:
-            bits = max(abs(c).bit_length() for c in self.f.coeffs)
-        else:  # without leading zeros the longest text is the largest value
-            digits = max(
-                (t.removeprefix("-").lstrip("0") for t in f_text), key=lambda t: (len(t), t)
-            )
-            from decimal import Decimal
+    @cached_property
+    def _polys(self) -> tuple[Optional[IntPoly], Optional[IntPoly], IntPoly]:
+        """g, h and f: the recipe's, built and certified on first read, or None, None, bare."""
+        if self.k is None:
+            return None, None, self.bare
+        return build_g_h_f(self.pairs, self.k, self.s)
 
-            bits = int(Decimal(digits or "0")).bit_length()
-        if s >= bits:
-            raise ValidationError(
-                f"stored s={s} is out of range: the largest coefficient of f has {bits} bits"
-            )
+    g = property(lambda self: self._polys[0], doc="P**k + 1, or None without a recipe")
+    h = property(lambda self: self._polys[1], doc="(X - 2**s) g + 2**s, or None without a recipe")
+    f = property(lambda self: self._polys[2], doc="g h, or ``bare`` without a recipe")
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -512,7 +516,7 @@ def construct(
 ) -> ConstructionArtifacts:
     """Decide the recipe (k, s) for a validated input set; see the module docstring.
 
-    ``ConstructionArtifacts`` then builds f, g and h from that recipe.
+    Nothing is built here: the artifacts build f, g and h when first read.
 
     >>> art = construct(PowerSetInput.from_values(["9/25"]))
     >>> art.k, art.s, art.f.degree
@@ -523,7 +527,7 @@ def construct(
     if len(inp) == 0:
         return ConstructionArtifacts(
             input=inp,
-            f=IntPoly((2,)),
+            bare=IntPoly((2,)),
             notes="empty set: constant 2 is never a perfect power; "
             "the product construction degenerates to a linear polynomial here",
         )

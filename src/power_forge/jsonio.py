@@ -187,7 +187,7 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
     """The construction document; f, g and h of a recipe come from ``recipe_text``."""
     if art.k is None:
         g = h = None
-        f = poly_to_json(art.f)
+        f = poly_to_json(art.bare)
     else:
         g, h, f = recipe_text(art.pairs, art.k, art.s)
     return {
@@ -205,7 +205,7 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
         "g": g,
         "h": h,
         "f": f,
-        "degree": art.f.degree,
+        "degree": len(f) - 1,
         "notes": art.notes,
     }
 
@@ -263,24 +263,20 @@ def artifacts_from_json(obj: Any) -> ConstructionArtifacts:
     ``ConstructionArtifacts`` then raises ``ValidationError`` when the
     stored f, g and h are not those of the stored k and s.  With a recipe
     (k or s given), they are handed over as text, never parsed; without
-    one, f is a bare polynomial and is parsed.
+    one, f is a bare polynomial and is parsed, and a g or h handed over as
+    text is refused.
     """
     kind = (obj.get("schema"), obj.get("kind")) if isinstance(obj, dict) else None
     if kind != (SCHEMA, "construction"):
         raise ValidationError("not a construction document")
     _check_fields(obj, _CONSTRUCTION_FIELDS, "construction document")
-    if obj["k"] is None and obj["s"] is None:
-        text = None
-        polys = {name: None if obj[name] is None else poly_from_json(obj[name]) for name in "fgh"}
-        degree = polys["f"].degree
-    else:
-        # refused as a parse would refuse it, but nothing is converted
-        text = {name: obj[name] for name in "fgh"}
-        for data in filter(None, text.values()):
-            for entry in data:
-                _digits_of(entry)
-        polys = dict.fromkeys("fgh")
-        degree = len(obj["f"]) - 1
+    text = {name: obj[name] for name in "fgh"}
+    # refused as a parse would refuse it, but nothing is converted
+    for data in filter(None, text.values()):
+        for entry in data:
+            _digits_of(entry)
+    bare = poly_from_json(text.pop("f")) if obj["k"] is None and obj["s"] is None else None
+    degree = len(obj["f"]) - 1 if bare is None else bare.degree
     if degree != obj["degree"]:
         raise ValidationError(f"stored degree {obj['degree']} is not the degree {degree} of f")
     inp = PowerSetInput.from_values(
@@ -288,7 +284,7 @@ def artifacts_from_json(obj: Any) -> ConstructionArtifacts:
     )
     return ConstructionArtifacts(
         input=inp,
-        **polys,
+        bare=bare,
         text=text,
         k=obj["k"],
         kappa=obj["kappa"],

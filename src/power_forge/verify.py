@@ -52,10 +52,10 @@ values.  A scan is refused up front past 10**7 points (``_MAX_POINTS``).
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
-Horner's rule; ``ConstructionArtifacts`` builds the stored coefficients
-from that recipe, certificate included.  Bare polynomials
-(``verify_polynomial``, the empty set's constant 2) are evaluated by
-Horner from their coefficients.
+Horner's rule; the coefficients the sieve reads are built from that
+recipe, certificate included, when the scan first reads them.  Bare
+polynomials (``verify_polynomial``, the empty set's constant 2) are
+evaluated by Horner from their coefficients.
 
 Independently of the scan, ``trace_quantities`` recomputes the value of
 g at each hit through its own integer bookkeeping (the quantities A, B,

@@ -95,7 +95,7 @@ def test_verify_artifacts_roundtrip(capsys, tmp_path):
 
 def test_verify_adversarial_artifacts_fail(capsys, tmp_path):
     # hand-built artifacts: f = X^2 against the empty set
-    art = ConstructionArtifacts(input=PowerSetInput((), "rational"), f=IntPoly((0, 0, 1)))
+    art = ConstructionArtifacts(input=PowerSetInput((), "rational"), bare=IntPoly((0, 0, 1)))
     target = tmp_path / "bad.json"
     target.write_text(dumps(artifacts_to_json(art)))
     code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "8")
@@ -860,3 +860,34 @@ def test_a_recipe_past_the_size_bound_is_refused_before_anything_is_built(capsys
         assert error["code"] == "validation"
         assert error["message"].startswith("s=1 is out of range: f would hold up to ")
         assert f" bits with k={lcm(4, prime - 1)}, over " in error["message"]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of the int build and of the decimal build, wherever each is looked up."""
+    calls = {"build_g_h_f": 0, "recipe_text": 0}
+    construct_module = sys.modules["power_forge.construct"]
+    for name in calls:
+        real = getattr(construct_module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        for module in (construct_module, jsonio):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_command_builds_only_the_polynomials_it_reads(capsys, tmp_path, builds):
+    # construct writes text only; verify --set scans the ints only; a load does both
+    target = str(tmp_path / "art.json")
+    for argv, want in (
+        (("construct", "--set=9/25,-1/8", "--out", target), (0, 1)),
+        (("verify", "--set=9/25,-1/8", "--height", "4"), (1, 0)),
+        (("verify", "--artifacts", target, "--height", "4"), (1, 1)),
+    ):
+        builds.update(dict.fromkeys(builds, 0))
+        assert run(capsys, *argv)[0] == 0
+        assert (builds["build_g_h_f"], builds["recipe_text"]) == want, argv

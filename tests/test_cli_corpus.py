@@ -61,6 +61,10 @@ CASES = {
         ["construct", "--set=25/4", "--t-max", "5", "--out", "art.json"],
         ["verify", "--artifacts", "art.json", "--height", "3"],
     ],
+    "roundtrip-two-deltas": [
+        ["construct", "--set=-27/8,-64/27", "--out", "art.json"],
+        ["verify", "--artifacts", "art.json", "--height", "3"],
+    ],
     "roundtrip-integer": [
         ["construct", "--set", "4,8", "--variant", "integer", "--out", "art.json"],
         ["verify", "--artifacts", "art.json", "--bound", "50", "--workers", "2"],

@@ -20,8 +20,10 @@ from power_forge.construct import (
     find_deltas,
     recipe_text,
     select_offset_exponent,
+    text_bits,
 )
 from power_forge.errors import CapacityError, ValidationError
+from power_forge.jsonio import _int_text
 from power_forge.oracles import MAX_SCAN_BITS
 from power_forge.poly import IntPoly
 
@@ -229,24 +231,39 @@ def test_construct_empty_set():
     assert "empty" in art.notes
 
 
+def _text(poly):
+    return [str(c) for c in poly.coeffs]
+
+
 def test_artifacts_hold_the_polynomials_of_their_recipe():
     art = construct(PowerSetInput.from_values(["9/25"]))
     built = ConstructionArtifacts(input=art.input, k=4, s=1)
     assert (built.f, built.g, built.h) == (art.f, art.g, art.h)
     with pytest.raises(ValidationError, match="stored f has degree 2"):
-        replace(art, f=IntPoly((0, 0, 1)))
+        ConstructionArtifacts(input=art.input, k=4, s=1, text={"f": ["0", "0", "1"]})
     with pytest.raises(ValidationError, match="stored f$"):
-        replace(art, f=art.f + 1)
+        ConstructionArtifacts(input=art.input, k=4, s=1, text={"f": _text(art.f + 1)})
     with pytest.raises(ValidationError, match="stored g$"):
-        replace(art, g=art.g + 1)
+        ConstructionArtifacts(input=art.input, k=4, s=1, text={"g": _text(art.g + 1)})
     with pytest.raises(ValidationError, match="both or neither"):
         ConstructionArtifacts(input=art.input, k=4)
     with pytest.raises(ValidationError, match="both or neither"):
-        ConstructionArtifacts(input=art.input, f=art.f, s=1)
-    with pytest.raises(ValidationError, match="need f"):
+        ConstructionArtifacts(input=art.input, bare=art.f, s=1)
+    with pytest.raises(ValidationError, match="need bare"):
         ConstructionArtifacts(input=PowerSetInput.from_values([]))
     with pytest.raises(ValidationError, match="kappa=2"):
         replace(art, kappa=2)
+
+
+def test_a_replaced_recipe_builds_its_own_polynomials():
+    art = construct(PowerSetInput.from_values(["9/25"]))
+    old = art.f  # built and kept by art
+    moved = replace(art, s=7, kappa=3)
+    b = Fraction(9, 25)
+    assert moved.f(b) == b and moved.f != old and art.f is old
+    assert (moved.g, moved.h, moved.f) == build_g_h_f(art.pairs, 4, 7)
+    with pytest.raises(ValidationError, match="^artifacts with a recipe have no bare$"):
+        ConstructionArtifacts(input=art.input, bare=old, k=4, s=1)
 
 
 def test_k_is_checked_with_or_without_f():
@@ -254,12 +271,12 @@ def test_k_is_checked_with_or_without_f():
     inp = PowerSetInput.from_values(["1/49"])
     assert compute_k(element_pairs(inp)) == 12
     assert ConstructionArtifacts(input=inp, k=24, s=1).f.degree == 49
-    g, h, f = build_g_h_f(element_pairs(inp), 12, 1)
+    text = dict(zip("ghf", recipe_text(element_pairs(inp), 12, 1)))
     for k in (8, 4, 6, 0, -12):
         with pytest.raises(ValidationError, match=f"stored k={k} is not a positive multiple"):
             ConstructionArtifacts(input=inp, k=k, s=1)
         with pytest.raises(ValidationError, match=f"stored k={k} "):
-            ConstructionArtifacts(input=inp, f=f, g=g, h=h, k=k, s=1)
+            ConstructionArtifacts(input=inp, text=text, k=k, s=1)
     ints = PowerSetInput.from_values([4, 8], "integer")
     for k, s in ((4, 0), (2, 1)):
         with pytest.raises(ValidationError, match=f"not k={k}, s={s}"):
@@ -275,12 +292,13 @@ def test_a_rational_recipe_needs_s_at_least_one(monkeypatch, s):
         raise AssertionError("build_g_h_f called")
 
     inp = PowerSetInput.from_values(["9/25"])
-    g, h, f = build_g_h_f(element_pairs(inp), 4, 1)
-    monkeypatch.setattr(construct_module, "build_g_h_f", no_build)
+    text = dict(zip("ghf", recipe_text(element_pairs(inp), 4, 1)))
+    for name in ("build_g_h_f", "recipe_text"):
+        monkeypatch.setattr(construct_module, name, no_build)
     with pytest.raises(ValidationError, match=f"^s={s} is out of range"):
         ConstructionArtifacts(input=inp, k=4, s=s)
     with pytest.raises(ValidationError, match=f"^s={s} is out of range"):
-        ConstructionArtifacts(input=inp, f=f, g=g, h=h, k=4, s=s)
+        ConstructionArtifacts(input=inp, text=text, k=4, s=s)
 
 
 @pytest.mark.parametrize("s", [10**9, 10**12])
@@ -387,8 +405,9 @@ def test_certificate_refuses_a_wrong_recurrence(mutant_recurrence, values):
         product = product * P
     # every division of the mutant is exact, so only the certificate sees it
     assert P**k != product
+    art = construct(inp)  # decides the recipe and builds nothing
     with pytest.raises(ArithmeticError, match="certificate"):
-        construct(inp)
+        art.f
     # the decimal build runs the same recurrence, and its own certificate
     with pytest.raises(ArithmeticError, match="certificate"):
         recipe_text(pairs, k, 1)
@@ -416,4 +435,17 @@ def test_certificate_refuses_one_wrong_coefficient(monkeypatch, values, index):
 
     monkeypatch.setattr(IntPoly, "__pow__", off_by_one)
     with pytest.raises(ArithmeticError, match="certificate"):
-        construct(PowerSetInput.from_values(values))
+        construct(PowerSetInput.from_values(values)).f
+
+
+def test_text_bits_is_the_bit_length_of_the_largest_value(rng):
+    # counted up through powers of two in decimal; int() of the text is the reference
+    edges = [n for e in (*range(70), 3321, 3322, 33219, 33220) for n in (2**e - 1, 2**e, 2**e + 1)]
+    for n in edges:
+        assert text_bits([_int_text(n), _int_text(-n // 3)]) == n.bit_length()
+        assert text_bits([_int_text(-n)]) == n.bit_length()
+    for _ in range(200):
+        values = [rng.randint(-(10 ** rng.randint(0, 80)), 10 ** rng.randint(0, 80))
+                  for _ in range(rng.randint(1, 6))]
+        assert text_bits([str(v) for v in values]) == max(abs(v).bit_length() for v in values)
+    assert text_bits([]) == text_bits(["0", "-0"]) == 0 and text_bits(["007", "-5"]) == 3

@@ -447,13 +447,13 @@ class ConstructionArtifacts:
         recipe, f_text = f"the recipe of k={k}, s={s}", text.get("f")
         if f_text is not None:
             degree, bits = len(f_text) - 1, text_bits(f_text)
-            if degree != 2 * k * len(self.input) + 1:
+            if degree != self.degree:
                 raise ValidationError(f"stored f has degree {degree}, not that of {recipe}")
             if s >= bits:
                 raise ValidationError(f"stored s={s} is out of range: the largest "
                                       f"coefficient of f has {bits} bits")
         n = prod(abs(a) + c for a, c in self.pairs)
-        size = (2 * k * len(self.input) + 2) * (s + 4 + 2 * k * n.bit_length())
+        size = (self.degree + 1) * (s + 4 + 2 * k * n.bit_length())
         if size > _MAX_F_BITS:
             raise ValidationError(f"s={s} is out of range: f would hold up to {size} bits "
                                   f"with k={k}, over {_MAX_F_BITS}")
@@ -505,6 +505,11 @@ class ConstructionArtifacts:
     g = property(lambda self: self._polys[0], doc="P**k + 1, or None without a recipe")
     h = property(lambda self: self._polys[1], doc="(X - 2**s) g + 2**s, or None without a recipe")
     f = property(lambda self: self._polys[2], doc="g h, or ``bare`` without a recipe")
+
+    @property
+    def degree(self) -> int:
+        """2k|S| + 1 from the recipe, or that of ``bare``; nothing is built."""
+        return self.bare.degree if self.k is None else 2 * self.k * len(self.input) + 1
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:

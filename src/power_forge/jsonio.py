@@ -205,7 +205,7 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
         "g": g,
         "h": h,
         "f": f,
-        "degree": len(f) - 1,
+        "degree": art.degree,
         "notes": art.notes,
     }
 

@@ -34,13 +34,13 @@ only the survivors are evaluated and decomposed (``_RowSieve``):
 
 The tables are read from the exact values f(0), f(1), ... up to the
 period of the largest table built, which the scan's own evaluator gives
-(``_row_values`` on the row v = 1).  ``ConstructionArtifacts``
-certifies the coefficients against the recipe, and the survivors are
-evaluated the same way, so a mask rejects exactly the points whose
-computed value fails a residue test.  A modulus m is used only where
-its table pays: m at most the row length 2H+1, and m (deg f + 1) at
-most the chunk's points.  So the degree-201 and degree-361 scans at
-heights 8-9 use none and read no coefficient's valuation.  Each pattern
+(``_row_values`` on the row v = 1).  The survivors are evaluated the
+same way, so a mask rejects exactly the points whose computed value
+fails a residue test.  A modulus m is used only where its table pays:
+m at most the row length 2H+1, and m (deg f + 1) at most the chunk's
+points.  So the degree-201 and degree-361 scans at heights 8-9 use none
+and read no coefficient's valuation; nor does the integer scan, whose
+one row v = 1 has denominator 1.  Each pattern
 is built once per (table, v mod m) and tiled along the row by one
 multiplication, and a row adds no modulus once no point is left on it.
 The masks only reject, so hits, ``points_scanned`` and every report are
@@ -52,8 +52,9 @@ values.  A scan is refused up front past 10**7 points (``_MAX_POINTS``).
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
-Horner's rule; the coefficients the sieve reads are built from that
-recipe, certificate included, when the scan first reads them.  Bare
+Horner's rule.  Its degree comes from the recipe too, and its certified
+coefficients (``ConstructionArtifacts.f``) are built, once per process,
+only where a row denominator reads their valuations.  Bare
 polynomials (``verify_polynomial``, the empty set's constant 2) are
 evaluated by Horner from their coefficients.
 
@@ -153,9 +154,11 @@ _MAX_POINTS = 10**7
 # P = prod (c_i X - a_i) over the pairs (a_i, c_i)
 _Recipe = tuple[tuple[tuple[int, int], ...], int, int]
 
+_Scanned = IntPoly | ConstructionArtifacts  # a bare f, or the artifacts of a recipe
+
 
 def _row_values(
-    f: IntPoly, recipe: Optional[_Recipe], v: int, us: Iterable[int]
+    f: _Scanned, recipe: Optional[_Recipe], v: int, us: Iterable[int]
 ) -> Iterator[tuple[int, int]]:
     """(u, v**deg f(u/v)) for each u of one row v, from the recipe if there is one.
 
@@ -240,7 +243,9 @@ class _RowSieve:
     """The masks of one chunk's rows over the numerators u in [lo, lo + n).
 
     The module docstring gives the two kinds of table and when a modulus
-    pays.  A table is read from the values f(0), f(1), ... that
+    pays.  Only ``_exponent`` reads f's coefficients (a recipe's through
+    ``ConstructionArtifacts.f``), so a sieve that reads no row denominator
+    builds none.  A table is read from the values f(0), f(1), ... that
     ``_row_values`` gives, from the recipe that evaluates the survivors
     or by Horner without one, built only up to the period of the
     largest table yet; it is indexed by the class t of u/v = u * v**-1
@@ -248,11 +253,11 @@ class _RowSieve:
     u = t v modulo the period.
     """
 
-    def __init__(self, f: IntPoly, recipe: Optional[_Recipe], lo: int, n: int, points: int):
+    def __init__(self, f: _Scanned, recipe: Optional[_Recipe], lo: int, n: int, points: int):
         self.f, self.recipe = f, recipe
         self.lo, self.n = lo, n
         self.full = (1 << n) - 1
-        self.limit = min(n, points // len(f.coeffs)) if f.coeffs else 0
+        self.limit = min(n, points // (f.degree + 1)) if f.degree >= 0 else 0
         # (p, m) -> (period, marked classes t, whether a marked class survives)
         self._tables: dict[tuple[int, int], tuple[int, list[int], bool]] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
@@ -297,7 +302,8 @@ class _RowSieve:
         Valuations are read from the top coefficient down, and only while
         a (deg - i) can still reach the least value so far.
         """
-        coeffs, deg = self.f.coeffs, self.f.degree
+        f = self.f.f if isinstance(self.f, ConstructionArtifacts) else self.f
+        coeffs, deg = f.coeffs, f.degree
         full = a * deg
         least = min(strip_prime(coeffs[-1], l)[0], full)
         tied = False
@@ -384,7 +390,7 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
 
 
 def _scan(
-    f: IntPoly,
+    f: _Scanned,
     recipe: Optional[_Recipe],
     elements: Iterable[Fraction],
     variant: str,
@@ -478,20 +484,18 @@ def verify_construction(
     """Scan a construct() result through its recipe, then trace every rational hit.
 
     f is evaluated from (pairs, k, s) when the artifacts carry them, and
-    the stored coefficients are then not read: ``ConstructionArtifacts``
-    guarantees that they are those of the recipe.  Artifacts without a
-    recipe (the empty set's constant 2) are evaluated by Horner.  When a
-    rational recipe is stored, every hit additionally goes through the
-    six trace invariants; a failure there raises InvariantViolation
-    rather than merely flipping the verdict, since it means the
-    construction itself is broken.
+    its coefficients are built only if the row sieve reads their
+    valuations.  Artifacts without a recipe (the empty set's constant 2)
+    are evaluated by Horner.  When a rational recipe is stored, every
+    hit additionally goes through the six trace invariants; a failure
+    there raises InvariantViolation rather than merely flipping the
+    verdict, since it means the construction itself is broken.
     """
     inp = artifacts.input
     pairs, k = artifacts.pairs, artifacts.k
     recipe = None if k is None else (pairs, k, artifacts.s)
-    report = _scan(
-        artifacts.f, recipe, inp.elements, inp.variant, bound, workers, progress
-    )
+    scanned = artifacts.bare if recipe is None else artifacts
+    report = _scan(scanned, recipe, inp.elements, inp.variant, bound, workers, progress)
     if inp.variant == "rational" and recipe is not None:
         for h in report.hits:
             ensure_trace(pairs, h.x, k)

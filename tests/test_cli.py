@@ -15,6 +15,7 @@ from power_forge.errors import ValidationError
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
 from power_forge.oracles import search_catalan
 from power_forge.poly import IntPoly
+from power_forge.verify import verify_construction
 
 
 def run(capsys, *argv):
@@ -467,14 +468,15 @@ def test_construct_a_huge_single_element(capsys, tmp_path, fresh_residue_cache, 
 
 def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, request):
     # an internal fault must not exit 2: building or rebuilding the recipe raises
-    # the certificate's ArithmeticError, which exits 3 with an "internal" error
+    # the certificate's ArithmeticError, which exits 3 with an "internal" error;
+    # the scan builds f only for the sieve's valuations, which {9/25} at 40 reads
     target = tmp_path / "art.json"
     assert main(["construct", "--set", "1/10201", "--out", str(target)]) == 0
     request.getfixturevalue("mutant_recurrence")
     capsys.readouterr()
     for argv in (["construct", "--set", "1/10201"],
                  ["verify", "--artifacts", str(target), "--height", "2"],
-                 ["verify", "--set", "1/10201", "--height", "2"]):
+                 ["verify", "--set", "9/25", "--height", "40"]):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         doc = json.loads(err)
@@ -881,13 +883,45 @@ def builds(monkeypatch):
 
 
 def test_each_command_builds_only_the_polynomials_it_reads(capsys, tmp_path, builds):
-    # construct writes text only; verify --set scans the ints only; a load does both
+    # construct writes text only; a load checks the text; a scan builds the ints
+    # only where its sieve reads a valuation of f's coefficients
     target = str(tmp_path / "art.json")
     for argv, want in (
         (("construct", "--set=9/25,-1/8", "--out", target), (0, 1)),
-        (("verify", "--set=9/25,-1/8", "--height", "4"), (1, 0)),
-        (("verify", "--artifacts", target, "--height", "4"), (1, 1)),
+        (("verify", "--set=9/25,-1/8", "--height", "4"), (0, 0)),
+        (("verify", "--artifacts", target, "--height", "4"), (0, 1)),
+        (("verify", "--set=9/25", "--height", "40"), (1, 0)),
+        (("verify", "--set=1/10201", "--height", "9"), (0, 0)),
     ):
         builds.update(dict.fromkeys(builds, 0))
         assert run(capsys, *argv)[0] == 0
         assert (builds["build_g_h_f"], builds["recipe_text"]) == want, argv
+
+
+def test_a_scan_that_reads_no_valuation_builds_nothing(capsys, tmp_path, monkeypatch):
+    # the scans of scan-highdeg, the integer scan and a height-1 load: the sieve reads
+    # no valuation of f's coefficients, so no int build may run and stdout is unchanged
+    target = str(tmp_path / "art.json")
+    assert run(capsys, "construct", f"--set=1/{179**2}", "--out", target)[0] == 0
+    scans = [
+        ("--set=1/10201", "--height", "9"),
+        ("--set=1/49,8/27,4/121", "--height", "8"),
+        ("--set=4,8,36", "--variant", "integer", "--bound", "20000"),
+        ("--artifacts", target, "--height", "1"),
+    ]
+    built = [run(capsys, "verify", *argv, "--workers", "1") for argv in scans]
+
+    def refused(*args):
+        raise AssertionError("f was built")
+
+    monkeypatch.setattr(sys.modules["power_forge.construct"], "build_g_h_f", refused)
+    for argv, (_, want, _) in zip(scans, built):
+        code, out, _ = run(capsys, "verify", *argv, "--workers", "1")
+        assert code == 0 and out == want, argv
+    loaded = jsonio.artifacts_from_json(json.loads(Path(target).read_text()))
+    for art, window in ((construct(PowerSetInput.from_values(["1/10201"])), 9),
+                        (construct(PowerSetInput.from_values(["1/49", "8/27", "4/121"])), 8),
+                        (construct(PowerSetInput.from_values([4, 8, 36], "integer")), 20000),
+                        (loaded, 1)):
+        assert verify_construction(art, window).passed
+        assert "_polys" not in art.__dict__

@@ -316,6 +316,18 @@ def test_masked_scan_equals_the_per_point_scan(monkeypatch, values, variant, win
     assert masked.passed
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("values, variant, window", BENCH_SCANS)
+def test_a_scan_reports_the_same_whether_f_was_built_before_it_or_not(values, variant, window,
+                                                                      workers):
+    # the scan builds f only where the sieve reads a valuation, in each worker that does
+    inp = PowerSetInput.from_values(values, variant=variant)
+    fresh, built = construct(inp), construct(inp)
+    assert built.f.degree == built.degree == fresh.degree
+    assert verify_construction(fresh, window, workers=workers) == verify_construction(
+        built, window, workers=workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("f, variant, window", BARE_SCANS)
 def test_masked_scan_equals_the_per_point_scan_on_bare_polynomials(

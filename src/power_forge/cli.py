@@ -33,7 +33,8 @@ from functools import cache
 from typing import Optional, Sequence
 
 from . import jsonio, oracles
-from .construct import VARIANTS, PowerSetInput, SelectionPolicy, construct, element_pairs, text_bits
+from .construct import (_MAX_F_BITS, VARIANTS, PowerSetInput, SelectionPolicy, construct,
+                        element_pairs, text_bits)
 from .errors import CapacityError, ValidationError
 from .powers import decompose_rational_power
 from .verify import trace_quantities, verify_construction
@@ -43,6 +44,12 @@ PROG = "power-forge"
 # each worker is a process, all forked when the pool starts; this is past the
 # cores of any one machine, so a larger count is a mistake, refused unforked
 _MAX_WORKERS = 256
+
+# no construction document within the bound on f is larger: f, g and h hold
+# 2 deg f + 3 coefficients, each below 2**w for the w >= 6 bits per coefficient
+# of that bound, and one takes at most 10 + 0.31 w < 2w bytes as indented JSON,
+# so they take under 5 _MAX_F_BITS bytes; the other fields far fewer
+_MAX_DOCUMENT_BYTES = 8 * _MAX_F_BITS
 
 
 def _parse_set(text: str) -> list[Fraction]:
@@ -199,6 +206,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         import json
 
         with open(args.artifacts, "r", encoding="ascii") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > _MAX_DOCUMENT_BYTES:
+                raise ValidationError(f"{args.artifacts} holds {size:,} bytes, over the "
+                                      f"{_MAX_DOCUMENT_BYTES:,} of any construction document "
+                                      f"within the bound on f")
             try:
                 doc = json.load(fh)
             except ValueError as exc:  # not JSON, or not ASCII

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -925,3 +925,26 @@ def test_a_scan_that_reads_no_valuation_builds_nothing(capsys, tmp_path, monkeyp
                         (loaded, 1)):
         assert verify_construction(art, window).passed
         assert "_polys" not in art.__dict__
+
+
+def test_a_document_larger_than_the_bound_on_f_allows_is_refused_unread(capsys, tmp_path,
+                                                                         monkeypatch):
+    # the bound holds per recipe: no document takes 8 bytes per bit of its own bound on f
+    for values, variant in [(["9/25"], "rational"), (["0", "9/25", "-8"], "rational"),
+                            (["1/49", "8/27", "4/121"], "rational"), (["4", "8", "36"], "integer")]:
+        art = construct(PowerSetInput.from_values(values, variant=variant))
+        n = prod(abs(a) + c for a, c in art.pairs)
+        size = (art.degree + 1) * (art.s + 4 + 2 * art.k * n.bit_length())
+        assert len(dumps(artifacts_to_json(art))) < 8 * size, values
+    target = tmp_path / "art.json"
+    target.write_text(dumps(artifacts_to_json(construct(PowerSetInput.from_values(["9/25"])))))
+    size = target.stat().st_size
+    monkeypatch.setattr(cli, "_MAX_DOCUMENT_BYTES", size)
+    assert run(capsys, "verify", "--artifacts", str(target), "--height", "2")[0] == 0
+    monkeypatch.setattr(cli, "_MAX_DOCUMENT_BYTES", size - 1)
+    monkeypatch.setattr(json, "load", lambda fh: pytest.fail("the document was read"))
+    code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    assert f"holds {size:,} bytes, over the {size - 1:,}" in error["message"]

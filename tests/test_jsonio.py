@@ -368,3 +368,88 @@ def test_every_tampered_field_is_refused_naming_it(capsys, tmp_path, values):
         assert main(["verify", "--artifacts", str(target), "--height", "1"]) == 2, edit
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["code"] == "validation" and named in error["message"], edit
+
+
+# list entries the generic encoder escapes or that look like digits and are not ASCII digits
+HOSTILE = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "٣", "²", " ", "1-2", "", "-",
+           "- 1", "1e3", "+7", "?"]
+
+
+def _random_value(rng, depth):
+    """A JSON value: often a list of signed digit strings, now and then with a hostile entry."""
+    roll = rng.random()
+    if roll < 0.4:
+        entries = [str(rng.randint(-10**rng.randint(0, 40), 10**40)) for _ in range(rng.randint(0, 6))]
+        if entries and rng.random() < 0.4:
+            entries[rng.randrange(len(entries))] = rng.choice(HOSTILE)
+        return entries
+    if roll < 0.55 and depth:
+        return [_random_value(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    if roll < 0.7 and depth:
+        return {str(i): _random_value(rng, depth - 1) for i in range(rng.randint(0, 3))}
+    return rng.choice([None, True, False, 0, -7, 2**70, 1.5, "", "x", "٣", "a\"b\\c\n",
+                       ["1", 2], ("1", "2"), []])
+
+
+def _random_document(rng):
+    keys = ["f", "g", "h", "k", "notes", "é", 'q"uote']
+    if rng.random() < 0.1:
+        keys += [1, 2.5, True, None]  # written as "1", "2.5", "true", "null"
+    if rng.random() < 0.05:
+        return _random_value(rng, 2)
+    return {key: _random_value(rng, 2) for key in rng.sample(keys, rng.randint(0, len(keys)))}
+
+
+def test_dumps_is_json_dumps_byte_for_byte_on_random_documents(rng):
+    direct = 0
+    for _ in range(3000):
+        doc = _random_document(rng)
+        assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n", doc
+        direct += isinstance(doc, dict) and any(map(jsonio._verbatim, doc.values()))
+    assert direct > 1000  # the direct path is taken, not only the fallback
+
+
+def test_only_lists_of_ascii_digit_strings_are_written_verbatim():
+    assert jsonio._verbatim(["0", "-12", "345"])
+    for entry in HOSTILE:
+        if set(entry) <= set("0123456789-"):
+            assert jsonio._verbatim(["1", entry]), entry  # JSON writes it as is all the same
+        else:
+            assert not jsonio._verbatim(["1", entry]), entry
+    for value in ([], [""], ["1", 2], ("1", "2"), "12", None, [["1"]]):
+        assert not jsonio._verbatim(value), value
+
+
+def test_dumps_matches_json_dumps_on_hypothesis_documents():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    digits = st.integers().map(str) | st.text("0123456789-", max_size=4)
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    values = st.recursive(
+        scalars | st.lists(digits | st.text(max_size=3), min_size=1),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    )
+    keys = st.text(max_size=4) | st.integers() | st.booleans() | st.none()
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.dictionaries(keys, values | st.lists(digits, min_size=1), max_size=5) | values)
+    def same(doc):
+        assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    same()
+
+
+def test_dumps_of_a_construction_document_peaks_below_one_and_a_half_outputs():
+    import tracemalloc
+
+    doc = jsonio.artifacts_to_json(construct(PowerSetInput.from_values(["1/19321"])))  # 1/139**2
+    tracemalloc.start()
+    try:
+        text = jsonio.dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(doc, indent=2) + "\n"
+    # json.dumps peaks at about 2.06 outputs: its chunks and their joined copy
+    assert peak <= 1.5 * len(text), peak / len(text)

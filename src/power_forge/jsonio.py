@@ -22,8 +22,9 @@ are bounded by the scan box and stay far below 2**53 for any feasible
 box.
 
 ``dumps`` writes every document as ``json.dumps(obj, indent=2)`` does,
-byte for byte, but joins the entries of a list of digit strings (f, g
-and h) directly, where that encoder would escape each on its own.
+byte for byte, but joins the entries of a list of digit strings (f, g,
+h, and an integer set's elements or missing values) directly, where that
+encoder would escape each on its own.
 """
 
 from __future__ import annotations
@@ -147,13 +148,15 @@ def _verbatim(value: Any) -> bool:
 def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
 
-    In a top-level object with string keys, each ``_verbatim`` list (f, g
-    and h) is written directly, its entries joined between the separators
-    that encoder writes, where the encoder would escape each on its own
-    (3.9 -> 1.1 ms on the 1.1 MB document of {1/139**2}).  Every other
-    value is its ``json.dumps`` indented one level, and one final join
-    takes references to the entries, never a joined copy of a list.  A
-    document with no such list is one ``json.dumps``.
+    In a top-level object with string keys, each ``_verbatim`` list (f, g,
+    h, and an integer set's elements or missing values) is written
+    directly, its entries joined between the separators that encoder
+    writes, where the encoder would escape each on its own (3.9 -> 1.1 ms
+    on the 1.1 MB document of {1/139**2}).  Every other value is its
+    ``json.dumps`` indented one level, and one final join takes references
+    to the entries, never a joined copy of a list.  A document with no
+    such list, as a solution list, a power query or a report with nothing
+    missing, is one ``json.dumps``.
     """
     plain = type(obj) is dict and all(type(key) is str for key in obj)
     verbatim = [_verbatim(value) for value in obj.values()] if plain else []

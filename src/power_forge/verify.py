@@ -154,7 +154,7 @@ _MAX_POINTS = 10**7
 # P = prod (c_i X - a_i) over the pairs (a_i, c_i)
 _Recipe = tuple[tuple[tuple[int, int], ...], int, int]
 
-_Scanned = IntPoly | ConstructionArtifacts  # f's coefficients, or the artifacts of a recipe
+_Scanned = IntPoly | ConstructionArtifacts  # a bare f, or the artifacts of a recipe
 
 
 def _row_values(
@@ -494,10 +494,7 @@ def verify_construction(
     inp = artifacts.input
     pairs, k = artifacts.pairs, artifacts.k
     recipe = None if k is None else (pairs, k, artifacts.s)
-    # a pool payload carries f's coefficients if they were built before the scan, and
-    # never the g and h built with them; otherwise the artifacts, which build f on demand
-    built = recipe is None or "_polys" in vars(artifacts)
-    scanned = artifacts.f if built else artifacts
+    scanned = artifacts.bare if recipe is None else artifacts
     report = _scan(scanned, recipe, inp.elements, inp.variant, bound, workers, progress)
     if inp.variant == "rational" and recipe is not None:
         for h in report.hits:

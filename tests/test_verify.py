@@ -529,23 +529,3 @@ def test_row_patterns_at_the_window_edges(lo, n):
             vinv = pow(v, -1, period)
             expected = [u for u in range(lo, lo + n) if table[u * vinv % period]]
             assert list(verify._set_bits(sieve._pattern(p, m, v), lo)) == expected
-
-
-def test_a_pool_payload_carries_f_once_built_and_never_g_or_h(monkeypatch):
-    import pickle
-
-    sent = []
-
-    def record(worker, payloads, workers):
-        sent.extend(pickle.dumps(p) for p in payloads)
-        return map(worker, payloads)
-
-    monkeypatch.setattr(verify, "map_chunks", record)
-    inp = PowerSetInput.from_values(["1/49", "8/27", "4/121"])
-    fresh, built = construct(inp), construct(inp)
-    f_bytes = len(pickle.dumps(built.f))  # about 76 KB; with g and h, about 114 KB
-    for art in (fresh, built):
-        verify_construction(art, 2, workers=2)
-    assert len(sent) == 4
-    assert all(len(p) < 2000 for p in sent[:2])  # the recipe only: nothing was built
-    assert all(f_bytes < len(p) < f_bytes + 2000 for p in sent[2:])

@@ -52,7 +52,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, ValidationError
-from .ntheory import factor_integer
+from .ntheory import factor_integer, primes_up_to
 from .oracles import MAX_SCAN_BITS, check_depth, scan_gamma_minus_pow2
 from .poly import IntPoly, power_coeffs, rational_roots
 from .powers import is_rational_perfect_power
@@ -169,15 +169,39 @@ def element_pairs(inp: PowerSetInput) -> tuple[tuple[int, int], ...]:
     return tuple((e.numerator, e.denominator) for e in inp.elements)
 
 
+def _largest_admissible_prime() -> int:
+    """The largest p with 2p (5 + 2(p - 1) bits(p**2 + 1)) <= _MAX_F_BITS, by bisection.
+
+    A prime p in a denominator c, a power, forces k >= p - 1, s >= 1 and N > c >= p**2:
+    f's bound (``ConstructionArtifacts``) is then at least the left side, which grows with p.
+    """
+    fits, fails = 1, _MAX_F_BITS  # a p that fits, and one that does not
+    while fails - fits > 1:
+        p = (fits + fails) // 2
+        if 2 * p * (5 + 2 * (p - 1) * (p * p + 1).bit_length()) <= _MAX_F_BITS:
+            fits = p
+        else:
+            fails = p
+    return fits
+
+
+# the primes a denominator of a constructible set can hold, sieved once
+_ADMISSIBLE_PRIMES = tuple(primes_up_to(_largest_admissible_prime()))
+
+
 def compute_k(pairs: Iterable[tuple[int, int]]) -> int:
-    """lcm of 4 and p - 1 over primes p dividing any denominator."""
+    """lcm of 4 and p - 1 over primes p dividing any denominator.
+
+    A denominator with a prime past ``_ADMISSIBLE_PRIMES`` is refused (ValidationError).
+    """
     k = 4
-    primes: set[int] = set()
     for _, c in pairs:
-        if c > 1:
-            primes.update(p for p, _ in factor_integer(c))
-    for p in primes:
-        k = lcm(k, p - 1)
+        primes, rest = factor_integer(c, _ADMISSIBLE_PRIMES)
+        if rest > 1:
+            raise ValidationError(f"denominator {c} has a prime factor over "
+                                  f"{_ADMISSIBLE_PRIMES[-1]}, so f would pass {_MAX_F_BITS} bits")
+        for p, _ in primes:
+            k = lcm(k, p - 1)
     return k
 
 
@@ -189,21 +213,14 @@ def build_root_product(pairs: Iterable[tuple[int, int]]) -> IntPoly:
     return out
 
 
-def _is_delta(P: IntPoly, r: Fraction) -> bool:
-    """Whether r is a nonzero root of P - 1 or P + 1."""
-    return r != 0 and P(r) in (1, -1)
-
-
 def find_deltas(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
     """Nonzero rational roots of P**2 - 1, i.e. of P - 1 and P + 1, sorted.
 
-    For |S| = 1, P -+ 1 are linear and ``rational_roots`` factors nothing.
-    Each root r is confirmed by one exact evaluation, P(r) = -+1, before
-    being reported, which checks that shortcut at run time.
+    For |S| = 1, P -+ 1 are linear and their roots are read off; from
+    |S| = 2 on, ``rational_roots`` lifts them p-adically.  Nothing is factored.
     """
     P = build_root_product(pairs)
-    roots = {r for shifted in (P - 1, P + 1) for r in rational_roots(shifted)}
-    return tuple(sorted(r for r in roots if _is_delta(P, r)))
+    return tuple(sorted({r for q in (P - 1, P + 1) for r in rational_roots(q) if r}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -393,13 +410,11 @@ class ConstructionArtifacts:
     recipe has no deltas or estimates either.
 
     A rational recipe stores deltas and estimates both or neither.  The
-    deltas must be distinct, ascending, nonzero roots of P - 1 or P + 1;
+    deltas must be ``find_deltas``, all nonzero roots of P -+ 1, ascending;
     the estimates, one per delta, must have a value of at most s and be
     ``estimate_capacity(4 delta)`` rescanned to t_max = last_power_index
     (0 when None, at most ``MAX_SCAN_BITS // 3``).  Left unchecked: a
-    last_power_index below a later power within the original t_max,
-    which needs that t_max, and whether the deltas are all the roots of
-    P -+ 1, which needs factoring.
+    last_power_index below a later power within the original t_max.
 
     ``text`` (init-only), the one way to hand over stored polynomials,
     maps "f", "g" and "h" to their decimal text, or None.  f's must have
@@ -477,10 +492,9 @@ class ConstructionArtifacts:
             raise ValidationError("deltas and estimates come both or neither")
         if deltas is None:
             return
-        P = build_root_product(self.pairs)
-        if tuple(deltas) != tuple(sorted({d for d in deltas if _is_delta(P, d)})):
-            raise ValidationError(f"stored deltas {_format_values(deltas)} are not distinct "
-                                  "ascending nonzero roots of P - 1 or P + 1")
+        if tuple(deltas) != find_deltas(self.pairs):
+            raise ValidationError(f"stored deltas {_format_values(deltas)} are not the "
+                                  "nonzero roots of P - 1 and P + 1, ascending")
         if len(estimates) != len(deltas):
             raise ValidationError(f"stored estimates number {len(estimates)}, "
                                   f"not one per delta ({len(deltas)})")

@@ -1,23 +1,18 @@
-"""Exact integer and rational kernels: primality, factorization, roots, valuations.
+"""Exact integer kernels: roots, prime sieves, trial division, valuations.
 
-Arbitrary-precision integers are plain Python ``int``; rationals are
-``fractions.Fraction`` (always lowest terms, positive denominator).  Every
-function here is exact -- no floating point is used anywhere.
-
-A factorization is a tuple of ``(prime, exponent)`` pairs with strictly
-increasing primes whose product recomposes the factored magnitude.
+Arbitrary-precision integers are plain Python ``int``.  Every function
+here is exact -- no floating point is used anywhere, and no decision
+rests on a probable prime.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from random import Random
+from math import isqrt
+from typing import Sequence
 
 __all__ = [
     "integer_nth_root",
-    "is_prime",
     "factor_integer",
-    "divisors",
     "strip_prime",
     "primes_up_to",
     "prime_flags",
@@ -83,52 +78,6 @@ def _floor_root(n: int, e: int) -> int:
         r = nxt
 
 
-# Deterministic Miller-Rabin base set, valid for all n < 3,317,044,064,679,887,385,961,981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
-_MR_EXTRA_ROUNDS = 24
-
-
-def _mr_witness(a: int, d: int, twos: int, n: int) -> bool:
-    """True if a proves n composite."""
-    a %= n
-    if a <= 1:
-        return False
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(twos - 1):
-        x = (x * x) % n
-        if x == n - 1:
-            return False
-    return True
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below ~3.3e24.
-
-    Larger inputs additionally get extra rounds with bases drawn from a
-    PRNG seeded by n itself, so results stay reproducible.
-    """
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, twos = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    if any(_mr_witness(a, d, twos, n) for a in _MR_BASES):
-        return False
-    if n >= _MR_DETERMINISTIC_LIMIT:
-        rng = Random(n)
-        extra = (rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS))
-        if any(_mr_witness(a, d, twos, n) for a in extra):
-            return False
-    return True
-
-
 def prime_flags(limit: int) -> bytearray:
     """Flags for 0, 1, ..., max(limit, 1): 1 at the primes, 0 elsewhere, by sieve."""
     limit = max(limit, 1)
@@ -143,95 +92,28 @@ def prime_flags(limit: int) -> bytearray:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit by sieve."""
-    if limit < 2:
-        return []
     return [i for i, flag in enumerate(prime_flags(limit)) if flag]
 
 
-_TRIAL_LIMIT = 10_000
-_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
+def factor_integer(n: int, primes: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The primes of ``primes`` in |n| with their exponents, and the cofactor left.
 
+    ``primes`` is every prime up to some limit, ascending; the cofactor is
+    |n| with those primes divided out, so 1 or free of primes up to the limit.
 
-def _pollard_brent(n: int) -> int:
-    """Nontrivial divisor of odd composite n (Brent's cycle variant).
-
-    Deterministic: the polynomial increment c walks 1, 2, 3, ... until a
-    divisor shows up, so repeated runs factor identically.
-    """
-    if n % 2 == 0:
-        return 2
-    for c in range(1, n):
-        y, m = 2, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = (q * abs(x - y)) % n
-                g = gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
-
-
-def factor_integer(n: int) -> tuple[tuple[int, int], ...]:
-    """Complete factorization of |n| as ((prime, exponent), ...), primes ascending.
-
-    Trial division by primes below 10^4, then recursive Pollard-Brent
-    splitting with Miller-Rabin certification of every reported prime.
-
-    >>> factor_integer(1225)
-    ((5, 2), (7, 2))
-    >>> factor_integer(1)
-    ()
+    >>> factor_integer(-2 * 11**3, (2, 3, 5, 7))
+    (((2, 1),), 1331)
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    m = abs(n)
-    counts: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
+    m, found = abs(n), []
+    for p in primes:
+        if m == 1:
             break
-        v, m = strip_prime(m, p)
-        if v:
-            counts[p] = v
-    if m > 1:
-        pending = [m]
-        while pending:
-            v = pending.pop()
-            if v <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
-                # below the trial square every survivor is prime
-                counts[v] = counts.get(v, 0) + 1
-            else:
-                d = _pollard_brent(v)
-                pending.append(d)
-                pending.append(v // d)
-    return tuple(sorted(counts.items()))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, ascending (n must be nonzero)."""
-    divs = [1]
-    for p, e in factor_integer(n):
-        pk = 1
-        block = list(divs)
-        for _ in range(e):
-            pk *= p
-            divs.extend(d * pk for d in block)
-    return sorted(divs)
+        if not m % p:
+            v, m = strip_prime(m, p)
+            found.append((p, v))
+    return tuple(found), m
 
 
 def strip_prime(m: int, p: int) -> tuple[int, int]:

@@ -15,10 +15,9 @@ values, and certifies the powers of both builds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 from typing import Iterable, Sequence, TypeVar, Union
-
-from .ntheory import divisors
 
 __all__ = ["IntPoly", "power_coeffs", "rational_roots"]
 
@@ -234,14 +233,13 @@ def power_coeffs(coeffs: Sequence[_N], n: int) -> list[_N]:
     return [coeffs[0]] * (z * n) + q  # coeffs[0] is a zero of their type when z > 0
 
 
-
 def rational_roots(p: IntPoly) -> list[Fraction]:
     """All rational roots of a nonzero integer polynomial, sorted ascending.
 
-    A zero constant term contributes the root 0 after factoring out X.  A
-    linear remainder q gives its root -q_0/q_1 outright; from degree 2 on,
-    candidates r/s (r | constant term, s | leading coefficient, coprime,
-    s >= 1) are each confirmed by exact evaluation.
+    A zero constant term contributes the root 0 after factoring out X.
+    From degree 2 on, the rest is cut to its squarefree part; a linear
+    part gives its root -q_0/q_1 outright, and a longer one has its roots
+    lifted p-adically (``_lifted_roots``).  Nothing is factored.
 
     >>> rational_roots(IntPoly([-9, 0, 25]))       # 25 X^2 - 9
     [Fraction(-3, 5), Fraction(3, 5)]
@@ -249,23 +247,78 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
     if not p:
         raise ValueError("zero polynomial has all rationals as roots")
     coeffs = list(p.coeffs)
-    roots: set[Fraction] = set()
-    shift = 0
+    roots = [Fraction(0)] if coeffs[0] == 0 else []
     while coeffs[0] == 0:
         coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.add(Fraction(0))
-    q = IntPoly(coeffs)
-    if q.degree == 1:
-        roots.add(Fraction(-q.coeffs[0], q.coeffs[1]))
-    elif q.degree >= 2:
-        const, lead = q.coeffs[0], q.lead
-        for s in divisors(lead):
-            for r in divisors(const):
-                if gcd(r, s) != 1:
-                    continue
-                for cand_num in (r, -r):
-                    if q.eval_pair(cand_num, s) == 0:
-                        roots.add(Fraction(cand_num, s))
+    if len(coeffs) > 2:
+        coeffs = _squarefree(coeffs)
+    if len(coeffs) == 2:
+        roots.append(Fraction(-coeffs[0], coeffs[1]))
+    elif len(coeffs) > 2:
+        roots += _lifted_roots(coeffs)
     return sorted(roots)
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """Nonzero a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """(Q, R) with lead(b)**j a = Q b + R, deg R < deg b and j = deg a - deg b + 1; R trimmed."""
+    quotient = []
+    for shift in range(len(a) - len(b), -1, -1):
+        top = a[shift + len(b) - 1]
+        a = [b[-1] * c for c in a]
+        quotient = [b[-1] * c for c in quotient] + [top]
+        for i, c in enumerate(b):
+            a[shift + i] -= top * c
+    return quotient[::-1], _trim(a[: len(b) - 1])
+
+
+def _squarefree(q: list[int]) -> list[int]:
+    """q / gcd(q, q') up to a constant (deg q >= 1), the gcd by a primitive remainder sequence."""
+    a, b = q, _primitive([i * c for i, c in enumerate(q)][1:])
+    while r := _pseudo_divide(a, b)[1]:
+        if len(r) == 1:  # q and q' are coprime
+            return q
+        a, b = b, _primitive(r)
+    return _primitive(_pseudo_divide(q, b)[0])
+
+
+def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lifted_roots(q: list[int]) -> list[Fraction]:
+    """The rational roots of a squarefree q of degree d >= 2, by p-adic lifting (Loos, 1983).
+
+    Q(Y) = L**(d-1) q(Y/L), L = lead q, is monic; its integer roots are the
+    L r, each at most B = 1 + max |Q_i| in size.  Q is squarefree, so some
+    prime l has only simple roots of Q mod l.  Newton's step lifts each to
+    the unique root mod l**e above it; once l**e > 2B, the symmetric residue
+    is the one integer root it can be, and an exact evaluation decides.
+    """
+    d, lead = len(q) - 1, q[-1]
+    monic = [c * lead ** (d - 1 - i) for i, c in enumerate(q[:-1])] + [1]
+    slope = [i * c for i, c in enumerate(monic)][1:]
+    bound = 2 * (1 + max(abs(c) for c in monic[:-1]))
+    for ell in count(2):
+        if all(ell % f for f in range(2, isqrt(ell) + 1)):
+            residues = [r for r in range(ell) if not _eval_mod(monic, r, ell)]
+            if all(_eval_mod(slope, r, ell) for r in residues):
+                break
+    roots = []
+    for a in residues:
+        m = ell
+        while m <= bound:
+            m *= m
+            a = (a - _eval_mod(monic, a, m) * pow(_eval_mod(slope, a, m), -1, m)) % m
+        a = a if 2 * a <= m else a - m
+        if not IntPoly(monic)(a):
+            roots.append(Fraction(a, lead))
+    return roots

@@ -98,6 +98,26 @@ def mutant_recurrence(monkeypatch):
     monkeypatch.setattr(construct, "power_coeffs", poly.power_coeffs)
 
 
+@pytest.fixture
+def mutant_short_lift(monkeypatch):
+    """The p-adic lift of ``poly.rational_roots`` stopped at l**e > max |Q_i|, half its bound."""
+    from power_forge import poly
+
+    _patch_source(monkeypatch, poly, poly, "_lifted_roots",
+                  "bound = 2 * (1 + max(abs(c) for c in monic[:-1]))",
+                  "bound = max(abs(c) for c in monic[:-1])")
+
+
+@pytest.fixture
+def mutant_half_prime_bound(monkeypatch):
+    """compute_k dividing out only the admissible primes up to half the derived bound."""
+    from power_forge import construct
+
+    half = construct._largest_admissible_prime() // 2
+    monkeypatch.setattr(construct, "_ADMISSIBLE_PRIMES",
+                        tuple(p for p in construct._ADMISSIBLE_PRIMES if p <= half))
+
+
 # mutants of the scan's row sieve (verify._RowSieve); each masks out a power
 
 @pytest.fixture

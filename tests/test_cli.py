@@ -5,14 +5,17 @@ import sys
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from power_forge import cli, jsonio, oracles, powers
 from power_forge.cli import _expectation_gate, main
-from power_forge.construct import ConstructionArtifacts, PowerSetInput, build_g_h_f, construct
+from power_forge.construct import (_ADMISSIBLE_PRIMES, _MAX_F_BITS, ConstructionArtifacts,
+                                   PowerSetInput, build_g_h_f, construct)
 from power_forge.errors import ValidationError
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
+from power_forge.ntheory import primes_up_to
 from power_forge.oracles import search_catalan
 from power_forge.poly import IntPoly
 from power_forge.verify import verify_construction
@@ -466,6 +469,17 @@ def test_construct_a_huge_single_element(capsys, tmp_path, fresh_residue_cache, 
     assert code == 0 and json.loads(out)["verdict"] == "PASS"
 
 
+def test_construct_a_pair_with_a_huge_constant_term(capsys, tmp_path):
+    # P -+ 1 = X**2 - (3**300 + 4) X + 4 * 3**300 -+ 1: its roots are lifted, not searched for
+    # among the divisors of a 144-digit constant term
+    target = tmp_path / "art.json"
+    start = perf_counter()
+    code, _, _ = run(capsys, "construct", f"--set={3**300},4", "--out", str(target))
+    assert code == 0 and perf_counter() - start < 1
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+
 def test_a_failed_certificate_is_not_a_validation_error(capsys, tmp_path, request):
     # an internal fault must not exit 2: building or rebuilding the recipe raises
     # the certificate's ArithmeticError, which exits 3 with an "internal" error;
@@ -742,7 +756,7 @@ def _estimate(i, **fields):
      "estimates[0] is not the estimate of 4 delta = 32/25 to t = 0"),
     (["9/25"], _estimate(0, gamma="7"), "estimates[0] is not the estimate of 4 delta = 32/25"),
     (["9/25"], lambda doc: dict(doc, deltas=["1/3"]),
-     "deltas 1/3 are not distinct ascending nonzero roots of P - 1 or P + 1"),
+     "deltas 1/3 are not the nonzero roots of P - 1 and P + 1, ascending"),
     (["9/25"], lambda doc: _estimate(0, value=999, log2_bound=500, gamma="7")(
         dict(doc, deltas=["1/3"])), "deltas 1/3 are not"),
     (["9/25"], _estimate(1, last_power_index=5, value=5), "estimates[1] has value 5, over s=1"),
@@ -752,12 +766,19 @@ def _estimate(i, **fields):
      "deltas 0, 8/25, 2/5 are not"),
     (["9/25"], lambda doc: dict(doc, capacity_estimates=doc["capacity_estimates"][:1]),
      "estimates number 1, not one per delta (2)"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1],
+                                capacity_estimates=doc["capacity_estimates"][:1]),
+     "deltas 8/25 are not"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][1:],
+                                capacity_estimates=doc["capacity_estimates"][1:]),
+     "deltas 2/5 are not"),
     (["9/25"], lambda doc: _estimate(0, gamma="1/5")(dict(doc, deltas=None)),
      "deltas and estimates come both or neither"),
     (["4"], lambda doc: dict(doc, deltas=["3", "5"]), "integer-variant artifacts have no deltas"),
     (["4"], lambda doc: dict(doc, capacity_estimates=[]), "have no estimates"),
 ], ids=["value", "log2-bound", "gamma", "delta", "all-four", "value-over-s", "descending",
-        "repeated", "zero", "estimate-dropped", "gamma-without-deltas", "integer-deltas",
+        "repeated", "zero", "estimate-dropped", "first-delta-only", "second-delta-only",
+        "gamma-without-deltas", "integer-deltas",
         "integer-estimates"])
 def test_stored_deltas_and_estimates_are_those_of_the_recipe(capsys, tmp_path, monkeypatch,
                                                              values, edit, named):
@@ -847,21 +868,61 @@ def test_a_last_power_index_out_of_range_is_refused_before_any_scan(capsys, tmp_
         f"stored estimates[0] has last_power_index {last}, not in 0..{oracles.MAX_SCAN_BITS // 3}")
 
 
-@pytest.mark.parametrize("prime", [2003, 10007, 1000003])
+_TWO_BIG_PRIMES = (10**30 + 57) * (10**34 + 193)
+
+
+@pytest.mark.parametrize("root", [2003, 10007, 1000003,
+                                  pytest.param(_TWO_BIG_PRIMES, id="two-big-primes")])
 def test_a_recipe_past_the_size_bound_is_refused_before_anything_is_built(capsys, monkeypatch,
-                                                                         prime):
+                                                                         root):
+    # the denominator root**2 holds a prime past the largest admissible one, so compute_k
+    # refuses it; its trial division stops there, and nothing is factored past it
     def no_build(*args):
         raise AssertionError("built a recipe")
 
     for name in ("build_g_h_f", "recipe_text"):
         monkeypatch.setattr(sys.modules["power_forge.construct"], name, no_build)
-    for argv in (("construct",), ("verify", "--height", "2")):
-        code, out, err = run(capsys, *argv, f"--set=1/{prime**2}")
+    for argv in (("construct",), ("verify", "--height", "2"), ("trace", "--x", "1/2")):
+        start = perf_counter()
+        code, out, err = run(capsys, *argv, f"--set=1/{root**2}")
+        assert perf_counter() - start < 1
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "validation"
-        assert error["message"].startswith("s=1 is out of range: f would hold up to ")
-        assert f" bits with k={lcm(4, prime - 1)}, over " in error["message"]
+        assert error["message"] == (f"denominator {root**2} has a prime factor over "
+                                    f"{_ADMISSIBLE_PRIMES[-1]}, so f would pass {_MAX_F_BITS} bits")
+
+
+def test_trace_with_a_given_k_takes_a_prime_past_the_bound(capsys):
+    # only the default k needs the denominator's primes; 1093 is past the bound
+    assert 1093 > _ADMISSIBLE_PRIMES[-1]
+    code, out, _ = run(capsys, "trace", f"--set=1/{1093**2}", "--x", "1/2", "--k", "4")
+    assert code in (0, 1) and json.loads(out)["k"] == 4
+
+
+def _largest_constructible_prime():
+    """The largest prime p whose {1/p**2} recipe, k = lcm(4, p - 1) and s = 1, fits the cap."""
+    def size(p):
+        k = lcm(4, p - 1)
+        return (2 * k + 2) * (1 + 4 + 2 * k * (p * p + 1).bit_length())
+
+    return max(p for p in primes_up_to(2 * _ADMISSIBLE_PRIMES[-1]) if size(p) <= _MAX_F_BITS)
+
+
+def test_the_largest_constructible_denominator_prime_is_admitted(request, monkeypatch):
+    # the derived bound refuses no set that the size cap would take
+    def no_build(*args):
+        raise AssertionError("built a recipe")
+
+    for name in ("build_g_h_f", "recipe_text"):
+        monkeypatch.setattr(sys.modules["power_forge.construct"], name, no_build)
+    p = _largest_constructible_prime()
+    inp = PowerSetInput.from_values([f"1/{p * p}"])
+    art = construct(inp)
+    assert (art.k, art.s) == (lcm(4, p - 1), 1)
+    request.getfixturevalue("mutant_half_prime_bound")
+    with pytest.raises(ValidationError, match=f"denominator {p * p} has a prime factor over"):
+        construct(inp)
 
 
 @pytest.fixture

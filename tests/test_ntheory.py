@@ -1,12 +1,10 @@
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
 from power_forge.ntheory import (
-    divisors,
     factor_integer,
     integer_nth_root,
-    is_prime,
     prime_flags,
     primes_up_to,
     strip_prime,
@@ -36,24 +34,6 @@ def test_prime_flags_mark_exactly_the_primes():
     for limit in (-3, 0, 1):
         assert prime_flags(limit) == bytearray(2)
     assert prime_flags(2) == bytearray((0, 0, 1))
-
-
-def test_is_prime_against_sieve():
-    table = set(sieve_reference(20000))
-    for n in range(-5, 20001):
-        assert is_prime(n) == (n in table), n
-
-
-def test_is_prime_known_values():
-    assert is_prime(2**31 - 1)
-    assert is_prime(2**61 - 1)
-    assert is_prime(10**18 + 9)
-    assert not is_prime(561)  # Carmichael
-    assert not is_prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
-    assert not is_prime((2**31 - 1) * (2**61 - 1))
-    # beyond the deterministic base-set range
-    assert is_prime(10**25 + 13)
-    assert not is_prime((10**25 + 13) * (10**25 + 57))
 
 
 def test_integer_nth_root_exact_roundtrip(rng):
@@ -167,57 +147,56 @@ def test_integer_nth_root_matches_bisection_on_random_input():
     roots()
 
 
+SMALL_PRIMES = tuple(sieve_reference(1000))
+
+
 def test_factor_integer_recomposes(rng):
+    # smooth n: the cofactor is 1 and the primes found recompose |n|
     for _ in range(250):
-        n = rng.randint(2, 10**12)
-        if rng.random() < 0.4:
-            n = -n
-        fact = factor_integer(n)
-        acc = 1
-        for p, e in fact:
-            assert e >= 1 and is_prime(p)
-            acc *= p**e
-        assert acc == abs(n)
-        assert list(dict(fact)) == sorted(p for p, _ in fact)
+        n = prod(rng.choice(SMALL_PRIMES) ** rng.randint(1, 5) for _ in range(rng.randint(0, 6)))
+        found, rest = factor_integer(rng.choice((n, -n)), SMALL_PRIMES)
+        assert rest == 1
+        assert prod(p**e for p, e in found) == n
+        assert all(e >= 1 and p in SMALL_PRIMES for p, e in found)
+        assert [p for p, _ in found] == sorted({p for p, _ in found})
 
 
 def test_factor_integer_edges():
     with pytest.raises(ValueError):
-        factor_integer(0)
-    assert factor_integer(1) == ()
-    assert factor_integer(-1) == ()
-    assert factor_integer(2) == ((2, 1),)
-    assert factor_integer(-1225) == ((5, 2), (7, 2))
-    assert factor_integer(2**20) == ((2, 20),)
+        factor_integer(0, SMALL_PRIMES)
+    assert factor_integer(1, SMALL_PRIMES) == ((), 1)
+    assert factor_integer(-1, SMALL_PRIMES) == ((), 1)
+    assert factor_integer(2, SMALL_PRIMES) == (((2, 1),), 1)
+    assert factor_integer(-1225, SMALL_PRIMES) == (((5, 2), (7, 2)), 1)
+    assert factor_integer(2**20, SMALL_PRIMES) == (((2, 20),), 1)
+    assert factor_integer(997 * 991, SMALL_PRIMES) == (((991, 1), (997, 1)), 1)
+    assert factor_integer(12, ()) == ((), 12)
 
 
 def test_factor_integer_beyond_trial_division():
-    p, q = 1000003, 1000033
-    assert factor_integer(p * q) == ((p, 1), (q, 1))
-    assert factor_integer(15485863**2) == ((15485863, 2),)
-    assert factor_integer(2**61 - 1) == ((2**61 - 1, 1),)
+    # what has no prime up to the limit is left as the cofactor, prime or not
+    primes = SMALL_PRIMES[:25]  # up to 97
+    for big in (101, 101 * 103, 1009**3, 10**30 + 57, (10**30 + 57) * (10**34 + 193)):
+        for smooth in (1, 2, 97, 2**7 * 3**5 * 97**2):
+            want = factor_integer(smooth, primes)[0]
+            assert factor_integer(-smooth * big, primes) == (want, big), (smooth, big)
+    # the last prime below the limit is found though its square is past what is left
+    assert factor_integer(2 * 97, primes) == (((2, 1), (97, 1)), 1)
 
 
 def test_factor_integer_matches_sympy_factorint(rng):
+    # on the part made of primes up to the limit; the rest is the cofactor
     sympy = pytest.importorskip("sympy")
-    values = [1, 2, 2**61 - 1, 3**40, 10007**3 * 65537, 2**89 - 1]
+    values = [1, 2, 2**61 - 1, 3**40, 10007**3 * 65537, 2**89 - 1, 997**4 * 1009]
     for _ in range(120):
         values.append(rng.randint(2, 10**15))
-    for _ in range(20):
-        # semiprimes past trial division, so Pollard-Brent does the splitting
-        p, q = (sympy.nextprime(rng.randint(10**5, 10**9)) for _ in range(2))
-        values.append(int(p) * int(q))
     for n in values:
+        want = sympy.factorint(n)
+        smooth = {p: e for p, e in want.items() if p <= SMALL_PRIMES[-1]}
+        rest = prod(p**e for p, e in want.items() if p > SMALL_PRIMES[-1])
         for signed in (n, -n):
-            assert dict(factor_integer(signed)) == sympy.factorint(n), signed
-
-
-def test_divisors_against_bruteforce(rng):
-    for _ in range(60):
-        n = rng.randint(1, 4000)
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-    assert divisors(-12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
+            found, cofactor = factor_integer(signed, SMALL_PRIMES)
+            assert (dict(found), cofactor) == (smooth, rest), signed
 
 
 def test_strip_prime_against_repeated_division(rng):

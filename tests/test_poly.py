@@ -1,5 +1,7 @@
 import pickle
 from fractions import Fraction
+from math import isqrt
+from time import perf_counter
 
 import pytest
 
@@ -147,6 +149,85 @@ def test_rational_roots_of_linear_polynomials():
             assert p(Fraction(a, c)) == 0
     big = IntPoly([-(10**30 + 1), 3 * 10**30])
     assert rational_roots(big) == [Fraction(10**30 + 1, 3 * 10**30)]
+
+
+def _divisors(n):
+    """The positive divisors of n != 0, by trial division."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def reference_rational_roots(p):
+    """The divisor search the p-adic lift replaced: each r/s, r | q_0 and s | lead q, evaluated."""
+    coeffs, roots = list(p.coeffs), set()
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+        roots.add(Fraction(0))
+    q = IntPoly(coeffs)
+    for s in _divisors(q.lead):
+        for r in _divisors(q.coeffs[0]):
+            roots.update(Fraction(u, s) for u in (r, -r) if q.eval_pair(u, s) == 0)
+    return sorted(roots)
+
+
+def _cauchy_family():
+    """(X - r)(X - 1): the root r sits near the Cauchy bound 2 + |r| of the polynomial."""
+    return [IntPoly.linear(1, r) * IntPoly.linear(1, 1) for r in range(-300, 301)]
+
+
+def test_rational_roots_match_the_divisor_search(rng):
+    polys = []
+    for _ in range(300):
+        p = random_poly(rng, max_deg=3, span=9)
+        for _ in range(rng.randint(0, 3)):
+            # planted roots, some of them double
+            p = p * IntPoly.linear(rng.randint(1, 6), rng.randint(-9, 9)) ** rng.randint(1, 2)
+        if p:
+            polys.append(p)
+    assert sum(len(reference_rational_roots(p)) for p in polys) > 300
+    for p in polys + _cauchy_family():
+        assert rational_roots(p) == reference_rational_roots(p), p
+
+
+def test_a_lift_stopped_at_half_the_bound_loses_a_root(request):
+    # X**2 - 201 X + 200 has simple roots 0 and 1 mod 2, so it lifts mod 2**8 = 256;
+    # that passes max |Q_i| = 201 but not 2 (1 + 201), and 200 reads as 200 - 256
+    p = IntPoly.linear(1, 200) * IntPoly.linear(1, 1)
+    assert rational_roots(p) == [1, 200]
+    request.getfixturevalue("mutant_short_lift")
+    assert rational_roots(p) == [1]
+    assert any(rational_roots(q) != reference_rational_roots(q) for q in _cauchy_family())
+
+
+def _quadratic_roots(p):
+    """The rational roots of a quadratic, read off its discriminant."""
+    c0, c1, c2 = p.coeffs
+    disc = c1 * c1 - 4 * c2 * c0
+    root = isqrt(max(disc, 0))
+    if root * root != disc:
+        return []
+    return sorted({Fraction(-c1 - root, 2 * c2), Fraction(-c1 + root, 2 * c2)})
+
+
+def test_rational_roots_past_the_divisor_search():
+    # constant terms of hundreds to thousands of digits, which the divisor search
+    # would have had to factor
+    start = perf_counter()
+    for n in (50, 300, 2000):
+        # (X - 3**n)(X - 3**n - 2) + 1 = (X - 3**n - 1)**2
+        P = IntPoly.linear(1, 3**n) * IntPoly.linear(1, 3**n + 2)
+        assert rational_roots(P + 1) == [3**n + 1]
+        assert rational_roots(P - 1) == _quadratic_roots(P - 1)
+    P = IntPoly.linear(1, 3**300) * IntPoly.linear(1, 4)
+    for shifted in (P - 1, P + 1):
+        assert rational_roots(shifted) == _quadratic_roots(shifted)
+    # monic, so a rational root is an integer x; X - 4 and X - 9 cannot both be -+1 there
+    P = IntPoly.linear(1, 3**9500) * IntPoly.linear(1, 4) * IntPoly.linear(1, 9)
+    assert rational_roots(P - 1) == rational_roots(P + 1) == []
+    big = IntPoly.linear(1, 3**300) * IntPoly.linear(5**40, -(7**90)) * IntPoly([1, 0, 1])
+    assert rational_roots(big) == [Fraction(-(7**90), 5**40), 3**300]
+    assert perf_counter() - start < 1
 
 
 def _sympy_poly(sympy, p):

@@ -5,7 +5,7 @@ import pytest
 
 from power_forge import powers
 from power_forge.construct import PowerSetInput, construct
-from power_forge.ntheory import integer_nth_root, is_prime, primes_up_to
+from power_forge.ntheory import integer_nth_root, primes_up_to
 from power_forge.powers import (
     PowerDecomposition,
     decompose_integer_power,
@@ -221,14 +221,15 @@ def test_non_powers_extract_almost_no_roots(rng, monkeypatch):
 
 
 def test_residue_tables_match_the_miller_rabin_ones(monkeypatch):
-    # the moduli read off the sieve are the ones a primality test per candidate finds
+    # the moduli read off the sieve are the ones a primality test per candidate
+    # finds; trial division here, so the reference shares no code with the sieve
     monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
     monkeypatch.setattr(powers, "_PRIME_FLAGS", bytearray())
     for p in primes_up_to(1999):
         want, q = [], 1
         while len(want) < powers._RESIDUE_PRIMES_PER_EXPONENT:
             q += p
-            if is_prime(q):
+            if all(q % d for d in range(2, isqrt(q) + 1)):
                 want.append((q, (q - 1) // p))
         assert powers._residue_table(p) == tuple(want), p
 

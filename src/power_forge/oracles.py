@@ -37,6 +37,7 @@ __all__ = [
     "scan_gamma_minus_pow2",
     "FERMAT_VARIANTS",
     "MAX_SCAN_BITS",
+    "MAX_BOX_WORK",
     "check_depth",
 ]
 
@@ -120,6 +121,65 @@ def _square_residues() -> bytes:
     return bytes(flags)
 
 
+# -- the size of a box ----------------------------------------------------------
+
+# A box's work is counted in left-hand sides tested, each a table lookup and
+# a square test (about 0.2 us).  What a box keeps for each exponent costs
+# more: its table entry 1^n and up to four solutions of the trivial family,
+# each counted _KEPT, about the bytes over 8 of a tuple in its list, its
+# sorted copy and its JSON text.  A catalan power X^m is kept too, and
+# counts its 64-bit words on top.  The rest of a table of powers, about
+# the cube root of the largest left-hand side, is fewer entries than the
+# left-hand sides.  A box past the cap is refused before any table is
+# built.  Just inside the cap, on one core of a Xeon with Python 3.11 (the
+# whole command, in-process, one worker): lebesgue --bound 19,992,511
+# --n-max 40 took 2.3 s, fermat --variant 2cn --bound 8,942 --n-max 10
+# 3.4 s, fermat --bound 6,323 2.2 s, lebesgue --n-max 104,167 at --bound 1
+# 0.6 s and 100 MB, fermat --n-max 62,500 at --bound 1 1.0 s and 171 MB,
+# catalan --base-bound 151,516 --exp-bound 3 0.5 s and 89 MB, and catalan
+# --base-bound 2 --exp-bound 17,376 0.2 s.
+MAX_BOX_WORK = 10**7
+_KEPT = 32
+
+
+def _check_work(work: int, **bounds: int) -> None:
+    """ValidationError naming the bounds of a box whose work passes MAX_BOX_WORK."""
+    if work > MAX_BOX_WORK:
+        named = ", ".join(f"{name}={value}" for name, value in bounds.items())
+        raise ValidationError(f"box too large: {named} come to {work} units of work, "
+                              f"over the cap of {MAX_BOX_WORK}")
+
+
+def _lebesgue_work(x_bound: int, n_max: int) -> int:
+    """Even X tested, plus per n its table entry and the X = 0 family, 2 solutions."""
+    return x_bound // 2 + 1 + _KEPT * 3 * (n_max - 1)
+
+
+def _catalan_work(base_bound: int, exp_bound: int) -> int:
+    """Every X^m kept, each counted with the 64-bit words of base_bound^exp_bound."""
+    words = -(-exp_bound * base_bound.bit_length() // 64)
+    return (base_bound - 1) * (exp_bound - 1) * (_KEPT + words)
+
+
+def _fermat_work(ab_bound: int, n_max: int, variant: str = "cn") -> int:
+    """Pairs in live classes, plus per n its table entry and the trivial families, 4 solutions."""
+    _, pa, pb, rhs_mult, n_min = _FERMAT_FORMS[variant]
+    return _live_pairs(ab_bound, pa, pb, rhs_mult) + _KEPT * 5 * (n_max - n_min + 1)
+
+
+def _live_pairs(ab_bound: int, pa: int, pb: int, rhs_mult: int) -> int:
+    """The pairs (a, b) in [0, ab_bound]^2 that ``_fermat_chunk`` walks.
+
+    Those are the pairs in live classes, with b >= a when pa == pb.
+    """
+    live = _live_classes(pa, pb, rhs_mult)
+    count = (ab_bound // 2 + 1, (ab_bound + 1) // 2)  # the values of each parity
+    pairs = sum(count[ra] * count[rb] for ra, rb in live)
+    if pa == pb:  # the live classes are symmetric: half the square, plus half its diagonal
+        pairs = (pairs + sum(count[r] for r in (0, 1) if (r, r) in live)) // 2
+    return pairs
+
+
 # -- X^2 + 1 = Y^n -----------------------------------------------------------
 
 
@@ -149,11 +209,18 @@ def _lebesgue_chunk(payload: tuple[range, int]) -> list[tuple[int, int, int]]:
 
 
 def search_lebesgue(x_bound: int, n_max: int, workers: int = 1) -> SolutionList:
-    """All (X, Y, n) with X^2 + 1 = Y^n, |X| <= x_bound, 2 <= n <= n_max."""
+    """All (X, Y, n) with X^2 + 1 = Y^n, |X| <= x_bound, 2 <= n <= n_max.
+
+    Only even X are dealt out: an odd X has X^2 + 1 = 2 mod 8, of 2-adic
+    valuation exactly 1, and no Y^n with n >= 2 has that valuation.  Each
+    even X pays for the table lookup and the square test.
+    """
     if x_bound < 0 or n_max < 2:
         raise ValidationError("need x_bound >= 0 and n_max >= 2")
-    parts = max(1, min(workers, x_bound + 1))
-    payloads = [(range(i, x_bound + 1, parts), n_max) for i in range(parts)]
+    _check_work(_lebesgue_work(x_bound, n_max), x_bound=x_bound, n_max=n_max)
+    parts = max(1, min(workers, x_bound // 2 + 1))
+    # chunk i starts at 2 i <= x_bound, so none is empty
+    payloads = [(range(2 * i, x_bound + 1, 2 * parts), n_max) for i in range(parts)]
     found: list[tuple[int, int, int]] = []
     for part in map_chunks(_lebesgue_chunk, payloads, workers):
         found.extend(part)
@@ -186,6 +253,7 @@ def search_catalan(base_bound: int, exp_bound: int) -> SolutionList:
     """
     if base_bound < 2 or exp_bound < 2:
         raise ValidationError("need base_bound >= 2 and exp_bound >= 2")
+    _check_work(_catalan_work(base_bound, exp_bound), base_bound=base_bound, exp_bound=exp_bound)
     table: dict[int, list[tuple[int, int]]] = {}
     for base in range(2, base_bound + 1):
         value = base
@@ -224,14 +292,39 @@ _FERMAT_FORMS = {
 FERMAT_VARIANTS = tuple(_FERMAT_FORMS)
 
 
+@cache
+def _live_classes(pa: int, pb: int, rhs_mult: int) -> frozenset[tuple[int, int]]:
+    """The classes (a mod 2, b mod 2) in which a^pa + b^pb = rhs_mult * C^n can hold.
+
+    A class is dead when every pair in it fails the gcd (both even), has a
+    left-hand side that rhs_mult does not divide, or has a target
+    (a^pa + b^pb) / rhs_mult = 2 mod 4.  Such a target has 2-adic valuation
+    exactly 1, and no C^n with n >= 2 has.  Residues mod 4 * rhs_mult decide
+    both the division and the target mod 4, so the classes follow from
+    the form alone: cn and 24n keep two classes, 2cn keeps odd-odd only.
+    """
+    m = 4 * rhs_mult
+    live = set()
+    for ra in range(m):
+        for rb in range(m):
+            t = ra**pa + rb**pb
+            if (ra | rb) & 1 and t % rhs_mult == 0 and t // rhs_mult % 4 != 2:
+                live.add((ra & 1, rb & 1))
+    return frozenset(live)
+
+
 def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
     """Every coprime solution owned by a_range (inside [0, ab_bound]), with 0 <= b <= ab_bound.
 
     The chunk owns (a, b) by a.  When pa == pb the pairs (a, b) and (b, a)
     share their left-hand side, so the unordered pair is owned by its
     smaller coordinate: b walks from a, and a hit with a != b is emitted
-    in both orders.  Each pair pays for the table lookup and the square
-    test only; the gcd and the sign expansion run on a hit.
+    in both orders.  b walks only the parities that ``_live_classes``
+    keeps for the parity of a, in steps of 2 where one is kept: the pairs
+    it skips fail the gcd or the division by rhs_mult, or have a target of
+    2-adic valuation 1, which no C^n with n >= 2 has.  Each pair walked
+    pays for the table lookup and the square test only; the gcd and the
+    sign expansion run on a hit.
     """
     a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
     table = _power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
@@ -239,10 +332,21 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
     is_square = _square_residues()
     b_powers = [b**pb for b in range(ab_bound + 1)]
     mirror = pa == pb
+    live = _live_classes(pa, pb, rhs_mult)
+    # per parity of a, the parities of b kept: (first parity, step), or None
+    walks = []
+    for ra in (0, 1):
+        kept = [rb for rb in (0, 1) if (ra, rb) in live]
+        walks.append((0, 1) if len(kept) == 2 else (kept[0], 2) if kept else None)
     found = []
     for a in a_range:
+        walk = walks[a & 1]
+        if walk is None:
+            continue
+        parity, step = walk
+        start = a if mirror else 0
         a_power = a**pa
-        for b in range(a if mirror else 0, ab_bound + 1):
+        for b in range(start + (parity - start) % step, ab_bound + 1, step):
             target = a_power + b_powers[b]
             if rhs_mult != 1:  # % 1 and // 1 would cost as much as the lookup
                 if target % rhs_mult:
@@ -280,6 +384,7 @@ def search_fermat_quartic(
     equation, pa, pb, rhs_mult, n_min = _FERMAT_FORMS[variant]
     if ab_bound < 1 or n_max < n_min:
         raise ValidationError(f"need ab_bound >= 1 and n_max >= {n_min} for {variant!r}")
+    _check_work(_fermat_work(ab_bound, n_max, variant), ab_bound=ab_bound, n_max=n_max)
     nonzero = variant == "24n"
     parts = max(1, min(workers, ab_bound + 1))
     payloads = [

@@ -118,6 +118,26 @@ def mutant_half_prime_bound(monkeypatch):
                         tuple(p for p in construct._ADMISSIBLE_PRIMES if p <= half))
 
 
+# mutants of the box searches' 2-adic pruning (oracles); each loses a hit
+
+@pytest.fixture
+def mutant_odd_lebesgue(monkeypatch):
+    """search_lebesgue dealing out the odd X, where X**2 + 1 has 2-adic valuation 1."""
+    from power_forge import oracles
+
+    _patch_source(monkeypatch, oracles, oracles, "search_lebesgue",
+                  "range(2 * i, x_bound + 1, 2 * parts)", "range(2 * i + 1, x_bound + 1, 2 * parts)")
+
+
+@pytest.fixture
+def mutant_half_modulus(monkeypatch):
+    """Live classes read from residues mod 2 * rhs_mult, too few for the target mod 4."""
+    from power_forge import oracles
+
+    _patch_source(monkeypatch, oracles, oracles, "_live_classes",
+                  "m = 4 * rhs_mult", "m = 2 * rhs_mult")
+
+
 # mutants of the scan's row sieve (verify._RowSieve); each masks out a power
 
 @pytest.fixture

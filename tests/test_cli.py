@@ -626,9 +626,9 @@ def test_a_window_past_the_point_cap_is_bad_input(capsys, monkeypatch, argv, opt
 
 
 def test_the_cap_itself_is_a_pool_of_one_process_per_chunk(capsys, serial_pool):
-    argv = ("oracle", "lebesgue", "--bound", "3", "--n-max", "4", "--workers")
+    argv = ("oracle", "lebesgue", "--bound", "7", "--n-max", "4", "--workers")
     assert run(capsys, *argv, str(cli._MAX_WORKERS)) == run(capsys, *argv, "1")
-    assert serial_pool == [4]  # |X| <= 3: four values of X, one chunk each
+    assert serial_pool == [4]  # |X| <= 7: four even values of X, one chunk each
 
 
 _STRAY_FIELDS = {
@@ -695,9 +695,6 @@ _INTEGER_GRID = {
      "--t-max", "10"): ("--t-max",),
     ("oracle", "gamma", "--gamma", "3", "--t-max", "10"): ("--t-max",),
 }
-# ROADMAP item 7 still lets these box bounds run for minutes at 10**20
-_UNBOUNDED_BOXES = {("lebesgue", "--bound"), ("lebesgue", "--n-max"), ("catalan", "--base-bound"),
-                    ("catalan", "--exp-bound"), ("fermat", "--bound"), ("fermat", "--n-max")}
 
 
 def _with(base, option, token):
@@ -719,8 +716,6 @@ def _odd_input_grid():
     for base, options in _INTEGER_GRID.items():
         for option in options:
             for token in _ODD_INTEGERS:
-                if token == str(10**20) and (base[1:2] + (option,)) in _UNBOUNDED_BOXES:
-                    continue
                 yield _with(base, option, token)
 
 
@@ -740,6 +735,30 @@ def test_every_odd_input_exits_0_1_or_2(capsys, monkeypatch, serial_pool):
     assert wrong == []
     assert serial_pool == []
     assert set(codes) == {0, 1, 2} and sum(codes.values()) > 250
+
+
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lebesgue", "--bound", _HUGE, "--n-max", "4"),
+    ("lebesgue", "--bound", "20", "--n-max", _HUGE),
+    ("catalan", "--base-bound", _HUGE, "--exp-bound", "4"),
+    ("catalan", "--base-bound", "10", "--exp-bound", _HUGE),
+    ("fermat", "--bound", _HUGE, "--n-max", "4"),
+    ("fermat", "--bound", "10", "--n-max", _HUGE, "--variant", "24n"),
+], ids=["lebesgue-bound", "lebesgue-n-max", "catalan-base-bound", "catalan-exp-bound",
+        "fermat-bound", "fermat-24n-n-max"])
+def test_a_huge_box_bound_exits_2_at_once(capsys, monkeypatch, serial_pool, argv):
+    # the work estimate refuses the box before any table or pool
+    monkeypatch.setenv("POWER_FORGE_WORKERS", "2")
+    start = perf_counter()
+    code, out, err = run(capsys, "oracle", *argv)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == "" and serial_pool == []
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("box too large: ") and f"={_HUGE}" in message
+    assert message.endswith(f"over the cap of {oracles.MAX_BOX_WORK}")
 
 
 def _estimate(i, **fields):

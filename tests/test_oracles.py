@@ -115,10 +115,10 @@ FERMAT_BOXES = [(1, 2), (1, 4), (1, 40), (2, 4), (3, 2), (3, 50), (17, 4), (40, 
 
 
 @pytest.mark.parametrize("x_bound,n_max", LEBESGUE_BOXES)
-def test_lebesgue_table_join_equals_roots(monkeypatch, x_bound, n_max):
+def test_lebesgue_table_join_equals_roots(x_bound, n_max):
+    # the reference takes a root for every X in the box, odd X included
     got = search_lebesgue(x_bound, n_max)
-    monkeypatch.setattr(oracles, "_lebesgue_chunk", _lebesgue_chunk_by_roots)
-    assert got == search_lebesgue(x_bound, n_max)
+    assert got.solutions == tuple(sorted(_lebesgue_chunk_by_roots((range(x_bound + 1), n_max))))
 
 
 @pytest.mark.parametrize("variant", FERMAT_VARIANTS)
@@ -152,6 +152,84 @@ def test_chunks_equal_roots_on_dense_forms():
                     want = [s for s in every if _fermat_owner(s, pa == pb) in a_values]
                     got = oracles._fermat_chunk((a_values, *box))
                     assert sorted(got) == sorted(want), (a_values, *box)
+
+
+# the forms of the three quartic variants and the dense forms above, as (pa, pb, rhs_mult)
+QUARTIC_FORMS = [form[1:4] for form in oracles._FERMAT_FORMS.values()]
+DENSE_FORMS = [(1, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 1), (1, 3, 3)]
+
+
+def _form_id(form):
+    return "a^{}+b^{}={}c^n".format(*form)
+
+
+def _is_power(t):
+    """t = c**n for some c and n >= 2 (0 and 1 are)."""
+    return t < 2 or any(integer_nth_root(t, n)[1] for n in range(2, t.bit_length() + 1))
+
+
+@pytest.mark.parametrize("form", QUARTIC_FORMS + DENSE_FORMS, ids=_form_id)
+def test_every_hit_lies_in_a_live_class(form):
+    # the 2-adic lemma behind the walk of _fermat_chunk: a pair in a dead class
+    # fails the gcd or the division, or its target is 2 mod 4, of valuation 1
+    pa, pb, rhs_mult = form
+    live = oracles._live_classes(pa, pb, rhs_mult)
+    assert (0, 0) not in live
+    for a in range(41):
+        for b in range(41):
+            lhs = a**pa + b**pb
+            coprime, divides = gcd(a, b) == 1, lhs % rhs_mult == 0
+            if coprime and divides and _is_power(lhs // rhs_mult):
+                assert (a % 2, b % 2) in live, (form, a, b)
+            if (a % 2, b % 2) not in live:
+                assert not coprime or not divides or lhs // rhs_mult % 4 == 2, (form, a, b)
+    if form in DENSE_FORMS[:1]:  # 1 + 3 = 2**2: odd-odd pairs of a + b hit
+        assert live == {(0, 1), (1, 0), (1, 1)}
+
+
+def test_the_quartic_forms_keep_half_or_a_quarter_of_the_classes():
+    live = {name: oracles._live_classes(*form[1:4]) for name, form in oracles._FERMAT_FORMS.items()}
+    assert live == {"cn": {(0, 1), (1, 0)}, "2cn": {(1, 1)}, "24n": {(0, 1), (1, 0)}}
+
+
+def test_odd_x_squared_plus_one_has_valuation_one():
+    assert all((x * x + 1) % 8 == 2 for x in range(1, 10**4, 2))
+    # the one hit with X = 0 is all the box holds; search_lebesgue deals out even X only
+    for workers in (1, 2, 3, 5):
+        assert {s[0] for s in search_lebesgue(40, 6, workers).solutions} == {0}
+
+
+@pytest.mark.parametrize("form", QUARTIC_FORMS + DENSE_FORMS, ids=_form_id)
+@pytest.mark.parametrize("ab_bound", [1, 2, 7, 30])
+def test_live_pairs_count_the_pairs_walked(form, ab_bound):
+    pa, pb, rhs_mult = form
+    live = oracles._live_classes(pa, pb, rhs_mult)
+    walked = sum(
+        1
+        for a in range(ab_bound + 1)
+        for b in range(a if pa == pb else 0, ab_bound + 1)
+        if (a % 2, b % 2) in live
+    )
+    assert oracles._live_pairs(ab_bound, pa, pb, rhs_mult) == walked
+
+
+def test_a_halved_residue_modulus_loses_the_odd_odd_hits_of_a_plus_b(request):
+    # mod 2 * rhs_mult = 2, the class of 1 + 1 reads as target 2 mod 4, where
+    # 1 + 3 = 4 is a square; the full modulus 4 sees it
+    box = (30, 2, 9, 1, 1, 1, False)
+    want = sorted(_fermat_chunk_by_roots((range(0, 31), *box)))
+    assert sorted(oracles._fermat_chunk((range(0, 31), *box))) == want
+    assert (1, 3, 2, 2) in want
+    request.getfixturevalue("mutant_half_modulus")
+    assert oracles._live_classes(1, 1, 1) == {(0, 1), (1, 0)}
+    got = sorted(oracles._fermat_chunk((range(0, 31), *box)))
+    assert (1, 3, 2, 2) not in got and got != want
+
+
+def test_dealing_out_odd_x_loses_the_x_0_family(request):
+    assert set(search_lebesgue(7, 4).solutions) == set(lebesgue_expected(7, 4))
+    request.getfixturevalue("mutant_odd_lebesgue")
+    assert oracles.search_lebesgue(7, 4).solutions == ()
 
 
 def _fermat_owner(solution, mirror):
@@ -277,6 +355,56 @@ def test_power_table_against_brute_force(limit, n_min, n_max):
     if limit >= 1:
         assert table.get(1, []) == [(1, n) for n in range(n_lo, n_max + 1)]
     assert all(c == 1 or n <= limit.bit_length() for pairs in table.values() for c, n in pairs)
+
+
+class _Built(Exception):
+    pass
+
+
+def _built(*args):
+    raise _Built
+
+
+@pytest.mark.parametrize("search, work, named", [
+    (lambda: search_lebesgue(57, 5), lambda: oracles._lebesgue_work(57, 5), "x_bound=57, n_max=5"),
+    (lambda: search_catalan(12, 8), lambda: oracles._catalan_work(12, 8),
+     "base_bound=12, exp_bound=8"),
+    (lambda: search_fermat_quartic(17, 6, "2cn"), lambda: oracles._fermat_work(17, 6, "2cn"),
+     "ab_bound=17, n_max=6"),
+], ids=["lebesgue", "catalan", "fermat"])
+def test_a_box_past_the_work_cap_is_refused_before_any_table(monkeypatch, search, work, named):
+    full = search()
+    monkeypatch.setattr(oracles, "MAX_BOX_WORK", work())
+    assert search() == full
+    monkeypatch.setattr(oracles, "MAX_BOX_WORK", work() - 1)
+    monkeypatch.setattr(oracles, "_power_table", _built)
+    monkeypatch.setattr(oracles, "map_chunks", _built)
+    message = f"box too large: {named} come to {work()} units of work, over the cap of {work() - 1}"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        search()
+
+
+@pytest.mark.parametrize("work", [
+    lambda: oracles._lebesgue_work(10**20, 4),
+    lambda: oracles._lebesgue_work(20, 10**20),
+    lambda: oracles._catalan_work(10**20, 4),
+    lambda: oracles._catalan_work(10, 10**20),
+    lambda: oracles._fermat_work(10**20, 4),
+    lambda: oracles._fermat_work(10, 10**20, "24n"),
+])
+def test_each_huge_box_is_past_the_cap(work):
+    assert work() > oracles.MAX_BOX_WORK
+
+
+def test_the_documented_boxes_are_inside_the_cap():
+    # the README's oracle examples and its table of 1 against 2 workers, and the bench boxes
+    works = [oracles._lebesgue_work(x_bound, n_max)
+             for x_bound, n_max in ((10**4, 20), (25000, 24), (10**6, 40), (10**7, 40))]
+    works += [oracles._catalan_work(100, 20), oracles._catalan_work(400, 40)]
+    works += [oracles._fermat_work(150, 8, "2cn"), oracles._fermat_work(1000, 10),
+              oracles._fermat_work(3000, 10)]
+    works += [oracles._fermat_work(220, 10, variant) for variant in FERMAT_VARIANTS]
+    assert max(works) <= oracles.MAX_BOX_WORK
 
 
 def test_power_table_keeps_a_value_equal_to_its_limit():
@@ -461,6 +589,6 @@ def test_scan_recurrence_rejects_degenerate():
 def test_the_pool_has_no_more_processes_than_payloads(serial_pool):
     assert list(oracles.map_chunks(abs, [-1, 2], 3)) == [1, 2]
     assert list(oracles.map_chunks(abs, [-1, 2, -3], 2)) == [1, 2, 3]
-    # |X| <= 1 is two values of X, so two chunks however many workers
-    assert search_lebesgue(1, 4, workers=3) == search_lebesgue(1, 4)
+    # |X| <= 3 holds two even values of X, so two chunks however many workers
+    assert search_lebesgue(3, 4, workers=3) == search_lebesgue(3, 4)
     assert serial_pool == [2, 2, 2]

@@ -29,6 +29,16 @@ exactly and no float takes part.  The moduli q for each p are the eight
 smallest primes q = 1 (mod p), read off a sieve of primality flags on the
 first use of p and cached; nothing is computed at import.
 
+An integer coprime to 2, ..., 13 has one candidate exponent per prime up
+to a quarter of its bits (143 for a 3,300-bit value of the degree-201
+scan), and most are rejected by their first modulus.  So |m| is reduced
+once, modulo the product of the first modulus of every candidate
+(Bernstein, "Fast multiplication and its applications", MSRI Publ. 44,
+2008), and each first residue is read off that remainder (1,483 bits
+there); only a candidate that passes goes on to its other moduli and to
+the exact root.  The products are memoised per tuple of candidates
+(``_first_moduli``, bounded like the denominator memo).
+
 A scan meets the same denominator again and again: along the row of
 points u/v with one v, the reduced denominator of f(u/v) divides
 v**(deg f) and takes only a few values.  So the primes p for which a
@@ -43,7 +53,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .ntheory import integer_nth_root, prime_flags, primes_up_to, strip_prime
 
@@ -67,6 +77,12 @@ _RESIDUE_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
 
 # denominators whose exact roots _denominator_roots keeps; a scan row meets a few
 _DENOMINATOR_MEMO_SIZE = 1024
+
+# candidate exponents -> (product of their first moduli, ((p, q, (q - 1) // p), ...)),
+# filled by _first_moduli and emptied once it holds _FIRST_MODULI_MEMO_SIZE tuples;
+# each of the benchmark's scans meets 7 to 11
+_FIRST_MODULI: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int, int], ...]]] = {}
+_FIRST_MODULI_MEMO_SIZE = 128
 
 # every prime up to _PRIMES[-1]; _primes_through re-sieves it when outgrown
 _PRIMES = [2]
@@ -98,13 +114,24 @@ def _residue_table(p: int) -> tuple[tuple[int, int], ...]:
     return table
 
 
-def _may_be_power(m: int, p: int) -> bool:
-    """False when some residue proves m >= 0 is no p-th power; True otherwise."""
-    for q, cofactor in _residue_table(p):
+def _may_be_power(m: int, p: int, first: int = 0) -> bool:
+    """False when a residue, from entry ``first`` of p's table on, proves m >= 0 no p-th power."""
+    for q, cofactor in _residue_table(p)[first:]:
         r = m % q
         if r and pow(r, cofactor, q) != 1:
             return False
     return True
+
+
+def _first_moduli(exponents: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The product of each exponent p's first residue modulus q, and (p, q, (q - 1) // p) in order."""
+    entry = _FIRST_MODULI.get(exponents)
+    if entry is None:
+        if len(_FIRST_MODULI) >= _FIRST_MODULI_MEMO_SIZE:
+            _FIRST_MODULI.clear()
+        firsts = tuple((p, *_residue_table(p)[0]) for p in exponents)
+        entry = _FIRST_MODULI[exponents] = (prod(q for _, q, _ in firsts), firsts)
+    return entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +152,7 @@ class PowerDecomposition:
         return self.base**self.exponent
 
 
-def _candidate_prime_exponents(m: int) -> list[int]:
+def _candidate_prime_exponents(m: int) -> tuple[int, ...]:
     """Primes p that could divide the maximal exponent of |m| >= 2, ascending.
 
     Strips the small primes, intersecting the valuation gcd; whatever
@@ -139,13 +166,11 @@ def _candidate_prime_exponents(m: int) -> list[int]:
             v, residual = strip_prime(residual, p)
             val_gcd = gcd(val_gcd, v)
             if val_gcd == 1:
-                return []
-    if residual == 1:
-        return [p for p in _primes_through(val_gcd) if val_gcd % p == 0]
-    cands = _primes_through(residual.bit_length() // 4)
+                return ()
+    bound = val_gcd if residual == 1 else residual.bit_length() // 4
     if val_gcd:
-        cands = [p for p in cands if val_gcd % p == 0]
-    return cands
+        return tuple([p for p in _primes_through(min(val_gcd, bound)) if val_gcd % p == 0])
+    return tuple(_primes_through(bound))
 
 
 @lru_cache(maxsize=_DENOMINATOR_MEMO_SIZE)
@@ -176,9 +201,14 @@ def _decompose(u: int, v: int) -> PowerDecomposition | None:
                 if exact:
                     return _from_root(sign * uroot, vroot, p)
         return None
-    # p must divide the maximal exponent of |u|
-    for p in _candidate_prime_exponents(mu):
-        if (sign > 0 or p != 2) and _may_be_power(mu, p):
+    # p must divide the maximal exponent of |u|; one reduction gives every first residue
+    product, firsts = _first_moduli(_candidate_prime_exponents(mu))
+    rest = mu % product
+    for p, q, cofactor in firsts:
+        if sign < 0 and p == 2:
+            continue
+        r = rest % q
+        if (r == 0 or pow(r, cofactor, q) == 1) and _may_be_power(mu, p, 1):
             uroot, exact = integer_nth_root(mu, p)
             if exact:
                 return _from_root(sign * uroot, 1, p)
@@ -212,17 +242,23 @@ def decompose_integer_power(n: int) -> PowerDecomposition | None:
     return _decompose(n, 1)
 
 
-def decompose_rational_power(q: Fraction | int) -> PowerDecomposition | None:
-    """Maximal-exponent decomposition of a rational, or None.
+def decompose_rational_power(q: Fraction | int, denominator: int = 1) -> PowerDecomposition | None:
+    """Maximal-exponent decomposition of q / denominator, or None.
+
+    A denominator other than 1 asks for an int q, with (q, denominator)
+    already in lowest terms and denominator > 1; that is not checked, and
+    no Fraction is built.
 
     >>> decompose_rational_power(Fraction(9, 25))
     PowerDecomposition(base=Fraction(3, 5), exponent=2)
-    >>> decompose_rational_power(Fraction(-8, 27))
+    >>> decompose_rational_power(-8, 27)
     PowerDecomposition(base=Fraction(-2, 3), exponent=3)
     >>> decompose_rational_power(Fraction(2, 3)) is None
     True
     """
-    return _decompose(*q.as_integer_ratio())
+    if denominator == 1:
+        return _decompose(*q.as_integer_ratio())
+    return _decompose(q, denominator)
 
 
 def is_rational_perfect_power(q: Fraction | int) -> bool:

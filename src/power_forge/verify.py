@@ -67,7 +67,10 @@ while the trace splits gcd(A, v**|S|) off to reach the coprime pair
 (B, w) and compares the power sum with g(x) computed in Fractions.
 Along one row v the reduced denominator takes only a few values, so the
 decomposer finds their exact roots once (``powers``) and per point
-sieves and roots the numerator only.
+sieves and roots the numerator only.  The scan hands it each value as
+the pair (numerator, denominator) in lowest terms, found by gcd(num, v)
+and, only where that is not 1, by the gcd with v**deg; on every row a
+Fraction is built only at a hit.
 """
 
 from __future__ import annotations
@@ -372,7 +375,10 @@ class _RowSieve:
 def _scan_chunk(payload) -> tuple[int, list[Hit]]:
     """Points and hits of the rows v in ``rows`` over the numerators u in [lo, lo + n).
 
-    Where v**deg is 1 (the integer scan's row v = 1) a value is a Fraction only at a hit.
+    Each value num / v**deg goes to the decomposer as a pair in lowest
+    terms, and a Fraction is built only at a hit.  gcd(num, v) and
+    gcd(num, v**deg) have the same primes, so the gcd with the long
+    v**deg is taken only where the short one is not 1.
     """
     f, recipe, rows, lo, n = payload
     sieve = _RowSieve(f, recipe, lo, n, len(rows) * n)
@@ -382,10 +388,13 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
         vd = v ** max(f.degree, 0)
         count += sieve.coprime(v).bit_count()
         for u, num in _row_values(f, recipe, v, _set_bits(sieve.mask(v), lo)):
-            y = num if vd == 1 else Fraction(num, vd)
-            dec = decompose_rational_power(y)
+            den = vd
+            if gcd(num, v) != 1:
+                common = gcd(num, vd)
+                num, den = num // common, vd // common
+            dec = decompose_rational_power(num, den)
             if dec is not None:
-                hits.append(Hit(x=Fraction(u, v), value=Fraction(y), power=dec))
+                hits.append(Hit(x=Fraction(u, v), value=Fraction(num, den), power=dec))
     return count, hits
 
 

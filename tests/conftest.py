@@ -138,6 +138,27 @@ def mutant_half_modulus(monkeypatch):
                   "m = 4 * rhs_mult", "m = 2 * rhs_mult")
 
 
+# mutants of the decomposer's one reduction and the scan's lowest-terms pairs
+
+@pytest.fixture
+def mutant_first_modulus_left_out(monkeypatch):
+    """The product of first moduli without the first candidate's modulus, on an empty memo."""
+    from power_forge import powers
+
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    _patch_source(monkeypatch, powers, powers, "_first_moduli",
+                  "prod(q for _, q, _ in firsts)", "prod(q for _, q, _ in firsts[1:])")
+
+
+@pytest.fixture
+def mutant_cancelling_points_skipped(monkeypatch):
+    """The scan drops every point with gcd(num, v) != 1 instead of reducing its pair."""
+    from power_forge import verify
+
+    _patch_source(monkeypatch, verify, verify, "_scan_chunk",
+                  "common = gcd(num, vd)", "continue")
+
+
 # mutants of the scan's row sieve (verify._RowSieve); each masks out a power
 
 @pytest.fixture

@@ -1,0 +1,119 @@
+"""A committed list of source mutants, each a fault some test must catch.
+
+Run from the root of a checkout (it takes about a minute on 2 cores):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the script copies ``src/`` to a temporary directory,
+replaces the mutant's old text, which must occur exactly once in its
+module, with the new, and runs ``python -m pytest -q -x`` on the
+mutant's test files with ``PYTHONPATH`` at the copy.  A mutant is killed
+when pytest exits nonzero.  The script prints one line per mutant and
+exits 1 if a mutant not listed as a survivor survives, or if an old text
+does not match once.
+
+Importing this module runs nothing, so ``pytest --doctest-modules`` may
+collect it.  Reference: R. A. DeMillo, R. J. Lipton and F. G. Sayward,
+"Hints on test data selection: help for the practicing programmer",
+IEEE Computer 11(4), 1978.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/power_forge
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files to run, relative to the checkout
+    fault: str
+    survivor: str = ""  # why the tests cannot yet see the fault; empty: it must be killed
+
+
+MUTANTS = (
+    Mutant("degree-off-by-two", "construct.py",
+           "2 * self.k * len(self.input) + 1", "2 * self.k * len(self.input) + 3",
+           ("tests/test_construct.py", "tests/test_verify.py"),
+           "ConstructionArtifacts.degree reads 2k|S| + 3 from the recipe"),
+    Mutant("indent-one-short", "jsonio.py",
+           '.replace("\\n", "\\n  ")', '.replace("\\n", "\\n ")',
+           ("tests/test_jsonio.py",),
+           "jsonio.dumps indents a nested value one space short of json.dumps"),
+    Mutant("verbatim-str-isdigit", "jsonio.py",
+           '"".join(value).encode("ascii", "replace").replace(b"-", b"").isdigit()',
+           '"".join(value).replace("-", "").isdigit()',
+           ("tests/test_jsonio.py",),
+           "jsonio._verbatim takes str.isdigit, which accepts non-ASCII digits"),
+    Mutant("document-size-check-off", "cli.py",
+           "if size > _MAX_DOCUMENT_BYTES:", "if False:",
+           ("tests/test_cli.py",),
+           "verify --artifacts reads a file of any size"),
+    Mutant("first-modulus-left-out", "powers.py",
+           "prod(q for _, q, _ in firsts)", "prod(q for _, q, _ in firsts[1:])",
+           ("tests/test_powers.py",),
+           "the product of first moduli leaves out the first candidate's modulus"),
+    Mutant("cancelling-points-skipped", "verify.py",
+           "common = gcd(num, vd)", "continue",
+           ("tests/test_verify.py",),
+           "the scan drops each point with gcd(num, v) != 1 instead of reducing its pair"),
+    Mutant("unreduced-pair", "verify.py",
+           "num, den = num // common, vd // common", "pass",
+           ("tests/test_verify.py",),
+           "the scan hands the decomposer num / v**deg unreduced where gcd(num, v) != 1"),
+)
+
+
+def run(mutant: Mutant, root: str) -> tuple[str, str]:
+    """(outcome, detail): outcome is "killed", "survived" or "no match"."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(root, "src"), src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = os.path.join(src, "power_forge", mutant.module)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        count = text.count(mutant.old)
+        if count != 1:
+            return "no match", f"old text found {count} times in {mutant.module}"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=root, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    failed = [line for line in lines if line.startswith("FAILED")]
+    detail = failed[0] if failed else (lines[-1] if lines else f"exit {done.returncode}")
+    return ("killed" if done.returncode else "survived"), detail
+
+
+def main(names: list[str]) -> int:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    known = {m.name for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        outcome, detail = run(mutant, root)
+        expected = "survived" if mutant.survivor else "killed"
+        bad += outcome != expected
+        note = f" (listed survivor: {mutant.survivor})" if mutant.survivor else ""
+        print(f"{mutant.name}: {outcome}{note} -- {mutant.fault}; {detail}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

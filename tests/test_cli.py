@@ -383,8 +383,10 @@ def test_values_with_a_leading_minus(capsys, argv, kind):
 @pytest.fixture
 def fresh_residue_cache(monkeypatch):
     # decomposing values of thousands of digits caches residue tables for hundreds of
-    # exponents; keep them out of test_powers' check of every cached table
+    # exponents, and the products of their first moduli; keep them out of test_powers'
+    # check of every cached table and out of the shared memo
     monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
 
 
 def test_messages_print_values_past_the_str_digit_limit(capsys, fresh_residue_cache):

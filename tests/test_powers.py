@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -167,8 +167,9 @@ def test_decompose_matches_sympy_perfect_power(rng):
 def test_large_small_prime_valuations_match_sympy(rng, monkeypatch):
     # the valuations of 2, 3 and 5 are counted with O(log v) divisions
     sympy = pytest.importorskip("sympy")
-    # keep the residue tables these large values build out of the shared cache
+    # keep the residue tables and moduli products these large values build out of the shared caches
     monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
     values = [2**1997 * (rng.randint(3, 10**6) | 1), 3**1200, 2**1200 * 3**600 * 5**300]
     for _ in range(4):
         a, b, c = rng.randint(1, 900), rng.randint(1, 600), rng.randint(1, 400)
@@ -325,3 +326,99 @@ def test_repeated_denominators_match_sympy_perfect_power():
         else:
             base = sympy.Rational(want[0])
             assert got == PowerDecomposition(Fraction(int(base.p), int(base.q)), want[1]), q
+
+
+# -- one reduction for every candidate exponent of an integer ------------------
+
+
+def decompose_by_candidates(n, rooted):
+    """The integer path before the one reduction: each candidate p reduces all of |n| against
+    every modulus of its table.  Appends each (|n|, p) whose root it takes to ``rooted``."""
+    if n in (0, 1):
+        return PowerDecomposition(Fraction(n), 2)
+    if n == -1:
+        return PowerDecomposition(Fraction(-1), 3)
+    sign, mu = (1, n) if n > 0 else (-1, -n)
+    for p in powers._candidate_prime_exponents(mu):
+        if (sign > 0 or p != 2) and powers._may_be_power(mu, p):
+            rooted.append((mu, p))
+            root, exact = integer_nth_root(mu, p)
+            if exact:
+                inner = decompose_by_candidates(sign * root, rooted)
+                if inner is None:
+                    return PowerDecomposition(Fraction(sign * root), p)
+                return PowerDecomposition(inner.base, inner.exponent * p)
+    return None
+
+
+def big_integer_values(rng):
+    """Integers of 3,000-4,000 bits and their negatives: r**p for every prime p <= bits / 4,
+    r**p + 1 and r**p - 1, and values whose small primes have valuations with a common factor."""
+    values = []
+    for p in primes_up_to(1000):
+        r = rng.randint(integer_nth_root(2**3000, p)[0] + 1, integer_nth_root(2**4000 - 2, p)[0])
+        values += [r**p, r**p + 1, r**p - 1]
+    for g in (2, 3, 5, 6, 7, 10, 30, 210):
+        for _ in range(4):
+            smooth = prod(l ** (g * rng.randint(0, 60 // g + 1)) for l in (2, 3, 5, 7, 11, 13))
+            bits = (3300 - smooth.bit_length()) // g + 1
+            r = rng.getrandbits(bits) | 1 << (bits - 1)
+            values += [smooth * r**g, smooth * r**g * rng.choice((2, 3, 13))]
+    return [sign * v for v in values for sign in (1, -1)]
+
+
+def test_one_reduction_rejects_what_each_candidate_rejects(rng, monkeypatch):
+    # the same decomposition, and a root taken for the same (|n|, p), in the same order
+    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    rooted = []
+    real_root = powers.integer_nth_root
+
+    def recorded(n, e):
+        rooted.append((n, e))
+        return real_root(n, e)
+
+    monkeypatch.setattr(powers, "integer_nth_root", recorded)
+    hits = 0
+    for n in big_integer_values(rng):
+        assert 3000 <= n.bit_length() <= 4000, n
+        rooted.clear()
+        got = powers._decompose(n, 1)
+        want_rooted = []
+        assert got == decompose_by_candidates(n, want_rooted), n
+        assert rooted == want_rooted, n
+        hits += got is not None
+    assert hits > 350  # every r**p, the negatives of odd p, and the smooth powers
+
+
+def test_big_integers_match_sympy_perfect_power(rng, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    for n in big_integer_values(rng)[::5]:
+        got = decompose_integer_power(n)
+        want = sympy.perfect_power(n)
+        if want is False:
+            assert got is None, n
+        else:
+            assert got == PowerDecomposition(Fraction(int(want[0])), want[1]), n
+
+
+def test_the_product_of_first_moduli_is_memoised_and_bounded(monkeypatch):
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    monkeypatch.setattr(powers, "_FIRST_MODULI_MEMO_SIZE", 3)
+    for exponents in ((), (2,), (3, 5), (2, 3, 5, 7)):
+        product, firsts = powers._first_moduli(exponents)
+        assert [p for p, _, _ in firsts] == list(exponents)
+        for p, q, cofactor in firsts:
+            assert (q, cofactor) == powers._residue_table(p)[0]
+        assert product == prod(q for _, q, _ in firsts)
+        assert powers._first_moduli(exponents)[0] is product
+    assert list(powers._FIRST_MODULI) == [(2, 3, 5, 7)]  # emptied when full, then refilled
+
+
+def test_a_moduli_product_missing_a_modulus_loses_true_powers(rng, request):
+    squares = [(rng.getrandbits(1600) | 1) ** 2 for _ in range(30)]
+    assert all(decompose_integer_power(n) is not None for n in squares)
+    request.getfixturevalue("mutant_first_modulus_left_out")
+    assert any(decompose_integer_power(n) is None for n in squares)

@@ -506,6 +506,58 @@ def test_each_sieve_mutant_masks_out_a_power(request, monkeypatch, mutant, case)
     assert verify_polynomial(f, [], variant, window) != reference
 
 
+# the rational sets scan-lowdeg draws with seed 3, and those of scan-highdeg, at their heights,
+# with the rows whose values cancel: rows sharing a prime with lead f that the sieve leaves a point
+CANCELLING_SCANS = [
+    (["9/25"], 110, {25, 50, 75, 100}),
+    (["0", "9/25", "-8"], 50, {5, 25, 50}),
+    (["-1/8", "4/25"], 40, {8, 24, 25, 32, 36, 40}),
+    (["9/49"], 40, set()),
+    (["4/169", "81/16"], 24, {2, 4, 8, 13, 16}),
+    (["1/10201"], 9, set()),
+    (["1/49", "8/27", "4/121"], 8, {3, 6, 7}),
+]
+
+
+@pytest.mark.parametrize("values, window, cancelling", CANCELLING_SCANS)
+def test_the_scan_decomposes_each_value_as_its_pair_in_lowest_terms(monkeypatch, values, window,
+                                                                    cancelling):
+    art = construct(PowerSetInput.from_values(values))
+    recipe, deg = (art.pairs, art.k, art.s), art.degree
+    rows, pairs = [], []
+
+    def surviving(mask, lo, real=verify._set_bits):
+        rows.append(list(real(mask, lo)))  # one call per row, v = 1, 2, ... on one worker
+        return iter(rows[-1])
+
+    def recorded(num, den=1):
+        pairs.append((num, den))
+        return decompose_rational_power(num, den)
+
+    monkeypatch.setattr(verify, "_set_bits", surviving)
+    monkeypatch.setattr(verify, "decompose_rational_power", recorded)
+    report = verify_construction(art, window)
+    points = [(u, v) for v, us in enumerate(rows, 1) for u in us]
+    assert len(points) == len(pairs) and report.passed
+    reduced = set()
+    for (u, v), (num, den) in zip(points, pairs):
+        [(_, value)] = _row_values(art, recipe, v, [u])
+        assert type(num) is int and den >= 1 and gcd(num, den) == 1, (u, v)
+        assert Fraction(num, den) == Fraction(value, v**deg), (u, v)
+        if den != v**deg:
+            reduced.add(v)
+    assert reduced == cancelling and all(gcd(v, art.f.coeffs[-1]) > 1 for v in reduced)
+
+
+def test_skipping_the_points_that_cancel_loses_the_hit_9_25(request):
+    art = construct(PowerSetInput.from_values(["9/25"]))
+    assert Fraction(9, 25) in {h.x for h in verify_construction(art, 25).hits}
+    request.getfixturevalue("mutant_cancelling_points_skipped")
+    report = verify_construction(art, 25)
+    assert Fraction(9, 25) not in {h.x for h in report.hits}
+    assert report.missing == (Fraction(9, 25),) and not report.passed
+
+
 @pytest.mark.parametrize("m, n", [(1, 5), (3, 3), (3, 10), (7, 23), (13, 221), (20, 7)])
 def test_tile_repeats_the_pattern_to_the_last_bit(m, n):
     for pattern in (0, 1, (1 << m) - 1, 0b1011 % (1 << m), 1 << (m - 1)):

@@ -8,6 +8,10 @@ left-hand sides against a table of powers:
 * quartic Fermat variants  (``A^4 + B^4 = C^n``, ``A^4 + B^4 = 2*C^n``,
   and ``A^2 + B^4 = C^n`` with nonzero coprime A, B and n >= 4).
 
+A table of powers is a set of values.  The pairs (C, n) of a value are
+read back by exact integer roots only where a left-hand side hits, so a
+search takes roots in proportion to its hits, not to its box.
+
 Each search reports every solution inside its stated box, so the expected
 answer can be compared set-for-set rather than trusted.  Alongside these
 sit two power scans used by the constructor's capacity estimate: perfect
@@ -19,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, isqrt
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
+from .ntheory import integer_nth_root
 from .powers import PowerDecomposition, decompose_rational_power
 
 __all__ = [
@@ -85,27 +92,39 @@ def map_chunks(worker, payloads, workers: int):
 # -- tables of powers ----------------------------------------------------------
 
 
-def _power_table(limit: int, n_min: int, n_max: int) -> dict[int, list[tuple[int, int]]]:
-    """Map each c^n <= limit, max(3, n_min) <= n <= n_max, to its (c, n) pairs.
+def _power_table(limit: int, n_min: int, n_max: int) -> set[int]:
+    """Every c^n <= limit with max(3, n_min) <= n <= n_max, 1 = 1^n included.
 
-    1 = 1^n is listed for every n in range.  Squares are left out: a
-    square test is a lookup in ``_square_residues`` and, for the few
-    values that pass it, one isqrt, while tabulating them would take
-    about sqrt(limit) entries.
+    Squares are left out: a square test is a lookup in
+    ``_square_residues`` and, for the few values that pass it, one isqrt,
+    while tabulating them would take about sqrt(limit) entries.  The set
+    holds values only; ``_exact_roots`` recovers the pairs (c, n) of a hit.
     """
     n_lo = max(3, n_min)
-    table: dict[int, list[tuple[int, int]]] = {}
+    table: set[int] = set()
     if limit >= 1 and n_lo <= n_max:
-        table[1] = [(1, n) for n in range(n_lo, n_max + 1)]
+        table.add(1)
     for n in range(n_lo, n_max + 1):
         if 1 << n > limit:
             break
-        c, value = 2, 1 << n
-        while value <= limit:
-            table.setdefault(value, []).append((c, n))
-            c += 1
-            value = c**n
+        top = integer_nth_root(limit, n)[0]
+        table.update(map(pow, range(2, top + 1), repeat(n)))
     return table
+
+
+def _exact_roots(value: int, n_min: int, n_max: int) -> list[tuple[int, int]]:
+    """Every (c, n) with c^n == value > 0 and n_min <= n <= n_max, n ascending.
+
+    1 is 1^n for every n; any other value is no c^n with 2^n > value.
+    """
+    if value == 1:
+        return [(1, n) for n in range(n_min, n_max + 1)]
+    found = []
+    for n in range(n_min, min(n_max, value.bit_length() - 1) + 1):
+        c, exact = integer_nth_root(value, n)
+        if exact:
+            found.append((c, n))
+    return found
 
 
 # 63 * 65 * 11 = 9 * 5 * 7 * 11 * 13: 2,016 of its 45,045 residues are squares
@@ -132,12 +151,13 @@ def _square_residues() -> bytes:
 # the cube root of the largest left-hand side, is fewer entries than the
 # left-hand sides.  A box past the cap is refused before any table is
 # built.  Just inside the cap, on one core of a Xeon with Python 3.11 (the
-# whole command, in-process, one worker): lebesgue --bound 19,992,511
-# --n-max 40 took 2.3 s, fermat --variant 2cn --bound 8,942 --n-max 10
-# 3.4 s, fermat --bound 6,323 2.2 s, lebesgue --n-max 104,167 at --bound 1
-# 0.6 s and 100 MB, fermat --n-max 62,500 at --bound 1 1.0 s and 171 MB,
-# catalan --base-bound 151,516 --exp-bound 3 0.5 s and 89 MB, and catalan
-# --base-bound 2 --exp-bound 17,376 0.2 s.
+# whole command, in a fresh process, one worker; time and peak RSS):
+# lebesgue --bound 19,992,511 --n-max 40 took 1.6 s and 26 MB, fermat
+# --variant 2cn --bound 8,942 --n-max 10 2.5 s and 36 MB, fermat --bound
+# 6,323 1.7 s and 28 MB, lebesgue --n-max 104,167 at --bound 1 0.5 s and
+# 101 MB, fermat --n-max 62,500 at --bound 1 1.1 s and 169 MB, catalan
+# --base-bound 151,516 --exp-bound 3 0.08 s and 27 MB, and catalan
+# --base-bound 2 --exp-bound 17,376 0.07 s and 36 MB.
 MAX_BOX_WORK = 10**7
 _KEPT = 32
 
@@ -190,14 +210,9 @@ def _lebesgue_chunk(payload: tuple[range, int]) -> list[tuple[int, int, int]]:
     found = []
     for x in xs:
         m = x * x + 1
-        hits = table.get(m)
-        if is_square[m % _SQUARE_MODULUS]:
-            y = isqrt(m)
-            if y * y == m:
-                hits = [(y, 2), *(hits or ())]
-        if not hits:
+        if m not in table and not (is_square[m % _SQUARE_MODULUS] and isqrt(m) ** 2 == m):
             continue
-        for y, n in hits:
+        for y, n in _exact_roots(m, 2, n_max):
             found.append((x, y, n))
             if x:
                 found.append((-x, y, n))
@@ -248,31 +263,61 @@ def lebesgue_expected(x_bound: int, n_max: int) -> tuple[tuple[int, int, int], .
 def search_catalan(base_bound: int, exp_bound: int) -> SolutionList:
     """All (X, m, Y, n) with X^m - Y^n = 1, 2 <= X, Y <= base_bound, 2 <= m, n <= exp_bound.
 
-    Builds the table of in-range perfect powers once and joins it against
-    itself shifted by one, so runtime is table-sized, not box-sized.
+    Keeps the in-range powers of even bases in a set and joins each power
+    of an odd base against it by ``_catalan_join``, so runtime is
+    table-sized, not box-sized.  The bases and exponents of a hit are read
+    back by exact roots.
+
+    Each odd power u is compared only with its neighbour divisible by 4:
+    u + 1 when u = 3 mod 4, else u - 1.  Proof that this misses nothing:
+    of X^m and Y^n = X^m - 1 one is even, and an even power with exponent
+    >= 2 is 0 mod 4.  So the odd one's neighbour in the pair is its
+    neighbour that is 0 mod 4; its other neighbour is 2 mod 4, of 2-adic
+    valuation exactly 1, which no power with exponent >= 2 has (the
+    argument of ``_live_classes``).
     """
     if base_bound < 2 or exp_bound < 2:
         raise ValidationError("need base_bound >= 2 and exp_bound >= 2")
     _check_work(_catalan_work(base_bound, exp_bound), base_bound=base_bound, exp_bound=exp_bound)
-    table: dict[int, list[tuple[int, int]]] = {}
-    for base in range(2, base_bound + 1):
-        value = base
-        for exp in range(2, exp_bound + 1):
-            value *= base
-            table.setdefault(value, []).append((base, exp))
-    found = [
-        (x, m, y, n)
-        for value, reps in table.items()
-        if value - 1 in table
-        for x, m in reps
-        for y, n in table[value - 1]
-    ]
+    even = set(_powers_of(range(2, base_bound + 1, 2), exp_bound))
+    pairs = _catalan_join(_powers_of(range(3, base_bound + 1, 2), exp_bound), even)
+
+    def reps(value: int) -> list[tuple[int, int]]:
+        return [(c, n) for c, n in _exact_roots(value, 2, exp_bound) if c <= base_bound]
+
+    found = [(x, m, y, n) for high, low in pairs for x, m in reps(high) for y, n in reps(low)]
     return SolutionList(
         equation="X^m - Y^n = 1",
         bounds={"base_bound": base_bound, "exp_bound": exp_bound},
         solutions=tuple(found),
         notes="join of the perfect-power table against itself shifted by 1",
     )
+
+
+def _powers_of(bases: range, exp_bound: int) -> Iterator[int]:
+    """base^exp for each base in turn, 2 <= exp <= exp_bound, by forward multiplication."""
+    for base in bases:
+        value = base
+        for _ in range(exp_bound - 1):
+            value *= base
+            yield value
+
+
+def _catalan_join(odd: Iterable[int], even: set[int]) -> set[tuple[int, int]]:
+    """Each (high, low) with high - low = 1, one of them from odd and the other in even.
+
+    odd yields odd values, even holds multiples of 4, and each odd value u
+    meets only u + 1 when u = 3 mod 4, else u - 1 (see ``search_catalan``).
+    A value yielded twice, as 81 = 3^4 = 9^2, gives its pair once.
+    """
+    pairs = set()
+    for v in odd:
+        if v & 3 == 3:
+            if v + 1 in even:
+                pairs.add((v + 1, v))
+        elif v - 1 in even:
+            pairs.add((v, v - 1))
+    return pairs
 
 
 def catalan_expected(base_bound: int, exp_bound: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -352,14 +397,14 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
                 if target % rhs_mult:
                     continue
                 target //= rhs_mult
-            hits = table.get(target)
-            if squares and is_square[target % _SQUARE_MODULUS]:
-                c = isqrt(target)
-                if c * c == target:
-                    hits = [(c, 2), *(hits or ())]
-            # a = b = 0, the one zero target, fails the gcd
-            if not hits or gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
+            if target not in table and not (
+                squares and is_square[target % _SQUARE_MODULUS] and isqrt(target) ** 2 == target
+            ):
                 continue
+            # a = b = 0, the one zero target, fails the gcd
+            if gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
+                continue
+            hits = _exact_roots(target, n_min, n_max)
             pairs = ((a, b), (b, a)) if mirror and a != b else ((a, b),)
             for x, y in pairs:
                 for c, n in hits:

@@ -69,6 +69,23 @@ MUTANTS = (
            "num, den = num // common, vd // common", "pass",
            ("tests/test_verify.py",),
            "the scan hands the decomposer num / v**deg unreduced where gcd(num, v) != 1"),
+    Mutant("catalan-other-neighbour", "oracles.py",
+           "if v & 3 == 3:", "if v & 3 != 3:",
+           ("tests/test_oracles.py",),
+           "catalan joins each odd power to its neighbour that is 2 mod 4, losing 9 - 8"),
+    Mutant("catalan-drops-up", "oracles.py",
+           "if v + 1 in even:", "if False:",
+           ("tests/test_oracles.py",),
+           "catalan never joins an odd power V = 3 mod 4 to V + 1; no box can show it, as no "
+           "solution of X^m - Y^n = 1 has X even (Mihailescu), so only the join's unit test can"),
+    Mutant("roots-one-exponent-late", "oracles.py",
+           "for n in range(n_min, min(n_max", "for n in range(n_min + 1, min(n_max",
+           ("tests/test_oracles.py",),
+           "_exact_roots starts one exponent above n_min, so a box loses its squares"),
+    Mutant("table-one-short", "oracles.py",
+           "range(2, top + 1)", "range(2, top)",
+           ("tests/test_oracles.py",),
+           "_power_table stops one short of each floor root, losing every c^n near the limit"),
 )
 
 

@@ -107,6 +107,139 @@ def _fermat_chunk_by_roots(payload):
     return found
 
 
+# -- the dict-of-lists table of powers and its joins, kept as the order-exact reference ----
+
+
+def _dict_power_table(limit, n_min, n_max):
+    """Map each c^n <= limit, max(3, n_min) <= n <= n_max, to its (c, n) pairs, n ascending."""
+    n_lo = max(3, n_min)
+    table = {}
+    if limit >= 1 and n_lo <= n_max:
+        table[1] = [(1, n) for n in range(n_lo, n_max + 1)]
+    for n in range(n_lo, n_max + 1):
+        if 1 << n > limit:
+            break
+        c, value = 2, 1 << n
+        while value <= limit:
+            table.setdefault(value, []).append((c, n))
+            c += 1
+            value = c**n
+    return table
+
+
+def _lebesgue_chunk_by_dict(payload):
+    xs, n_max = payload
+    table = _dict_power_table(xs[-1] * xs[-1] + 1, 3, n_max)
+    found = []
+    for x in xs:
+        m = x * x + 1
+        hits = table.get(m)
+        y = isqrt(m)
+        if y * y == m:
+            hits = [(y, 2), *(hits or ())]
+        for y, n in hits or ():
+            found.append((x, y, n))
+            if x:
+                found.append((-x, y, n))
+            if n % 2 == 0:
+                found.append((x, -y, n))
+                if x:
+                    found.append((-x, -y, n))
+    return found
+
+
+def _fermat_chunk_by_dict(payload):
+    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
+    table = _dict_power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
+    mirror = pa == pb
+    live = oracles._live_classes(pa, pb, rhs_mult)
+    found = []
+    for a in a_range:
+        for b in range(a if mirror else 0, ab_bound + 1):
+            if (a % 2, b % 2) not in live or (a**pa + b**pb) % rhs_mult:
+                continue
+            target = (a**pa + b**pb) // rhs_mult
+            hits = table.get(target)
+            c = isqrt(target)
+            if n_min <= 2 <= n_max and c * c == target:
+                hits = [(c, 2), *(hits or ())]
+            if not hits or gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
+                continue
+            for x, y in ((a, b), (b, a)) if mirror and a != b else ((a, b),):
+                for c, n in hits:
+                    for sx in (x,) if x == 0 else (x, -x):
+                        for sy in (y,) if y == 0 else (y, -y):
+                            found.append((sx, sy, c, n))
+    return found
+
+
+def _catalan_by_dict(base_bound, exp_bound):
+    table = {}
+    for base in range(2, base_bound + 1):
+        value = base
+        for exp in range(2, exp_bound + 1):
+            value *= base
+            table.setdefault(value, []).append((base, exp))
+    return [
+        (x, m, y, n)
+        for value, reps in table.items()
+        if value - 1 in table
+        for x, m in reps
+        for y, n in table[value - 1]
+    ]
+
+
+def test_chunks_equal_the_dict_table_in_order():
+    # the dense forms hit many powers, with several (c, n) per value
+    for xs in (range(0, 1), range(0, 300, 2), range(2, 1200, 6), range(5, 60)):
+        for n_max in (2, 3, 12, 40):
+            payload = (xs, n_max)
+            assert oracles._lebesgue_chunk(payload) == _lebesgue_chunk_by_dict(payload), payload
+    for pa, pb, rhs_mult in QUARTIC_FORMS + DENSE_FORMS:
+        for n_min, n_max in [(2, 2), (2, 9), (3, 3), (4, 12), (2, 40)]:
+            for nonzero in (False, True):
+                box = (30, n_min, n_max, pa, pb, rhs_mult, nonzero)
+                for a_values in (range(0, 1), range(0, 31), range(11, 25), range(2, 31, 3)):
+                    payload = (a_values, *box)
+                    assert oracles._fermat_chunk(payload) == _fermat_chunk_by_dict(payload), payload
+
+
+@pytest.mark.parametrize("base_bound", [2, 3, 8, 9, 10, 33, 100])
+@pytest.mark.parametrize("exp_bound", [2, 3, 5, 8, 20])
+def test_catalan_equals_the_dict_table_join(base_bound, exp_bound):
+    got = search_catalan(base_bound, exp_bound).solutions
+    assert got == tuple(sorted(_catalan_by_dict(base_bound, exp_bound)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_boxes_equal_the_dict_table_in_order(monkeypatch, request, workers):
+    lebesgue_boxes = [(0, 2), (7, 40), (57, 5), (250, 12)]
+    fermat_boxes = [(1, 40), (17, 4), (40, 9)]
+
+    def boxes():
+        out = [search_lebesgue(x_bound, n_max, workers) for x_bound, n_max in lebesgue_boxes]
+        for variant in FERMAT_VARIANTS:
+            out += [search_fermat_quartic(ab_bound, n_max, variant, workers)
+                    for ab_bound, n_max in fermat_boxes]
+        return out
+
+    got = boxes()
+    request.getfixturevalue("serial_pool")  # the reference chunks run in this process
+    monkeypatch.setattr(oracles, "_lebesgue_chunk", _lebesgue_chunk_by_dict)
+    monkeypatch.setattr(oracles, "_fermat_chunk", _fermat_chunk_by_dict)
+    assert got == boxes()
+
+
+def test_catalan_join_takes_the_neighbour_divisible_by_4():
+    # a 3 mod 4 value meets the power above it, a 1 mod 4 value the one below
+    assert sorted(oracles._catalan_join({7, 9}, {8})) == [(8, 7), (9, 8)]
+    odd = set(range(1, 400, 2))
+    even = set(range(4, 401, 4))
+    want = sorted((max(v, w), min(v, w)) for v in odd for w in even if abs(v - w) == 1)
+    assert sorted(oracles._catalan_join(odd, even)) == want
+    assert len(want) == len(odd) - 1  # every odd value but 1 has its neighbour in even
+
+
 # bounds 0 and 1, n_max == n_min, and n_max past the bit length of every left-hand side
 LEBESGUE_BOXES = [
     (0, 2), (0, 9), (1, 2), (1, 7), (2, 3), (7, 2), (7, 40), (57, 5), (250, 12), (1200, 30),
@@ -337,24 +470,30 @@ def test_square_filter_equals_isqrt():
     [(0, 2, 9), (1, 2, 9), (7, 3, 5), (8, 3, 5), (64, 2, 6), (64, 4, 4), (80, 3, 70),
      (3**7, 3, 20), (10**6, 2, 30), (10**6, 9, 8), (2**40, 5, 60)],
 )
-def test_power_table_against_brute_force(limit, n_min, n_max):
+def test_power_table_against_brute_force(monkeypatch, limit, n_min, n_max):
     table = oracles._power_table(limit, n_min, n_max)
     n_lo = max(3, n_min)
-    for value, pairs in table.items():
-        assert 1 <= value <= limit
-        for c, n in pairs:
-            assert c**n == value and n_lo <= n <= n_max
     # every c^n <= limit, counted by walking c up from 1 for each n
-    expected = []
+    expected = {}
     for n in range(n_lo, n_max + 1):
         c = 1
         while c**n <= limit:
-            expected.append((c, n))
+            expected.setdefault(c**n, []).append((c, n))
             c += 1
-    assert sorted(pair for pairs in table.values() for pair in pairs) == sorted(expected)
+    assert table == set(expected)
+    # the roots of a hit take no exponent n with 2^n past the value
+    roots = []
+
+    def root(value, n):
+        roots.append((value, n))
+        return integer_nth_root(value, n)
+
+    monkeypatch.setattr(oracles, "integer_nth_root", root)
+    for value in sorted(expected) + list(range(1, min(limit, 2000) + 1)):
+        assert oracles._exact_roots(value, n_lo, n_max) == expected.get(value, []), value
     if limit >= 1:
-        assert table.get(1, []) == [(1, n) for n in range(n_lo, n_max + 1)]
-    assert all(c == 1 or n <= limit.bit_length() for pairs in table.values() for c, n in pairs)
+        assert oracles._exact_roots(1, n_lo, n_max) == [(1, n) for n in range(n_lo, n_max + 1)]
+    assert all(1 << n <= value for value, n in roots)
 
 
 class _Built(Exception):
@@ -408,8 +547,10 @@ def test_the_documented_boxes_are_inside_the_cap():
 
 
 def test_power_table_keeps_a_value_equal_to_its_limit():
-    assert oracles._power_table(3**5, 3, 5)[3**5] == [(3, 5)]
-    assert oracles._power_table(2**12, 3, 12)[2**12] == [(16, 3), (8, 4), (4, 6), (2, 12)]
+    assert 3**5 in oracles._power_table(3**5, 3, 5)
+    assert oracles._exact_roots(3**5, 3, 5) == [(3, 5)]
+    assert 2**12 in oracles._power_table(2**12, 3, 12)
+    assert oracles._exact_roots(2**12, 3, 12) == [(16, 3), (8, 4), (4, 6), (2, 12)]
     assert 3**5 not in oracles._power_table(3**5 - 1, 3, 5)
 
 

@@ -10,10 +10,12 @@ for b in S).  Two variants:
 * rational: S inside {r**n : r in Q, n >= 2} with b_i = a_i / c_i in
   lowest terms.  The exponent k = lcm(4, p - 1 over primes p dividing
   some c_i) makes k-th powers trivial mod those primes; the offset 2**s
-  needs s = 2**kappa - 1 at least as large as a capacity estimate D for
+  takes s = 2**kappa - 1 at least as large as a capacity estimate D for
   each value 4*delta, delta ranging over the nonzero rational roots of
   prod(c_i X - a_i) -+ 1.  Then g = prod (c_i X - a_i)**k + 1 and
-  h = (X - 2**s) g + 2**s.
+  h = (X - 2**s) g + 2**s, and at each delta, where g = 2,
+  f(delta) = 4 delta - 2**(s + 1) must be no perfect power outside S;
+  ``ConstructionArtifacts`` checks that exactly.
 
 Both variants are built from the same recipe.  With P = prod (c_i X - a_i)
 (c_i = 1 and k = 2, s = 0 in the integer variant),
@@ -40,7 +42,9 @@ The capacity estimate is a bounded stand-in for a quantity defined
 through a finiteness theorem without an effective formula: D(gamma) is
 estimated as max(0, ceil(log2 |gamma|), last t <= t_max with
 gamma - 2**t a perfect power).  The scan depth t_max is a policy knob;
-see ``SelectionPolicy``.
+see ``SelectionPolicy``.  The estimate only sizes s: the theorem needs
+nothing of the chosen s but the check at each delta above, so the
+estimates are not stored.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, ValidationError
 from .ntheory import factor_integer, primes_up_to
-from .oracles import MAX_SCAN_BITS, check_depth, scan_gamma_minus_pow2
+from .oracles import check_depth, scan_gamma_minus_pow2
 from .poly import IntPoly, power_coeffs, rational_roots
-from .powers import is_rational_perfect_power
+from .powers import decompose_rational_power, is_rational_perfect_power
 
 __all__ = [
     "SelectionPolicy",
@@ -225,7 +229,7 @@ def find_deltas(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True, slots=True)
 class CapacityEstimate:
-    """Bounded estimate of D(gamma); a rescan to t = last_power_index (or 0) gives it back."""
+    """Bounded estimate of D(gamma), as ``estimate_capacity`` gives it."""
 
     gamma: Fraction
     log2_bound: int
@@ -406,15 +410,15 @@ class ConstructionArtifacts:
     passes ``_MAX_F_BITS`` is refused.  A kappa stored with a recipe must
     give s = 2**kappa - 1.  Without a recipe, f is the polynomial
     ``bare``, which is given there and only there, g and h are None, and
-    kappa, deltas, estimates and any ``text`` must be None; an integer
-    recipe has no deltas or estimates either.
+    kappa, deltas and any ``text`` must be None; an integer recipe has
+    no deltas either.
 
-    A rational recipe stores deltas and estimates both or neither.  The
-    deltas must be ``find_deltas``, all nonzero roots of P -+ 1, ascending;
-    the estimates, one per delta, must have a value of at most s and be
-    ``estimate_capacity(4 delta)`` rescanned to t_max = last_power_index
-    (0 when None, at most ``MAX_SCAN_BITS // 3``).  Left unchecked: a
-    last_power_index below a later power within the original t_max.
+    A rational recipe's deltas, if stored, must be ``find_deltas``, all
+    nonzero roots of P -+ 1, ascending.  At each of those roots g = 2 and
+    h = 2 delta - 2**s, so f(delta) = 4 delta - 2**(s + 1), which must be
+    no perfect power outside S; that is decomposed before anything is
+    built.  (In the integer variant f(delta) = 4 delta - 2 has 2-adic
+    valuation 1, so it is never a power.)
 
     ``text`` (init-only), the one way to hand over stored polynomials,
     maps "f", "g" and "h" to their decimal text, or None.  f's must have
@@ -433,7 +437,6 @@ class ConstructionArtifacts:
     kappa: Optional[int] = None
     s: Optional[int] = None
     deltas: Optional[tuple[Fraction, ...]] = None
-    estimates: Optional[tuple[CapacityEstimate, ...]] = None
     notes: str = ""
     text: InitVar[Optional[Mapping[str, Optional[list[str]]]]] = None
 
@@ -444,14 +447,13 @@ class ConstructionArtifacts:
         if k is None:
             if self.bare is None:
                 raise ValidationError("artifacts without a recipe (k, s) need bare")
-            _refuse("artifacts without a recipe", **text, kappa=self.kappa, deltas=self.deltas,
-                    estimates=self.estimates)
+            _refuse("artifacts without a recipe", **text, kappa=self.kappa, deltas=self.deltas)
             return
         _refuse("artifacts with a recipe", bare=self.bare)
         if self.input.variant == "integer":
             if (k, s) != (2, 0):
                 raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
-            _refuse("integer-variant artifacts", deltas=self.deltas, estimates=self.estimates)
+            _refuse("integer-variant artifacts", deltas=self.deltas)
         else:
             if s < 1:
                 raise ValidationError(f"s={s} is out of range: a rational recipe has s >= 1")
@@ -478,36 +480,28 @@ class ConstructionArtifacts:
             raise ValidationError(f"stored kappa={kappa} does not match s={s}: "
                                   "s must be 2**kappa - 1")
         if self.input.variant == "rational":
-            self._check_capacity(s)
+            self._check_deltas(s)
         if text:
             made = dict(zip("ghf", recipe_text(self.pairs, k, s)))
             wrong = [name for name in "fgh" if text.get(name) not in (None, made[name])]
             if wrong:
                 raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
 
-    def _check_capacity(self, s: int) -> None:
-        """The stored deltas and estimates of a rational recipe, each rescanned to its own depth."""
-        deltas, estimates = self.deltas, self.estimates
-        if (deltas is None) != (estimates is None):
-            raise ValidationError("deltas and estimates come both or neither")
-        if deltas is None:
-            return
-        if tuple(deltas) != find_deltas(self.pairs):
-            raise ValidationError(f"stored deltas {_format_values(deltas)} are not the "
+    def _check_deltas(self, s: int) -> None:
+        """Refuse stored deltas other than the recipe's, and a power outside S at a delta."""
+        deltas = find_deltas(self.pairs)
+        if self.deltas is not None and tuple(self.deltas) != deltas:
+            raise ValidationError(f"stored deltas {_format_values(self.deltas)} are not the "
                                   "nonzero roots of P - 1 and P + 1, ascending")
-        if len(estimates) != len(deltas):
-            raise ValidationError(f"stored estimates number {len(estimates)}, "
-                                  f"not one per delta ({len(deltas)})")
-        for i, (delta, e) in enumerate(zip(deltas, estimates)):
-            where, last = f"stored estimates[{i}]", e.last_power_index
-            if e.value > s:
-                raise ValidationError(f"{where} has value {e.value}, over s={s}")
-            if last is not None and not 0 <= last <= MAX_SCAN_BITS // 3:
-                raise ValidationError(f"{where} has last_power_index {last}, "
-                                      f"not in 0..{MAX_SCAN_BITS // 3}")
-            if e != estimate_capacity(4 * delta, SelectionPolicy(t_max=last or 0)):
-                raise ValidationError(f"{where} is not the estimate of 4 delta = "
-                                      f"{_format_values([4 * delta])} to t = {last or 0}")
+        for delta in deltas:
+            value = 4 * delta - (1 << s + 1)
+            power = decompose_rational_power(value)
+            if power is not None and value not in self.input.elements:
+                base = _format_values([power.base])
+                base = base if base.isdigit() else f"({base})"
+                raise ValidationError(f"s={s} makes f(delta) = 4 delta - 2**{s + 1} a perfect "
+                                      f"power outside S at delta = {_format_values([delta])}: "
+                                      f"{_format_values([value])} = {base}**{power.exponent}")
 
     @cached_property
     def _polys(self) -> tuple[Optional[IntPoly], Optional[IntPoly], IntPoly]:
@@ -567,7 +561,6 @@ def construct(
         kappa=kappa,
         s=s,
         deltas=deltas,
-        estimates=estimates,
         notes=f"offset 2**{s} with s = 2**{kappa} - 1 covering "
         f"{len(estimates)} capacity estimates (scan depth {policy.t_max})",
     )

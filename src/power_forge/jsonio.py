@@ -33,7 +33,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .construct import CapacityEstimate, ConstructionArtifacts, PowerSetInput, recipe_text
+from .construct import ConstructionArtifacts, PowerSetInput, recipe_text
 from .errors import ValidationError
 from .oracles import PowerHit, SolutionList
 from .poly import IntPoly
@@ -216,24 +216,6 @@ def decomposition_from_json(obj: Optional[dict]) -> Optional[PowerDecomposition]
     return PowerDecomposition(parse_rational(obj["base"]), obj["exponent"])
 
 
-def _estimate_to_json(e: CapacityEstimate) -> dict:
-    return {
-        "gamma": rational_text(e.gamma),
-        "log2_bound": e.log2_bound,
-        "last_power_index": e.last_power_index,
-        "value": e.value,
-    }
-
-
-def _estimate_from_json(obj: dict) -> CapacityEstimate:
-    return CapacityEstimate(
-        gamma=parse_rational(obj["gamma"]),
-        log2_bound=obj["log2_bound"],
-        last_power_index=obj["last_power_index"],
-        value=obj["value"],
-    )
-
-
 def artifacts_to_json(art: ConstructionArtifacts) -> dict:
     """The construction document; f, g and h of a recipe come from ``recipe_text``."""
     if art.k is None:
@@ -250,9 +232,6 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
         "kappa": art.kappa,
         "s": art.s,
         "deltas": None if art.deltas is None else [rational_text(d) for d in art.deltas],
-        "capacity_estimates": None
-        if art.estimates is None
-        else [_estimate_to_json(e) for e in art.estimates],
         "g": g,
         "h": h,
         "f": f,
@@ -261,15 +240,9 @@ def artifacts_to_json(art: ConstructionArtifacts) -> dict:
     }
 
 
-# The fields of a construction document and of each of its capacity
-# estimates: name -> (type, may it be null).  ``list`` means a list of
-# strings; a dict of fields means a list of objects with those fields.
-_ESTIMATE_FIELDS = {
-    "gamma": (str, False),
-    "log2_bound": (int, False),
-    "last_power_index": (int, True),
-    "value": (int, False),
-}
+# The fields of a construction document: name -> (type, may it be null),
+# where ``list`` means a list of strings.  Any other key is ignored, such
+# as the ``capacity_estimates`` that earlier documents carry.
 _CONSTRUCTION_FIELDS = {
     "variant": (str, False),
     "elements": (list, False),
@@ -277,7 +250,6 @@ _CONSTRUCTION_FIELDS = {
     "kappa": (int, True),
     "s": (int, True),
     "deltas": (list, True),
-    "capacity_estimates": (_ESTIMATE_FIELDS, True),
     "g": (list, True),
     "h": (list, True),
     "f": (list, False),
@@ -296,12 +268,7 @@ def _check_fields(obj: dict, fields: dict, where: str) -> None:
         if value is None and nullable:
             continue
         null = " or null" if nullable else ""
-        if isinstance(kind, dict):
-            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-                raise ValidationError(f"{where}: {name!r} must be a list of objects{null}")
-            for item in value:
-                _check_fields(item, kind, f"{where}: an item of {name!r}")
-        elif type(value) is not kind or kind is list and not all(type(v) is str for v in value):
+        if type(value) is not kind or kind is list and not all(type(v) is str for v in value):
             raise ValidationError(f"{where}: {name!r} must be {_TYPE_NAMES[kind]}{null}")
 
 
@@ -343,9 +310,6 @@ def artifacts_from_json(obj: Any) -> ConstructionArtifacts:
         deltas=None
         if obj["deltas"] is None
         else tuple(parse_rational(d) for d in obj["deltas"]),
-        estimates=None
-        if obj["capacity_estimates"] is None
-        else tuple(_estimate_from_json(e) for e in obj["capacity_estimates"]),
         notes=obj["notes"],
     )
 

@@ -290,7 +290,8 @@ def search_catalan(base_bound: int, exp_bound: int) -> SolutionList:
         equation="X^m - Y^n = 1",
         bounds={"base_bound": base_bound, "exp_bound": exp_bound},
         solutions=tuple(found),
-        notes="join of the perfect-power table against itself shifted by 1",
+        notes="each power of an odd base joined to its neighbour divisible by 4 "
+        "in the set of powers of even bases",
     )
 
 

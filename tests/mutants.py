@@ -44,6 +44,15 @@ MUTANTS = (
            "2 * self.k * len(self.input) + 1", "2 * self.k * len(self.input) + 3",
            ("tests/test_construct.py", "tests/test_verify.py"),
            "ConstructionArtifacts.degree reads 2k|S| + 3 from the recipe"),
+    Mutant("delta-power-check-skipped", "construct.py",
+           "if power is not None and value not in self.input.elements:", "if False:",
+           ("tests/test_cli.py",),
+           "ConstructionArtifacts accepts an s that makes f(delta) a perfect power outside S"),
+    Mutant("delta-power-check-one-short", "construct.py",
+           "value = 4 * delta - (1 << s + 1)", "value = 4 * delta - (1 << s)",
+           ("tests/test_cli.py",),
+           "ConstructionArtifacts tests 4 delta - 2**s for a power, "
+           "not f(delta) = 4 delta - 2**(s + 1)"),
     Mutant("indent-one-short", "jsonio.py",
            '.replace("\\n", "\\n  ")', '.replace("\\n", "\\n ")',
            ("tests/test_jsonio.py",),

@@ -1,8 +1,8 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
 from time import perf_counter
@@ -12,7 +12,7 @@ import pytest
 from power_forge import cli, jsonio, oracles, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import (_ADMISSIBLE_PRIMES, _MAX_F_BITS, ConstructionArtifacts,
-                                   PowerSetInput, build_g_h_f, construct)
+                                   PowerSetInput, build_g_h_f, construct, select_offset_exponent)
 from power_forge.errors import ValidationError
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
 from power_forge.ntheory import primes_up_to
@@ -436,13 +436,11 @@ def _without(field):
     (lambda doc: [doc], "not a construction document"),
     (_without("k"), "no field 'k'"),
     (_without("g"), "no field 'g'"),
-    (_without("capacity_estimates"), "no field 'capacity_estimates'"),
     (lambda doc: dict(doc, f=7), "'f' must be a list of strings"),
     (lambda doc: dict(doc, f=[1, 2]), "'f' must be a list of strings"),
-    (lambda doc: dict(doc, capacity_estimates=[{}]), "no field 'gamma'"),
     (lambda doc: dict(doc, degree=5), "degree 5"),
 ], ids=["s-null-k4", "s-null-k8", "kappa-7", "kappa-huge", "list", "no-k", "no-g",
-        "no-estimates", "f-int", "f-ints", "estimate-empty", "degree-5"])
+        "f-int", "f-ints", "degree-5"])
 def test_verify_artifacts_refuses_a_malformed_document(capsys, tmp_path, monkeypatch, edit,
                                                        named):
     # each is refused before any power of P, 2**s or 2**kappa is built
@@ -524,13 +522,6 @@ def test_a_stray_value_error_is_an_internal_fault(capsys, monkeypatch, target, a
     assert doc["code"] == "internal" and doc["message"] == f"{error.__name__}: a bug"
 
 
-def _estimate_gamma(gamma):
-    def edit(doc):
-        return dict(doc, capacity_estimates=[dict(e, gamma=gamma)
-                                             for e in doc["capacity_estimates"]])
-    return edit
-
-
 @pytest.mark.parametrize("write, named", [
     (lambda doc: b"{not json", "Expecting property name"),
     (lambda doc: json.dumps(dict(doc, notes="déjà"), ensure_ascii=False).encode(),
@@ -538,8 +529,7 @@ def _estimate_gamma(gamma):
     (lambda doc: dumps(dict(doc, f=doc["f"][:-1] + ["1x"])).encode(), "'1x'"),
     (lambda doc: dumps(dict(doc, elements=["1/0"])).encode(), "cannot parse '1/0'"),
     (lambda doc: dumps(dict(doc, deltas=["1/0"])).encode(), "cannot parse '1/0'"),
-    (lambda doc: dumps(_estimate_gamma("1/0")(doc)).encode(), "cannot parse '1/0'"),
-], ids=["not-json", "not-ascii", "coefficient", "element", "delta", "gamma"])
+], ids=["not-json", "not-ascii", "coefficient", "element", "delta"])
 def test_an_unreadable_artifact_is_bad_input(capsys, tmp_path, write, named):
     target = tmp_path / "art.json"
     target.write_bytes(write(artifacts_to_json(construct(PowerSetInput.from_values(["9/25"])))))
@@ -638,7 +628,6 @@ _STRAY_FIELDS = {
     "h": ["7"],
     "kappa": 3,
     "deltas": ["1/2"],
-    "capacity_estimates": [{"gamma": "3", "log2_bound": 2, "last_power_index": 1, "value": 1}],
 }
 
 
@@ -647,14 +636,13 @@ def test_a_construction_without_a_recipe_refuses_stray_fields(capsys, tmp_path, 
     doc = artifacts_to_json(construct(PowerSetInput.from_values([])))
     assert doc["k"] is None and all(doc[name] is None for name in _STRAY_FIELDS)
     bad = dict(doc, **{field: _STRAY_FIELDS[field]})
-    named = field.removeprefix("capacity_")
-    with pytest.raises(ValidationError, match=f"without a recipe have no {named}$"):
+    with pytest.raises(ValidationError, match=f"without a recipe have no {field}$"):
         jsonio.artifacts_from_json(bad)
     target = tmp_path / "stray.json"
     target.write_text(dumps(bad))
     code, out, err = run(capsys, "verify", "--artifacts", str(target), "--height", "3")
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["message"].endswith(f"have no {named}")
+    assert json.loads(err)["error"]["message"].endswith(f"have no {field}")
 
 
 def test_trace_refuses_an_oversized_k_before_any_power(capsys, monkeypatch):
@@ -763,44 +751,18 @@ def test_a_huge_box_bound_exits_2_at_once(capsys, monkeypatch, serial_pool, argv
     assert message.endswith(f"over the cap of {oracles.MAX_BOX_WORK}")
 
 
-def _estimate(i, **fields):
-    def edit(doc):
-        estimates = [dict(e) for e in doc["capacity_estimates"]]
-        estimates[i].update(fields)
-        return dict(doc, capacity_estimates=estimates)
-    return edit
-
-
 @pytest.mark.parametrize("values, edit, named", [
-    (["9/25"], _estimate(0, value=999), "estimates[0] has value 999, over s=1"),
-    (["9/25"], _estimate(0, log2_bound=500),
-     "estimates[0] is not the estimate of 4 delta = 32/25 to t = 0"),
-    (["9/25"], _estimate(0, gamma="7"), "estimates[0] is not the estimate of 4 delta = 32/25"),
     (["9/25"], lambda doc: dict(doc, deltas=["1/3"]),
      "deltas 1/3 are not the nonzero roots of P - 1 and P + 1, ascending"),
-    (["9/25"], lambda doc: _estimate(0, value=999, log2_bound=500, gamma="7")(
-        dict(doc, deltas=["1/3"])), "deltas 1/3 are not"),
-    (["9/25"], _estimate(1, last_power_index=5, value=5), "estimates[1] has value 5, over s=1"),
     (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][::-1]), "deltas 2/5, 8/25 are not"),
     (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1] * 2), "deltas 8/25, 8/25 are not"),
     (["9/25"], lambda doc: dict(doc, deltas=["0", *doc["deltas"]]),
      "deltas 0, 8/25, 2/5 are not"),
-    (["9/25"], lambda doc: dict(doc, capacity_estimates=doc["capacity_estimates"][:1]),
-     "estimates number 1, not one per delta (2)"),
-    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1],
-                                capacity_estimates=doc["capacity_estimates"][:1]),
-     "deltas 8/25 are not"),
-    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][1:],
-                                capacity_estimates=doc["capacity_estimates"][1:]),
-     "deltas 2/5 are not"),
-    (["9/25"], lambda doc: _estimate(0, gamma="1/5")(dict(doc, deltas=None)),
-     "deltas and estimates come both or neither"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][:1]), "deltas 8/25 are not"),
+    (["9/25"], lambda doc: dict(doc, deltas=doc["deltas"][1:]), "deltas 2/5 are not"),
     (["4"], lambda doc: dict(doc, deltas=["3", "5"]), "integer-variant artifacts have no deltas"),
-    (["4"], lambda doc: dict(doc, capacity_estimates=[]), "have no estimates"),
-], ids=["value", "log2-bound", "gamma", "delta", "all-four", "value-over-s", "descending",
-        "repeated", "zero", "estimate-dropped", "first-delta-only", "second-delta-only",
-        "gamma-without-deltas", "integer-deltas",
-        "integer-estimates"])
+], ids=["delta", "descending", "repeated", "zero", "first-delta-only", "second-delta-only",
+        "integer-deltas"])
 def test_stored_deltas_and_estimates_are_those_of_the_recipe(capsys, tmp_path, monkeypatch,
                                                              values, edit, named):
     variant = "rational" if "/" in values[0] else "integer"
@@ -833,60 +795,86 @@ def _refused(capsys, tmp_path, doc):
     return error["message"]
 
 
-def test_a_last_power_index_without_a_power_there_is_refused(capsys, tmp_path):
-    # 32/25 - 2**1 = -18/25 is no power; value 1 is the log2_bound, so only the rescan sees it
-    doc = _estimate(0, last_power_index=1)(
-        artifacts_to_json(construct(PowerSetInput.from_values(["9/25"]))))
-    assert doc["capacity_estimates"][0]["value"] == 1
+@pytest.mark.parametrize("value, named", [
+    ("4", "at delta = 3: 8 = 2**3"),
+    ("9", "at delta = 10: 36 = 6**2"),
+], ids=["first-delta", "second-delta"])
+def test_an_offset_that_makes_f_a_power_at_a_delta_is_refused_before_any_build(
+        capsys, tmp_path, monkeypatch, value, named):
+    # g(delta) = 2, so f(delta) = 4 delta - 2**(s + 1), 4 delta - 4 at s = 1:
+    # {4} has deltas 3 and 5, {9} 8 and 10
+    doc = dict(artifacts_to_json(construct(PowerSetInput.from_values([value]))), kappa=1, s=1)
+
+    def no_build(*args):
+        raise AssertionError("built a recipe")
+
+    for name in ("build_g_h_f", "recipe_text"):
+        monkeypatch.setattr(sys.modules["power_forge.construct"], name, no_build)
     assert _refused(capsys, tmp_path, doc) == (
-        "stored estimates[0] is not the estimate of 4 delta = 32/25 to t = 1")
+        f"s=1 makes f(delta) = 4 delta - 2**2 a perfect power outside S {named}")
 
 
-# the t <= 200 with gamma - 2**t a perfect power, for each 4 delta of the sets below
-_HITS = {Fraction(13): (2, 8), Fraction(14): (), Fraction(28): (0,), Fraction(36): (2, 5),
-         Fraction(2): (0, 1), Fraction(8): (2, 3, 4), Fraction(10): (0, 1), Fraction(20): (2, 4),
-         Fraction(41, 2): (), Fraction(24): (3, 4, 5, 10), Fraction(26): (0,)}
+def test_a_power_at_a_delta_that_lies_in_s_is_no_refusal(capsys, tmp_path):
+    # with s = 3, {4} has f(5) = 20 - 16 = 4, a value in S: f(Q) still meets the powers in S
+    art = construct(PowerSetInput.from_values(["4"]))
+    edited = dict(artifacts_to_json(art), kappa=2, s=3)
+    assert _refused(capsys, tmp_path, edited) == (
+        "the recipe of k=4, s=3 does not give the stored f, h")
+    rebuilt = artifacts_to_json(dataclasses.replace(art, kappa=2, s=3))
+    target = tmp_path / "art.json"
+    target.write_text(dumps(rebuilt))
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "5")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "PASS"
+    assert {"x": "5", "value": "4", "power": {"base": "2", "exponent": 2}} in report["hits"]
+
+
+def _with_estimates(doc):
+    """doc in the earlier layout, with the capacity estimates stored after the deltas."""
+    deltas = [jsonio.parse_rational(d) for d in doc["deltas"]]
+    estimates = [{"gamma": jsonio.rational_text(e.gamma), "log2_bound": e.log2_bound,
+                  "last_power_index": e.last_power_index, "value": e.value}
+                 for e in select_offset_exponent(deltas)[2]]
+    out = {}
+    for key, value in doc.items():
+        out[key] = value
+        if key == "deltas":
+            out["capacity_estimates"] = estimates
+    return out
+
+
+@pytest.mark.parametrize("value", ["9/25", "9/4", "-27/8,-64/27"])
+def test_a_document_with_capacity_estimates_loads_and_they_are_ignored(capsys, tmp_path, value):
+    doc = _with_estimates(artifacts_to_json(construct(PowerSetInput.from_values(
+        value.split(",")))))
+    if value == "9/4":
+        # gamma = 8 has powers at t = 2, 3 and 4; a scan to t = 3 would write 3
+        assert doc["capacity_estimates"][0] == {
+            "gamma": "8", "log2_bound": 3, "last_power_index": 4, "value": 4}
+        doc["capacity_estimates"][0].update(last_power_index=3, value=3)
+    target = tmp_path / "art.json"
+    target.write_text(dumps(doc))
+    code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "3")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
 
 
 @pytest.mark.parametrize("value", ["27/8", "8", "1/4", "9/4", "81/16", "25/4"])
-def test_estimates_load_at_any_depth_and_an_edited_index_is_refused(capsys, tmp_path, value):
-    target, refused, loaded = tmp_path / "art.json", 0, 0
+def test_a_construction_at_any_scan_depth_passes_or_is_refused_at_a_delta(capsys, tmp_path,
+                                                                          value):
+    target = tmp_path / "art.json"
     for t_max in (0, 3, 64, 200):
         argv = ("construct", f"--set={value}", "--t-max", str(t_max), "--out", str(target))
-        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv)
+        if value == "27/8" and t_max < 8:
+            # 4 delta = 13 has powers at t = 2 and 8, so a scan that stops short of 8
+            # sizes s = 7, and f(13/4) = 13 - 2**8 = (-3)**5
+            assert code == 2
+            assert json.loads(err)["error"]["message"].endswith(
+                "at delta = 13/4: -243 = (-3)**5")
+            continue
+        assert code == 0
         code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
         assert code == 0 and json.loads(out)["verdict"] == "PASS"
-        doc = json.loads(target.read_text())
-        for i, e in enumerate(doc["capacity_estimates"]):
-            hits, last = _HITS[jsonio.parse_rational(e["gamma"])], e["last_power_index"]
-            assert last == max((t for t in hits if t <= t_max), default=None)
-            edits = {last + 1, last - 1, None, 0} if last is not None else {1, 0}
-            for new in edits - {last}:
-                bad = _estimate(i, last_power_index=new,
-                                value=max(e["log2_bound"], new or 0))(doc)
-                # a rescan to new gives new back only when new is itself the last
-                # power up to there, as it would be for a scan to t_max = new
-                if new == max((t for t in hits if t <= (new or 0)), default=None):
-                    assert jsonio.artifacts_from_json(bad).estimates[i].last_power_index == new
-                    loaded += 1
-                else:
-                    assert f"stored estimates[{i}] " in _refused(capsys, tmp_path, bad)
-                    refused += 1
-    assert refused > loaded
-
-
-@pytest.mark.parametrize("last", [-1, 10**20])
-def test_a_last_power_index_out_of_range_is_refused_before_any_scan(capsys, tmp_path,
-                                                                    monkeypatch, last):
-    doc = _estimate(0, last_power_index=last)(
-        artifacts_to_json(construct(PowerSetInput.from_values(["9/25"]))))
-
-    def no_scan(*args):
-        raise AssertionError("scanned")
-
-    monkeypatch.setattr(sys.modules["power_forge.construct"], "scan_gamma_minus_pow2", no_scan)
-    assert _refused(capsys, tmp_path, doc) == (
-        f"stored estimates[0] has last_power_index {last}, not in 0..{oracles.MAX_SCAN_BITS // 3}")
 
 
 _TWO_BIG_PRIMES = (10**30 + 57) * (10**34 + 193)

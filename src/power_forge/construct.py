@@ -15,7 +15,8 @@ for b in S).  Two variants:
   prod(c_i X - a_i) -+ 1.  Then g = prod (c_i X - a_i)**k + 1 and
   h = (X - 2**s) g + 2**s, and at each delta, where g = 2,
   f(delta) = 4 delta - 2**(s + 1) must be no perfect power outside S;
-  ``ConstructionArtifacts`` checks that exactly.
+  ``ConstructionArtifacts`` checks that exactly, and ``construct`` raises
+  kappa past the estimates' floor until it holds.
 
 Both variants are built from the same recipe.  With P = prod (c_i X - a_i)
 (c_i = 1 and k = 2, s = 0 in the integer variant),
@@ -393,6 +394,21 @@ def _refuse(whose: str, **given: object) -> None:
         raise ValidationError(f"{whose} have no {', '.join(stray)}")
 
 
+def _delta_refusal(elements: tuple[Fraction, ...], deltas: Iterable[Fraction], s: int
+                   ) -> Optional[str]:
+    """Why s fails, where f(delta) = 4 delta - 2**(s + 1) is a perfect power outside S, or None."""
+    for delta in deltas:
+        value = 4 * delta - (1 << s + 1)
+        power = decompose_rational_power(value)
+        if power is not None and value not in elements:
+            base = _format_values([power.base])
+            base = base if base.isdigit() else f"({base})"
+            return (f"s={s} makes f(delta) = 4 delta - 2**{s + 1} a perfect power outside S "
+                    f"at delta = {_format_values([delta])}: "
+                    f"{_format_values([value])} = {base}**{power.exponent}")
+    return None
+
+
 @dataclass(frozen=True)
 class ConstructionArtifacts:
     """Everything construct() decided, sufficient to re-verify every step.
@@ -493,15 +509,9 @@ class ConstructionArtifacts:
         if self.deltas is not None and tuple(self.deltas) != deltas:
             raise ValidationError(f"stored deltas {_format_values(self.deltas)} are not the "
                                   "nonzero roots of P - 1 and P + 1, ascending")
-        for delta in deltas:
-            value = 4 * delta - (1 << s + 1)
-            power = decompose_rational_power(value)
-            if power is not None and value not in self.input.elements:
-                base = _format_values([power.base])
-                base = base if base.isdigit() else f"({base})"
-                raise ValidationError(f"s={s} makes f(delta) = 4 delta - 2**{s + 1} a perfect "
-                                      f"power outside S at delta = {_format_values([delta])}: "
-                                      f"{_format_values([value])} = {base}**{power.exponent}")
+        refusal = _delta_refusal(self.input.elements, deltas, s)
+        if refusal is not None:
+            raise ValidationError(refusal)
 
     @cached_property
     def _polys(self) -> tuple[Optional[IntPoly], Optional[IntPoly], IntPoly]:
@@ -555,6 +565,13 @@ def construct(
     k = compute_k(pairs)
     deltas = find_deltas(pairs)
     s, kappa, estimates = select_offset_exponent(deltas, policy)
+    # the paper's s is the floor: kappa rises until no f(delta) is a power outside S
+    floor = s
+    while (refusal := _delta_refusal(inp.elements, deltas, s)) is not None:
+        if kappa == policy.kappa_cap:
+            raise CapacityError(f"kappa reaches its cap of {kappa} and {refusal}")
+        kappa += 1
+        s = (1 << kappa) - 1
     return ConstructionArtifacts(
         input=inp,
         k=k,
@@ -562,5 +579,6 @@ def construct(
         s=s,
         deltas=deltas,
         notes=f"offset 2**{s} with s = 2**{kappa} - 1 covering "
-        f"{len(estimates)} capacity estimates (scan depth {policy.t_max})",
+        f"{len(estimates)} capacity estimates (scan depth {policy.t_max})"
+        + (f", raised from s = {floor} past a power at a delta" if s > floor else ""),
     )

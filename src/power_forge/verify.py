@@ -30,7 +30,14 @@ only the survivors are evaluated and decomposed (``_RowSieve``):
   f(u/v) is a p-th power for a prime p of ``_denominator_roots(D)``, so
   a row with D > 1 and no such p holds no power; otherwise a point
   survives only if, for one such p, f(u/v) mod q is 0 or a p-th power
-  residue for every modulus q of ``_residue_table(p)`` not dividing v.
+  residue for every modulus q of ``_residue_table(p)`` not dividing v;
+* on the row v = 1, the whole integer scan, f(u) = f(t) mod l**E for
+  u = t mod l**E, so where l**E does not divide f(t) the class of u
+  fixes the l-adic valuation e < E of f(u).  A power with e >= 1 is a
+  p-th power for a prime p dividing e, so p < E.  Class tables of l = 2
+  and 3 with E >= 3 and l**E at most 64 (``_CLASS_PERIOD_CAP``) keep the
+  points whose classes fix no e >= 1; any other point survives only if
+  some prime p divides every e fixed and f(u) passes p's residue tables.
 
 The tables are read from the exact values f(0), f(1), ... up to the
 period of the largest table built, which the scan's own evaluator gives
@@ -45,10 +52,11 @@ is built once per (table, v mod m) and tiled along the row by one
 multiplication, and a row adds no modulus once no point is left on it.
 The masks only reject, so hits, ``points_scanned`` and every report are
 those of the point-by-point scan.  On the ``scan-lowdeg`` sets as the
-tests fix them, {9/25} at height 110 evaluates 381 of 14,863 points
-(1,600 before the row denominators) and 169 table values, and the
-integer {4, 8, 36} to 20,000 evaluates 2,389 of 40,001 and 169 table
-values.  A scan is refused up front past 10**7 points (``_MAX_POINTS``).
+tests fix them, {9/25} at height 110 evaluates 321 of 14,863 points
+(381 before the class tables, 1,600 before the row denominators) and
+169 table values, and the integer {4, 8, 36} to 20,000 evaluates 201 of
+40,001 (2,389 before the class tables) and 169 table values.  A scan is
+refused up front past 10**7 points (``_MAX_POINTS``).
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
@@ -153,6 +161,12 @@ class VerificationReport:
 # windows (height 110: 24,310; |x| <= 20,000: 40,001)
 _MAX_POINTS = 10**7
 
+# the longest period l**E of row 1's class tables: a sweep of the cap on the integer
+# scan of {4, 8, 36} to 20,000 left 653 survivors at 16 (5.2 ms), 342 at 32 (2.3 ms),
+# 201 at 64 (2.1 ms), 126 at 128 (2.1 ms) and 96 at 256 (2.6 ms); the row length
+# alone (2,857) took 12.7 ms, as its tables evaluate 2,400 values
+_CLASS_PERIOD_CAP = 64
+
 # (pairs, k, s): f = g h with g = P**k + 1, h = (X - 2**s) g + 2**s and
 # P = prod (c_i X - a_i) over the pairs (a_i, c_i)
 _Recipe = tuple[tuple[tuple[int, int], ...], int, int]
@@ -210,14 +224,19 @@ def _set_bits(mask: int, lo: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
-def _allowed(values: list[int], p: int, m: int) -> bytes:
+def _allowed(values: list[int], p: int, m: int, l: int = 0) -> bytes:
     """Entry t: whether a point with u/v = t modulo the table's period may give a power.
 
     values[t] is f(t), for t up to the period at least.  p = 0 asks that
     the prime m not divide f(t) exactly once, a test on f(t) mod m**2, so
     the period is m**2.  A prime p > 0 asks that f(t) mod the prime m be
-    0 or a p-th power residue, with period m.
+    0 or a p-th power residue, with period m.  A prime l > 0 makes it a
+    class table of period m = l**E: it asks that m divide f(t), where the
+    class fixes no valuation, or that p divide the l-adic valuation
+    e < E of f(t), which for p >= E means e = 0.
     """
+    if l:
+        return bytes(y % m == 0 or strip_prime(y, l)[0] % p == 0 for y in values[:m])
     if p == 0:
         period = m * m
         return bytes(y % m != 0 or y % (m * m) == 0 for y in values[:period])
@@ -245,15 +264,19 @@ def _prime_powers(v: int) -> list[tuple[int, int]]:
 class _RowSieve:
     """The masks of one chunk's rows over the numerators u in [lo, lo + n).
 
-    The module docstring gives the two kinds of table and when a modulus
-    pays.  Only ``_exponent`` reads f's coefficients (a recipe's through
-    ``ConstructionArtifacts.f``), so a sieve that reads no row denominator
-    builds none.  A table is read from the values f(0), f(1), ... that
-    ``_row_values`` gives, from the recipe that evaluates the survivors
-    or by Horner without one, built only up to the period of the
-    largest table yet; it is indexed by the class t of u/v = u * v**-1
-    modulo its period, and on a row v the u of class t are those with
-    u = t v modulo the period.
+    The module docstring gives the three kinds of table and when a
+    modulus pays.  The class tables serve row 1 only: l**E is the longest
+    period with E >= 3 under both the limit and ``_CLASS_PERIOD_CAP``,
+    whose comment gives the sweep that chose 64.  On row 1 of the integer
+    scan of {4, 8, 36} to 20,000 they leave 201 of the 2,389 points that
+    the valuation masks pass.  Only ``_exponent`` reads f's coefficients
+    (a recipe's through ``ConstructionArtifacts.f``), so a sieve that
+    reads no row denominator builds none.  A table is read from the
+    values f(0), f(1), ... that ``_row_values`` gives, from the recipe
+    that evaluates the survivors or by Horner without one, built only up
+    to the period of the largest table yet; it is indexed by the class t
+    of u/v = u * v**-1 modulo its period, and on a row v the u of class t
+    are those with u = t v modulo the period.
     """
 
     def __init__(self, f: _Scanned, recipe: Optional[_Recipe], lo: int, n: int, points: int):
@@ -268,6 +291,18 @@ class _RowSieve:
         self._unit_masks: dict[int, int] = {}  # l -> the mask of the u prime to l
         # (l, a) -> the exponent of l in the row denominator where l**a || v, None at a tie
         self._exponents: dict[tuple[int, int], Optional[int]] = {}
+        # row 1's class tables (l, l**E), E >= 3 the most the cap and the limit allow, and the
+        # primes below the largest E, that of l = 2: the only ones dividing a valuation e < E
+        cap = min(self.limit, _CLASS_PERIOD_CAP)
+        self._classes = []
+        for l in _SMALL_PRIMES:
+            m = l**3
+            while m * l <= cap:
+                m *= l
+            if m <= cap:
+                self._classes.append((l, m))
+        most = self._classes[0][1].bit_length() - 1 if self._classes else 0
+        self._class_exponents = [p for p in _SMALL_PRIMES if p < most]
 
     def coprime(self, v: int) -> int:
         """The mask of the u prime to v."""
@@ -331,13 +366,22 @@ class _RowSieve:
         for l in _SMALL_PRIMES:
             if v % l and l * l <= limit:
                 mask &= self._pattern(0, l, v)
-        # no residue table fits below 3, so the denominator is not read
-        denominator = self.denominator(v) if v > 1 and limit >= 3 else None
-        if denominator is None or denominator == 1:
-            return mask
-        residue = 0
-        for p, _ in _denominator_roots(denominator):
+        if v == 1:
+            # the u whose classes fix no valuation e >= 1 stay (p = m divides no e < E but 0);
+            # the others need a prime p | e
+            classes, exponents, residue = self._classes, self._class_exponents, mask
+            for l, m in classes:
+                residue &= self._pattern(m, m, 1, l)
+        else:
+            # no residue table fits below 3, so the denominator is not read
+            denominator = self.denominator(v) if limit >= 3 else None
+            if denominator is None or denominator == 1:
+                return mask
+            classes, exponents, residue = (), [p for p, _ in _denominator_roots(denominator)], 0
+        for p in exponents:
             survivors = mask
+            for l, m in classes:
+                survivors &= self._pattern(p, m, 1, l)
             for q, _ in _residue_table(p):
                 if not survivors:
                     break
@@ -346,15 +390,15 @@ class _RowSieve:
             residue |= survivors
         return residue
 
-    def _pattern(self, p: int, m: int, v: int) -> int:
-        """The mask of table (p, m) on row v."""
+    def _pattern(self, p: int, m: int, v: int, l: int = 0) -> int:
+        """The mask of table (p, m) on row v; l > 0 for a class table (see ``_allowed``)."""
         table = self._tables.get((p, m))
         if table is None:
             period = m * m if p == 0 else m
             if len(self._values) < period:
                 more = range(len(self._values), period)
                 self._values += [y for _, y in _row_values(self.f, self.recipe, 1, more)]
-            allowed = _allowed(self._values, p, m)
+            allowed = _allowed(self._values, p, m, l)
             kept = [t for t, ok in enumerate(allowed) if ok]
             dropped = [t for t, ok in enumerate(allowed) if not ok]
             marked = (kept, True) if len(kept) <= len(dropped) else (dropped, False)

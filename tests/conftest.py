@@ -168,8 +168,8 @@ def mutant_flipped_entry(monkeypatch):
 
     real = verify._allowed
 
-    def flipped(coeffs, p, m):
-        table = bytearray(real(coeffs, p, m))
+    def flipped(values, p, m, l=0):
+        table = bytearray(real(values, p, m, l))
         if (p, m) == (2, 3):
             table[1] ^= 1
         return bytes(table)

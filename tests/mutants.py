@@ -45,9 +45,10 @@ MUTANTS = (
            ("tests/test_construct.py", "tests/test_verify.py"),
            "ConstructionArtifacts.degree reads 2k|S| + 3 from the recipe"),
     Mutant("delta-power-check-skipped", "construct.py",
-           "if power is not None and value not in self.input.elements:", "if False:",
+           "if power is not None and value not in elements:", "if False:",
            ("tests/test_cli.py",),
-           "ConstructionArtifacts accepts an s that makes f(delta) a perfect power outside S"),
+           "ConstructionArtifacts accepts, and construct keeps, an s that makes f(delta) a "
+           "perfect power outside S"),
     Mutant("delta-power-check-one-short", "construct.py",
            "value = 4 * delta - (1 << s + 1)", "value = 4 * delta - (1 << s)",
            ("tests/test_cli.py",),
@@ -78,6 +79,19 @@ MUTANTS = (
            "num, den = num // common, vd // common", "pass",
            ("tests/test_verify.py",),
            "the scan hands the decomposer num / v**deg unreduced where gcd(num, v) != 1"),
+    Mutant("class-guard-dropped", "verify.py",
+           "y % m == 0 or strip_prime", "y == 0 or strip_prime",
+           ("tests/test_verify.py",),
+           "a class whose f(t) has l-adic valuation E or more is read as fixing that valuation"),
+    Mutant("class-valuation-ignored", "verify.py",
+           "survivors &= self._pattern(p, m, 1, l)", "pass",
+           ("tests/test_verify.py",),
+           "row 1 keeps a point for a prime p that does not divide a valuation its class fixes"),
+    Mutant("class-free-points-dropped", "verify.py",
+           "self._class_exponents, mask", "self._class_exponents, 0",
+           ("tests/test_verify.py",),
+           "row 1 drops the points whose classes fix no valuation e >= 1 unless p = 2, 3 or 5 "
+           "passes their residues"),
     Mutant("catalan-other-neighbour", "oracles.py",
            "if v & 3 == 3:", "if v & 3 != 3:",
            ("tests/test_oracles.py",),

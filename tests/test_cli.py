@@ -862,19 +862,26 @@ def test_a_document_with_capacity_estimates_loads_and_they_are_ignored(capsys, t
 def test_a_construction_at_any_scan_depth_passes_or_is_refused_at_a_delta(capsys, tmp_path,
                                                                           value):
     target = tmp_path / "art.json"
-    for t_max in (0, 3, 64, 200):
+    for t_max in (0, 3, 5, 64, 200):
         argv = ("construct", f"--set={value}", "--t-max", str(t_max), "--out", str(target))
         code, _, err = run(capsys, *argv)
-        if value == "27/8" and t_max < 8:
-            # 4 delta = 13 has powers at t = 2 and 8, so a scan that stops short of 8
-            # sizes s = 7, and f(13/4) = 13 - 2**8 = (-3)**5
-            assert code == 2
-            assert json.loads(err)["error"]["message"].endswith(
-                "at delta = 13/4: -243 = (-3)**5")
-            continue
         assert code == 0
+        if value == "27/8":
+            # 4 delta = 13 has powers at t = 2 and 8, so a scan that stops short of 8
+            # sizes s = 7, where f(13/4) = 13 - 2**8 = (-3)**5; kappa rises to 4
+            doc = json.loads(target.read_text())
+            assert doc["s"] == 15
+            assert doc["notes"].endswith("raised from s = 7 past a power at a delta") == (t_max < 8)
         code, out, _ = run(capsys, "verify", "--artifacts", str(target), "--height", "2")
         assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    if value == "27/8":
+        # past the cap on kappa the construct is refused at that delta
+        code, _, err = run(capsys, "construct", f"--set={value}", "--t-max", "5",
+                           "--kappa-cap", "3")
+        error = json.loads(err)["error"]
+        assert code == 2 and error["code"] == "capacity"
+        assert error["message"].endswith("s=7 makes f(delta) = 4 delta - 2**8 a perfect power "
+                                         "outside S at delta = 13/4: -243 = (-3)**5")
 
 
 _TWO_BIG_PRIMES = (10**30 + 57) * (10**34 + 193)

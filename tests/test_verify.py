@@ -7,7 +7,8 @@ from power_forge import verify
 from power_forge.construct import PowerSetInput, construct, element_pairs
 from power_forge.errors import ValidationError
 from power_forge.poly import IntPoly
-from power_forge.powers import decompose_rational_power
+from power_forge.ntheory import strip_prime
+from power_forge.powers import _SMALL_PRIMES, _residue_table, decompose_rational_power
 from power_forge.verify import (
     Hit,
     InvariantViolation,
@@ -304,11 +305,27 @@ BARE_SCANS = [
     (IntPoly([0, 0, 9]), "integer", 200),
     (IntPoly([-7, 0, 1]), "integer", 200),
     (IntPoly([4, 5, 12]), "rational", 12),  # f(4/3) = 2**5, where 3 | lead and 5 X ties it
+    # row 1's class tables mod 64 and 27, where u's class may fix the valuation e of f(u)
+    (IntPoly([0, 0, 8]), "integer", 200),  # e = 3 at 18**3 (u = 27), e = 5 at 2**5 (u = 2)
+    (IntPoly([0, 0, 0, 2]), "integer", 200),  # e = 4 at 2**4 (u = 2) and 108**2 (u = 18)
+    (IntPoly([-16, 0, 0, 1]), "integer", 200),  # e = 3 at (-2)**3 (u = 2); e = 4 at -16
+    (IntPoly([-32, 0, 8]), "integer", 200),  # zeros at u = +-2, e = 5 at (-2)**5 (u = 0)
+    (IntPoly([0, 0, 0, 0, 0, 1]), "integer", 200),  # 2**35 at u = 128: e >= 6 fixes nothing
+    (IntPoly([-64, 1]), "integer", 200),  # 2**7 at u = 192, whose class has f(0) = -64
+    (IntPoly([0, 0, 8]), "rational", 40),  # the same classes on row 1 of a rational scan
+]
+
+
+# the bench sets, and integer sets whose rows fit class tables of period 64 and 27, or 32 and 27
+MASKED_SCANS = BENCH_SCANS + [
+    (["-32", "-8", "1", "64"], "integer", 600),
+    (["-1", "9"], "integer", 400),
+    (["0", "16", "128"], "integer", 300),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("values, variant, window", BENCH_SCANS)
+@pytest.mark.parametrize("values, variant, window", MASKED_SCANS)
 def test_masked_scan_equals_the_per_point_scan(monkeypatch, values, variant, window, workers):
     art = construct(PowerSetInput.from_values(values, variant=variant))
     masked = verify_construction(art, window, workers=workers)
@@ -337,6 +354,7 @@ def test_masked_scan_equals_the_per_point_scan_on_bare_polynomials(
     assert masked == _reference(
         monkeypatch, verify_polynomial, f, [], variant, window, workers=workers
     )
+    assert workers > 1 or _masked_out_powers(f, variant, window) == []
 
 
 def test_masked_scan_equals_the_per_point_scan_on_random_input(monkeypatch, power_pool):
@@ -383,12 +401,12 @@ def test_the_sieve_masks_out_no_power_of_a_bench_set(values, variant, window):
 # the scan-lowdeg sets; all three counts are deterministic.  The tables read
 # f(0), f(1), ... only up to the period of the largest one built.
 LOWDEG_EVALUATIONS = [
-    (["9/25"], "rational", 110, 14863, 381, 169),
-    (["0", "9/25", "-8"], "rational", 50, 3095, 151, 101),
-    (["-1/8", "4/25"], "rational", 40, 1959, 759, 67),
-    (["1/169"], "rational", 40, 1959, 72, 71),
-    (["-1/343", "16/9"], "rational", 24, 719, 351, 23),
-    (["4", "8", "36"], "integer", 20000, 40001, 2389, 169),
+    (["9/25"], "rational", 110, 14863, 321, 169),
+    (["0", "9/25", "-8"], "rational", 50, 3095, 142, 101),
+    (["-1/8", "4/25"], "rational", 40, 1959, 720, 67),
+    (["1/169"], "rational", 40, 1959, 39, 71),
+    (["-1/343", "16/9"], "rational", 24, 719, 344, 23),
+    (["4", "8", "36"], "integer", 20000, 40001, 201, 169),
 ]
 
 
@@ -414,6 +432,47 @@ def test_the_sieve_leaves_few_points_to_evaluate(monkeypatch):
         assert verify_construction(art, window).points_scanned == points
         assert len(survivors) == evaluations, values
         assert len(evaluated) - len(survivors) == tables, values
+
+
+def _row_one_kept(f, window):
+    """The u of the one-worker sieve's row 1 that it keeps, decided from each f(u) alone.
+
+    u goes where a prime l of ``_SMALL_PRIMES`` with l**2 at most the
+    limit divides f(u) exactly once.  Of the moduli m = l**E, E >= 3 the
+    most with m at most the limit and 64, those not dividing f(u) fix
+    valuations e; where one is at least 1, u stays only if some prime p
+    divides every such e and f(u) is 0 or a p-th power modulo each modulus
+    of p's table up to the limit.
+    """
+    n = 2 * window + 1
+    limit = min(n, n // (f.degree + 1))
+    cap = min(limit, 64)
+    moduli = [max(l**e for e in range(3, 7) if l**e <= cap) for l in _SMALL_PRIMES if l**3 <= cap]
+    kept = []
+    for u in range(-window, window + 1):
+        y = f(u)
+        if any(y % l == 0 and y % (l * l) for l in _SMALL_PRIMES if l * l <= limit):
+            continue
+        fixed = [strip_prime(y, l)[0] for l, m in zip(_SMALL_PRIMES, moduli) if y % m]
+        if not any(fixed) or any(
+            all(e % p == 0 for e in fixed)
+            and all(y % q == 0 or pow(y, c, q) == 1 for q, c in _residue_table(p) if q <= limit)
+            for p in _SMALL_PRIMES
+        ):
+            kept.append(u)
+    return kept
+
+
+@pytest.mark.parametrize("f, window", [
+    *((f, window) for f, variant, window in BARE_SCANS[11:17]),
+    (IntPoly([-64, 1]), 20),  # limit 20: one class table, of period 16
+    (IntPoly([-16, 0, 0, 1]), 60),  # limit 30: periods 16 and 27
+    (construct(PowerSetInput.from_values([4, 8, 36], variant="integer")).f, 2000),
+])
+def test_row_one_keeps_the_points_its_classes_and_residues_allow(f, window):
+    n = 2 * window + 1
+    sieve = verify._RowSieve(f, None, -window, n, n)
+    assert list(verify._set_bits(sieve.mask(1), -window)) == _row_one_kept(f, window)
 
 
 def _check_row_denominators(f, window):

@@ -8,9 +8,12 @@ left-hand sides against a table of powers:
 * quartic Fermat variants  (``A^4 + B^4 = C^n``, ``A^4 + B^4 = 2*C^n``,
   and ``A^2 + B^4 = C^n`` with nonzero coprime A, B and n >= 4).
 
-A table of powers is a set of values.  The pairs (C, n) of a value are
-read back by exact integer roots only where a left-hand side hits, so a
-search takes roots in proportion to its hits, not to its box.
+A table of powers is a set of values.  ``catalan``, ``cn`` and ``2cn``
+look each left-hand side up in it; ``lebesgue`` and ``24n`` join from the
+table's side, each value t against the few b^pb in [t - bound^2, t], so
+their work is table-sized.  The pairs (C, n) of a value are read back by
+exact integer roots only at a hit, so a search takes roots in proportion
+to its hits, not to its box.
 
 Each search reports every solution inside its stated box, so the expected
 answer can be compared set-for-set rather than trusted.  Alongside these
@@ -20,6 +23,7 @@ powers in a binary recurrence, and perfect powers among gamma - 2^t.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -140,10 +144,47 @@ def _square_residues() -> bytes:
     return bytes(flags)
 
 
+def _square_join_chunk(payload) -> list[tuple[int, int, int]]:
+    """Every (a, b, t) with a*a + b_powers[b] == t, t in values and 0 <= a <= a_bound.
+
+    b_powers ascends.  a*a = t - b_powers[b] lies in [0, a_bound^2], so
+    the b of a hit at t are those with b_powers[b] in [t - a_bound^2, t]:
+    one bisection finds the largest, b walks down until the rest passes
+    a_bound^2, and one isqrt each decides a.
+    """
+    values, b_powers, a_bound = payload
+    reach = a_bound * a_bound
+    found = []
+    for t in values:
+        b = bisect_right(b_powers, t) - 1
+        while b >= 0:
+            rest = t - b_powers[b]
+            if rest > reach:
+                break
+            a = isqrt(rest)
+            if a * a == rest:
+                found.append((a, b, t))
+            b -= 1
+    return found
+
+
+def _square_join(table: set[int], b_powers: list[int], a_bound: int, workers: int):
+    """``_square_join_chunk`` on table's values dealt round-robin; one chunk iterates the set."""
+    parts = min(workers, len(table))
+    if parts > 1:
+        values = list(table)
+        payloads = [(values[i::parts], b_powers, a_bound) for i in range(parts)]
+    else:
+        payloads = [(table, b_powers, a_bound)]
+    for part in map_chunks(_square_join_chunk, payloads, workers):
+        yield from part
+
+
 # -- the size of a box ----------------------------------------------------------
 
 # A box's work is counted in left-hand sides tested, each a table lookup and
-# a square test (about 0.2 us).  What a box keeps for each exponent costs
+# a square test (about 0.2 us); lebesgue and 24n count those of their box,
+# though they join only their table.  What a box keeps for each exponent costs
 # more: its table entry 1^n and up to four solutions of the trivial family,
 # each counted _KEPT, about the bytes over 8 of a tuple in its list, its
 # sorted copy and its JSON text.  A catalan power X^m is kept too, and
@@ -152,10 +193,11 @@ def _square_residues() -> bytes:
 # left-hand sides.  A box past the cap is refused before any table is
 # built.  Just inside the cap, on one core of a Xeon with Python 3.11 (the
 # whole command, in a fresh process, one worker; time and peak RSS):
-# lebesgue --bound 19,992,511 --n-max 40 took 1.6 s and 26 MB, fermat
+# lebesgue --bound 19,992,511 --n-max 40 took 0.13 s and 26 MB, fermat
 # --variant 2cn --bound 8,942 --n-max 10 2.5 s and 36 MB, fermat --bound
-# 6,323 1.7 s and 28 MB, lebesgue --n-max 104,167 at --bound 1 0.5 s and
-# 101 MB, fermat --n-max 62,500 at --bound 1 1.1 s and 169 MB, catalan
+# 6,323 1.7 s and 28 MB, fermat --variant 24n --bound 4,470 0.08 s and
+# 18 MB, lebesgue --n-max 104,167 at --bound 1 0.5 s and 100 MB, fermat
+# --n-max 62,500 at --bound 1 1.1 s and 169 MB, catalan
 # --base-bound 151,516 --exp-bound 3 0.08 s and 27 MB, and catalan
 # --base-bound 2 --exp-bound 17,376 0.07 s and 36 MB.
 MAX_BOX_WORK = 10**7
@@ -171,7 +213,7 @@ def _check_work(work: int, **bounds: int) -> None:
 
 
 def _lebesgue_work(x_bound: int, n_max: int) -> int:
-    """Even X tested, plus per n its table entry and the X = 0 family, 2 solutions."""
+    """The even X of the box, plus per n its table entry and the X = 0 family, 2 solutions."""
     return x_bound // 2 + 1 + _KEPT * 3 * (n_max - 1)
 
 
@@ -188,7 +230,7 @@ def _fermat_work(ab_bound: int, n_max: int, variant: str = "cn") -> int:
 
 
 def _live_pairs(ab_bound: int, pa: int, pb: int, rhs_mult: int) -> int:
-    """The pairs (a, b) in [0, ab_bound]^2 that ``_fermat_chunk`` walks.
+    """The pairs (a, b) in [0, ab_bound]^2 that ``_fermat_chunk`` walks (24n is priced by them too).
 
     Those are the pairs in live classes, with b >= a when pa == pb.
     """
@@ -203,42 +245,25 @@ def _live_pairs(ab_bound: int, pa: int, pb: int, rhs_mult: int) -> int:
 # -- X^2 + 1 = Y^n -----------------------------------------------------------
 
 
-def _lebesgue_chunk(payload: tuple[range, int]) -> list[tuple[int, int, int]]:
-    xs, n_max = payload
-    table = _power_table(xs[-1] * xs[-1] + 1, 3, n_max)
-    is_square = _square_residues()
-    found = []
-    for x in xs:
-        m = x * x + 1
-        if m not in table and not (is_square[m % _SQUARE_MODULUS] and isqrt(m) ** 2 == m):
-            continue
-        for y, n in _exact_roots(m, 2, n_max):
-            found.append((x, y, n))
-            if x:
-                found.append((-x, y, n))
-            if n % 2 == 0:
-                found.append((x, -y, n))
-                if x:
-                    found.append((-x, -y, n))
-    return found
-
-
 def search_lebesgue(x_bound: int, n_max: int, workers: int = 1) -> SolutionList:
     """All (X, Y, n) with X^2 + 1 = Y^n, |X| <= x_bound, 2 <= n <= n_max.
 
-    Only even X are dealt out: an odd X has X^2 + 1 = 2 mod 8, of 2-adic
-    valuation exactly 1, and no Y^n with n >= 2 has that valuation.  Each
-    even X pays for the table lookup and the square test.
+    Joins the table of powers, with 1 added, against b^pb = 1
+    (``_square_join``).  That misses nothing: a hit is at most x_bound^2 + 1,
+    the table's limit, and for X >= 1, X^2 < X^2 + 1 < (X + 1)^2, so n = 2
+    holds only at X = 0, t = 1, which the table lacks when n_max = 2.  No
+    parity argument is needed: no table value has 2-adic valuation 1.
     """
     if x_bound < 0 or n_max < 2:
         raise ValidationError("need x_bound >= 0 and n_max >= 2")
     _check_work(_lebesgue_work(x_bound, n_max), x_bound=x_bound, n_max=n_max)
-    parts = max(1, min(workers, x_bound // 2 + 1))
-    # chunk i starts at 2 i <= x_bound, so none is empty
-    payloads = [(range(2 * i, x_bound + 1, 2 * parts), n_max) for i in range(parts)]
-    found: list[tuple[int, int, int]] = []
-    for part in map_chunks(_lebesgue_chunk, payloads, workers):
-        found.extend(part)
+    table = _power_table(x_bound * x_bound + 1, 3, n_max)
+    table.add(1)  # X = 0, the one square
+    found = [(sx, sy, n)
+             for x, _, t in _square_join(table, [1], x_bound, workers)
+             for y, n in _exact_roots(t, 2, n_max)
+             for sx in ((x,) if x == 0 else (x, -x))
+             for sy in ((y,) if n % 2 else (y, -y))]
     return SolutionList(
         equation="X^2 + 1 = Y^n",
         bounds={"x_bound": x_bound, "n_max": n_max},
@@ -347,7 +372,7 @@ def _live_classes(pa: int, pb: int, rhs_mult: int) -> frozenset[tuple[int, int]]
     (a^pa + b^pb) / rhs_mult = 2 mod 4.  Such a target has 2-adic valuation
     exactly 1, and no C^n with n >= 2 has.  Residues mod 4 * rhs_mult decide
     both the division and the target mod 4, so the classes follow from
-    the form alone: cn and 24n keep two classes, 2cn keeps odd-odd only.
+    the form alone: cn keeps two classes, 2cn keeps odd-odd only.
     """
     m = 4 * rhs_mult
     live = set()
@@ -372,7 +397,7 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
     pays for the table lookup and the square test only; the gcd and the
     sign expansion run on a hit.
     """
-    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
+    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult = payload
     table = _power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
     squares = n_min <= 2 <= n_max
     is_square = _square_residues()
@@ -403,7 +428,7 @@ def _fermat_chunk(payload) -> list[tuple[int, int, int, int]]:
             ):
                 continue
             # a = b = 0, the one zero target, fails the gcd
-            if gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
+            if gcd(a, b) != 1:
                 continue
             hits = _exact_roots(target, n_min, n_max)
             pairs = ((a, b), (b, a)) if mirror and a != b else ((a, b),)
@@ -424,6 +449,12 @@ def search_fermat_quartic(
     with n >= 2), "24n" is A^2 + B^4 = C^n with A, B nonzero and n >= 4.
     C is reported in its canonical positive form; for even n the sign
     mirror -C solves too.
+
+    cn and 2cn walk their pairs (``_fermat_chunk``); 24n joins its table of
+    powers against the b^4, b <= ab_bound (``_square_join``).  That misses
+    nothing: a hit is at most ab_bound^2 + ab_bound^4, the table's limit,
+    and has n >= 4, and a^2 = t - b^4 lies in [0, ab_bound^2], so the
+    bisected window holds its b.
     """
     if variant not in _FERMAT_FORMS:
         raise ValidationError(f"unknown variant {variant!r}, expected one of {FERMAT_VARIANTS}")
@@ -432,14 +463,16 @@ def search_fermat_quartic(
         raise ValidationError(f"need ab_bound >= 1 and n_max >= {n_min} for {variant!r}")
     _check_work(_fermat_work(ab_bound, n_max, variant), ab_bound=ab_bound, n_max=n_max)
     nonzero = variant == "24n"
-    parts = max(1, min(workers, ab_bound + 1))
-    payloads = [
-        (range(i, ab_bound + 1, parts), ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero)
-        for i in range(parts)
-    ]
-    found: list[tuple[int, int, int, int]] = []
-    for part in map_chunks(_fermat_chunk, payloads, workers):
-        found.extend(part)
+    if nonzero:
+        table = _power_table(ab_bound**pa + ab_bound**pb, n_min, n_max)
+        joined = _square_join(table, [b**pb for b in range(ab_bound + 1)], ab_bound, workers)
+        found = [(sa, sb, c, n) for a, b, t in joined if a and b and gcd(a, b) == 1
+                 for c, n in _exact_roots(t, n_min, n_max) for sa in (a, -a) for sb in (b, -b)]
+    else:
+        parts = max(1, min(workers, ab_bound + 1))
+        payloads = [(range(i, ab_bound + 1, parts), ab_bound, n_min, n_max, pa, pb, rhs_mult)
+                    for i in range(parts)]
+        found = [s for part in map_chunks(_fermat_chunk, payloads, workers) for s in part]
     return SolutionList(
         equation=equation,
         bounds={"ab_bound": ab_bound, "n_min": n_min, "n_max": n_max},

@@ -359,10 +359,13 @@ class _RowSieve:
             return None
         return full - least
 
-    def mask(self, v: int) -> int:
-        """The mask of the u prime to v whose f(u/v) no modulus proves to be no power."""
+    def mask(self, v: int, coprime: Optional[int] = None) -> int:
+        """The mask of the u prime to v whose f(u/v) no modulus proves to be no power.
+
+        coprime, when given, is ``self.coprime(v)``, already computed.
+        """
         limit = self.limit
-        mask = self.coprime(v)
+        mask = self.coprime(v) if coprime is None else coprime
         for l in _SMALL_PRIMES:
             if v % l and l * l <= limit:
                 mask &= self._pattern(0, l, v)
@@ -430,8 +433,9 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
     hits: list[Hit] = []
     for v in rows:
         vd = v ** max(f.degree, 0)
-        count += sieve.coprime(v).bit_count()
-        for u, num in _row_values(f, recipe, v, _set_bits(sieve.mask(v), lo)):
+        coprime = sieve.coprime(v)
+        count += coprime.bit_count()
+        for u, num in _row_values(f, recipe, v, _set_bits(sieve.mask(v, coprime), lo)):
             den = vd
             if gcd(num, v) != 1:
                 common = gcd(num, vd)

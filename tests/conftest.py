@@ -118,15 +118,15 @@ def mutant_half_prime_bound(monkeypatch):
                         tuple(p for p in construct._ADMISSIBLE_PRIMES if p <= half))
 
 
-# mutants of the box searches' 2-adic pruning (oracles); each loses a hit
+# mutants of the box searches (oracles); each loses a hit
 
 @pytest.fixture
-def mutant_odd_lebesgue(monkeypatch):
-    """search_lebesgue dealing out the odd X, where X**2 + 1 has 2-adic valuation 1."""
+def mutant_lebesgue_without_one(monkeypatch):
+    """search_lebesgue joining the table of cubes and higher powers without the added 1."""
     from power_forge import oracles
 
     _patch_source(monkeypatch, oracles, oracles, "search_lebesgue",
-                  "range(2 * i, x_bound + 1, 2 * parts)", "range(2 * i + 1, x_bound + 1, 2 * parts)")
+                  "table.add(1)", "pass")
 
 
 @pytest.fixture

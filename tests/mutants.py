@@ -105,6 +105,20 @@ MUTANTS = (
            "for n in range(n_min, min(n_max", "for n in range(n_min + 1, min(n_max",
            ("tests/test_oracles.py",),
            "_exact_roots starts one exponent above n_min, so a box loses its squares"),
+    Mutant("join-without-one", "oracles.py",
+           "table.add(1)  # X = 0", "pass  # X = 0",
+           ("tests/test_oracles.py",),
+           "lebesgue joins the table of cubes and higher powers without 1, which it lacks at "
+           "n_max = 2, losing (0, +-1, 2)"),
+    Mutant("join-window-one-short", "oracles.py",
+           "if rest > reach:", "if rest >= reach:",
+           ("tests/test_oracles.py",),
+           "_square_join_chunk's window of b stops one above t - a_bound**2, losing each hit "
+           "at a = a_bound"),
+    Mutant("join-square-check-dropped", "oracles.py",
+           "if a * a == rest:", "if True:",
+           ("tests/test_oracles.py",),
+           "_square_join_chunk takes every b in its window as a hit, with a = isqrt(rest)"),
     Mutant("table-one-short", "oracles.py",
            "range(2, top + 1)", "range(2, top)",
            ("tests/test_oracles.py",),

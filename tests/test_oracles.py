@@ -80,8 +80,8 @@ def _lebesgue_chunk_by_roots(payload):
     return found
 
 
-def _fermat_chunk_by_roots(payload):
-    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
+def _fermat_chunk_by_roots(payload, nonzero=False):
+    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult = payload
     found = []
     for a in a_range:
         for b in range(ab_bound + 1):
@@ -127,29 +127,20 @@ def _dict_power_table(limit, n_min, n_max):
     return table
 
 
-def _lebesgue_chunk_by_dict(payload):
-    xs, n_max = payload
-    table = _dict_power_table(xs[-1] * xs[-1] + 1, 3, n_max)
+def _square_join_by_walk(payload):
+    """_square_join_chunk's hits in its order, each value t tried with every b, b descending."""
+    values, b_powers, a_bound = payload
     found = []
-    for x in xs:
-        m = x * x + 1
-        hits = table.get(m)
-        y = isqrt(m)
-        if y * y == m:
-            hits = [(y, 2), *(hits or ())]
-        for y, n in hits or ():
-            found.append((x, y, n))
-            if x:
-                found.append((-x, y, n))
-            if n % 2 == 0:
-                found.append((x, -y, n))
-                if x:
-                    found.append((-x, -y, n))
+    for t in values:
+        for b in reversed(range(len(b_powers))):
+            rest = t - b_powers[b]
+            if 0 <= rest <= a_bound * a_bound and isqrt(rest) ** 2 == rest:
+                found.append((isqrt(rest), b, t))
     return found
 
 
 def _fermat_chunk_by_dict(payload):
-    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult, nonzero = payload
+    a_range, ab_bound, n_min, n_max, pa, pb, rhs_mult = payload
     table = _dict_power_table((a_range[-1] ** pa + ab_bound**pb) // rhs_mult, n_min, n_max)
     mirror = pa == pb
     live = oracles._live_classes(pa, pb, rhs_mult)
@@ -163,7 +154,7 @@ def _fermat_chunk_by_dict(payload):
             c = isqrt(target)
             if n_min <= 2 <= n_max and c * c == target:
                 hits = [(c, 2), *(hits or ())]
-            if not hits or gcd(a, b) != 1 or nonzero and (a == 0 or b == 0):
+            if not hits or gcd(a, b) != 1:
                 continue
             for x, y in ((a, b), (b, a)) if mirror and a != b else ((a, b),):
                 for c, n in hits:
@@ -190,18 +181,21 @@ def _catalan_by_dict(base_bound, exp_bound):
 
 
 def test_chunks_equal_the_dict_table_in_order():
-    # the dense forms hit many powers, with several (c, n) per value
-    for xs in (range(0, 1), range(0, 300, 2), range(2, 1200, 6), range(5, 60)):
-        for n_max in (2, 3, 12, 40):
-            payload = (xs, n_max)
-            assert oracles._lebesgue_chunk(payload) == _lebesgue_chunk_by_dict(payload), payload
+    # the dense forms hit many powers, with several (c, n) per value; the join
+    # takes the values in the dict's order, not the set's
+    for pb in (0, 1, 2, 3, 4, 5):
+        for bound in (0, 1, 5, 30, 61):
+            b_powers = [1] if pb == 0 else [b**pb for b in range(bound + 1)]
+            for n_min, n_max in [(3, 3), (3, 12), (4, 9), (2, 40)]:
+                values = [*_dict_power_table(bound**2 + b_powers[-1], n_min, n_max), 1, 8, 9]
+                payload = (values, b_powers, bound)
+                assert oracles._square_join_chunk(payload) == _square_join_by_walk(payload), payload
     for pa, pb, rhs_mult in QUARTIC_FORMS + DENSE_FORMS:
         for n_min, n_max in [(2, 2), (2, 9), (3, 3), (4, 12), (2, 40)]:
-            for nonzero in (False, True):
-                box = (30, n_min, n_max, pa, pb, rhs_mult, nonzero)
-                for a_values in (range(0, 1), range(0, 31), range(11, 25), range(2, 31, 3)):
-                    payload = (a_values, *box)
-                    assert oracles._fermat_chunk(payload) == _fermat_chunk_by_dict(payload), payload
+            box = (30, n_min, n_max, pa, pb, rhs_mult)
+            for a_values in (range(0, 1), range(0, 31), range(11, 25), range(2, 31, 3)):
+                payload = (a_values, *box)
+                assert oracles._fermat_chunk(payload) == _fermat_chunk_by_dict(payload), payload
 
 
 @pytest.mark.parametrize("base_bound", [2, 3, 8, 9, 10, 33, 100])
@@ -225,7 +219,7 @@ def test_boxes_equal_the_dict_table_in_order(monkeypatch, request, workers):
 
     got = boxes()
     request.getfixturevalue("serial_pool")  # the reference chunks run in this process
-    monkeypatch.setattr(oracles, "_lebesgue_chunk", _lebesgue_chunk_by_dict)
+    monkeypatch.setattr(oracles, "_square_join_chunk", _square_join_by_walk)
     monkeypatch.setattr(oracles, "_fermat_chunk", _fermat_chunk_by_dict)
     assert got == boxes()
 
@@ -257,12 +251,16 @@ def test_lebesgue_table_join_equals_roots(x_bound, n_max):
 @pytest.mark.parametrize("variant", FERMAT_VARIANTS)
 @pytest.mark.parametrize("ab_bound,n_max", FERMAT_BOXES)
 def test_fermat_table_join_equals_roots(monkeypatch, variant, ab_bound, n_max):
-    n_min = oracles._FERMAT_FORMS[variant][4]
+    _, pa, pb, rhs_mult, n_min = oracles._FERMAT_FORMS[variant]
     if n_max < n_min:
         with pytest.raises(ValidationError):
             search_fermat_quartic(ab_bound, n_max, variant)
         return
     got = search_fermat_quartic(ab_bound, n_max, variant)
+    if variant == "24n":  # joined from its table: the reference takes roots over the whole box
+        box = (range(ab_bound + 1), ab_bound, n_min, n_max, pa, pb, rhs_mult)
+        assert got.solutions == tuple(sorted(_fermat_chunk_by_roots(box, nonzero=True)))
+        return
     monkeypatch.setattr(oracles, "_fermat_chunk", _fermat_chunk_by_roots)
     assert got == search_fermat_quartic(ab_bound, n_max, variant)
 
@@ -270,21 +268,52 @@ def test_fermat_table_join_equals_roots(monkeypatch, variant, ab_bound, n_max):
 def test_chunks_equal_roots_on_dense_forms():
     # A^pa + B^pb = m C^n with small pa, pb hits many powers, so every
     # chunk table (one per range, sized by its own largest left-hand side)
-    # is exercised on true matches, not only on the trivial families
-    for xs in (range(0, 1), range(3, 4), range(5, 60), range(100, 140)):
-        for n_max in (2, 3, 8, 25):
-            payload = (xs, n_max)
-            want = _lebesgue_chunk_by_roots(payload)
-            assert sorted(oracles._lebesgue_chunk(payload)) == sorted(want)
+    # is exercised on true matches, not only on the trivial families (the
+    # join's dense test is test_square_join_equals_brute_force_on_dense_forms)
     for pa, pb, rhs_mult in [(1, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 1), (1, 3, 3)]:
         for n_min, n_max in [(2, 2), (2, 9), (3, 3), (4, 12)]:
-            for nonzero in (False, True):
-                box = (30, n_min, n_max, pa, pb, rhs_mult, nonzero)
-                every = _fermat_chunk_by_roots((range(0, 31), *box))
-                for a_values in (range(0, 1), range(0, 30), range(11, 25), range(2, 31, 3)):
-                    want = [s for s in every if _fermat_owner(s, pa == pb) in a_values]
-                    got = oracles._fermat_chunk((a_values, *box))
-                    assert sorted(got) == sorted(want), (a_values, *box)
+            box = (30, n_min, n_max, pa, pb, rhs_mult)
+            every = _fermat_chunk_by_roots((range(0, 31), *box))
+            for a_values in (range(0, 1), range(0, 30), range(11, 25), range(2, 31, 3)):
+                want = [s for s in every if _fermat_owner(s, pa == pb) in a_values]
+                got = oracles._fermat_chunk((a_values, *box))
+                assert sorted(got) == sorted(want), (a_values, *box)
+
+
+def _powers_by_walk(limit, n_min, n_max):
+    """Every c^n <= limit, c >= 1, n_min <= n <= n_max, walking c up from 1."""
+    powers = set()
+    for n in range(n_min, n_max + 1):
+        c = 1
+        while c**n <= limit:
+            powers.add(c**n)
+            c += 1
+    return powers
+
+
+# per pb, a bound with a hit at a = bound, b > 0: 5^2 + 2 = 3^3, 2^2 + 2^2 = 2^3,
+# 8^2 + 4^3 = 2^7, 4^2 + 2^4 = 2^5 and 7^2 + 2^5 = 3^4
+EDGE_BOUNDS = {1: 5, 2: 2, 3: 8, 4: 4, 5: 7}
+
+
+@pytest.mark.parametrize("pb", [1, 2, 3, 4, 5])
+def test_square_join_equals_brute_force_on_dense_forms(serial_pool, pb):
+    # a^2 + b^pb = c^n with n >= 3 hits often; each (a, b) of the box is
+    # tried, and the chunks of 2 and 3 workers run in this process
+    edge = EDGE_BOUNDS[pb]
+    for bound in (0, 1, edge, 30, 61):
+        b_powers = [b**pb for b in range(bound + 1)]
+        for n_min, n_max in [(3, 3), (3, 12), (4, 9), (5, 40)]:
+            powers = _powers_by_walk(bound**2 + bound**pb, n_min, n_max)
+            want = sorted((a, b, a * a + b**pb) for a in range(bound + 1)
+                          for b in range(bound + 1) if a * a + b**pb in powers)
+            table = oracles._power_table(bound**2 + bound**pb, n_min, n_max)
+            assert table == powers
+            for workers in (1, 2, 3):
+                got = sorted(oracles._square_join(table, b_powers, bound, workers))
+                assert got == want, (pb, bound, n_min, n_max, workers)
+            if bound == edge and (n_min, n_max) == (3, 12):
+                assert any(a == bound and b for a, b, _ in want)
 
 
 # the forms of the three quartic variants and the dense forms above, as (pa, pb, rhs_mult)
@@ -327,7 +356,7 @@ def test_the_quartic_forms_keep_half_or_a_quarter_of_the_classes():
 
 def test_odd_x_squared_plus_one_has_valuation_one():
     assert all((x * x + 1) % 8 == 2 for x in range(1, 10**4, 2))
-    # the one hit with X = 0 is all the box holds; search_lebesgue deals out even X only
+    # the one hit with X = 0 is all the box holds; the table holds no value of valuation 1
     for workers in (1, 2, 3, 5):
         assert {s[0] for s in search_lebesgue(40, 6, workers).solutions} == {0}
 
@@ -349,7 +378,7 @@ def test_live_pairs_count_the_pairs_walked(form, ab_bound):
 def test_a_halved_residue_modulus_loses_the_odd_odd_hits_of_a_plus_b(request):
     # mod 2 * rhs_mult = 2, the class of 1 + 1 reads as target 2 mod 4, where
     # 1 + 3 = 4 is a square; the full modulus 4 sees it
-    box = (30, 2, 9, 1, 1, 1, False)
+    box = (30, 2, 9, 1, 1, 1)
     want = sorted(_fermat_chunk_by_roots((range(0, 31), *box)))
     assert sorted(oracles._fermat_chunk((range(0, 31), *box))) == want
     assert (1, 3, 2, 2) in want
@@ -359,10 +388,12 @@ def test_a_halved_residue_modulus_loses_the_odd_odd_hits_of_a_plus_b(request):
     assert (1, 3, 2, 2) not in got and got != want
 
 
-def test_dealing_out_odd_x_loses_the_x_0_family(request):
-    assert set(search_lebesgue(7, 4).solutions) == set(lebesgue_expected(7, 4))
-    request.getfixturevalue("mutant_odd_lebesgue")
-    assert oracles.search_lebesgue(7, 4).solutions == ()
+def test_leaving_out_the_added_one_loses_the_squares_of_x_0(request):
+    # the table of cubes and higher powers holds 1 only when n_max >= 3
+    assert search_lebesgue(7, 2).solutions == lebesgue_expected(7, 2) == ((0, -1, 2), (0, 1, 2))
+    request.getfixturevalue("mutant_lebesgue_without_one")
+    assert oracles.search_lebesgue(7, 2).solutions == ()
+    assert oracles.search_lebesgue(7, 4).solutions == lebesgue_expected(7, 4)
 
 
 def _fermat_owner(solution, mirror):
@@ -374,6 +405,16 @@ def _fermat_owner(solution, mirror):
 @pytest.mark.parametrize("variant", ["cn", "24n"])
 def test_fermat_workers_agree(variant):
     assert search_fermat_quartic(30, 9, variant, workers=3) == search_fermat_quartic(30, 9, variant)
+
+
+@pytest.mark.parametrize("search", [
+    lambda workers: search_lebesgue(1200, 30, workers),
+    lambda workers: search_fermat_quartic(90, 12, "24n", workers),
+], ids=["lebesgue", "24n"])
+def test_the_joined_boxes_agree_at_1_2_and_3_workers(search):
+    # the table's values dealt round-robin to the pool's processes
+    one = search(1)
+    assert search(2) == one == search(3)
 
 
 @pytest.mark.parametrize("variant", ["cn", "2cn"])
@@ -395,7 +436,7 @@ def test_mirrored_chunks_on_dense_symmetric_forms():
     # reassemble it
     for pa, rhs_mult in [(1, 1), (2, 2), (3, 1)]:
         for ab_bound in (37, 60):
-            box = (ab_bound, 2, 9, pa, pa, rhs_mult, False)
+            box = (ab_bound, 2, 9, pa, pa, rhs_mult)
             want = sorted(_fermat_chunk_by_roots((range(ab_bound + 1), *box)))
             stop = ab_bound + 1
             partitions = [[range(i, stop, parts) for i in range(parts)] for parts in range(1, 8)]
@@ -541,7 +582,7 @@ def test_the_documented_boxes_are_inside_the_cap():
              for x_bound, n_max in ((10**4, 20), (25000, 24), (10**6, 40), (10**7, 40))]
     works += [oracles._catalan_work(100, 20), oracles._catalan_work(400, 40)]
     works += [oracles._fermat_work(150, 8, "2cn"), oracles._fermat_work(1000, 10),
-              oracles._fermat_work(3000, 10)]
+              oracles._fermat_work(3000, 10), oracles._fermat_work(3000, 10, "24n")]
     works += [oracles._fermat_work(220, 10, variant) for variant in FERMAT_VARIANTS]
     assert max(works) <= oracles.MAX_BOX_WORK
 
@@ -730,6 +771,6 @@ def test_scan_recurrence_rejects_degenerate():
 def test_the_pool_has_no_more_processes_than_payloads(serial_pool):
     assert list(oracles.map_chunks(abs, [-1, 2], 3)) == [1, 2]
     assert list(oracles.map_chunks(abs, [-1, 2, -3], 2)) == [1, 2, 3]
-    # |X| <= 3 holds two even values of X, so two chunks however many workers
+    # the box |X| <= 3 has the table {1, 8}, two values, so two chunks however many workers
     assert search_lebesgue(3, 4, workers=3) == search_lebesgue(3, 4)
     assert serial_pool == [2, 2, 2]

@@ -138,16 +138,16 @@ def mutant_half_modulus(monkeypatch):
                   "m = 4 * rhs_mult", "m = 2 * rhs_mult")
 
 
-# mutants of the decomposer's one reduction and the scan's lowest-terms pairs
+# mutants of the decomposer's grouped reduction and the scan's lowest-terms pairs
 
 @pytest.fixture
 def mutant_first_modulus_left_out(monkeypatch):
-    """The product of first moduli without the first candidate's modulus, on an empty memo."""
+    """Each group's product of first moduli without its first modulus, on an empty memo."""
     from power_forge import powers
 
     monkeypatch.setattr(powers, "_FIRST_MODULI", {})
     _patch_source(monkeypatch, powers, powers, "_first_moduli",
-                  "prod(q for _, q, _ in firsts)", "prod(q for _, q, _ in firsts[1:])")
+                  "prod(q for _, q, _ in group)", "prod(q for _, q, _ in group[1:])")
 
 
 @pytest.fixture

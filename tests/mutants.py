@@ -68,9 +68,22 @@ MUTANTS = (
            ("tests/test_cli.py",),
            "verify --artifacts reads a file of any size"),
     Mutant("first-modulus-left-out", "powers.py",
-           "prod(q for _, q, _ in firsts)", "prod(q for _, q, _ in firsts[1:])",
+           "prod(q for _, q, _ in group)", "prod(q for _, q, _ in group[1:])",
            ("tests/test_powers.py",),
-           "the product of first moduli leaves out the first candidate's modulus"),
+           "each group's product of first moduli leaves out its first candidate's modulus"),
+    Mutant("last-modulus-left-out", "powers.py",
+           "prod(q for _, q, _ in group)", "prod(q for _, q, _ in group[:-1])",
+           ("tests/test_powers.py",),
+           "each group's product of first moduli leaves out its last candidate's modulus"),
+    Mutant("residue-set-short", "powers.py",
+           "frozenset((0, *orbit))", "frozenset((0, *orbit[1:]))",
+           ("tests/test_powers.py",),
+           "every set of p-th powers mod q lacks the nonzero residue 1"),
+    Mutant("small-prime-gcd-without-13", "powers.py",
+           "gcd(m, _SMALL_PRIMORIAL)", "gcd(m, 2 * 3 * 5 * 7 * 11)",
+           ("tests/test_powers.py",),
+           "the small primes dividing m are read from a gcd with 2 * 3 * 5 * 7 * 11, so 13 is "
+           "never stripped and bounds no exponent as a prime >= 17 would"),
     Mutant("cancelling-points-skipped", "verify.py",
            "common = gcd(num, vd)", "continue",
            ("tests/test_verify.py",),

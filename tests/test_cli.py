@@ -382,10 +382,11 @@ def test_values_with_a_leading_minus(capsys, argv, kind):
 
 @pytest.fixture
 def fresh_residue_cache(monkeypatch):
-    # decomposing values of thousands of digits caches residue tables for hundreds of
-    # exponents, and the products of their first moduli; keep them out of test_powers'
-    # check of every cached table and out of the shared memo
+    # decomposing values of thousands of digits caches residue tables and sets for hundreds
+    # of exponents, and the groups of their first moduli; keep them out of test_powers'
+    # check of every cached table and set and out of the shared memo
     monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_RESIDUE_SETS", {})
     monkeypatch.setattr(powers, "_FIRST_MODULI", {})
 
 

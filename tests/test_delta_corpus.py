@@ -4,9 +4,9 @@ Random sets of two or more powers almost never have one, so the corpus
 is built on purpose.  If b_i = a_i / c_i = delta - u_i / c_i with each
 u_i = -+1, every factor c_i delta - a_i of P(delta) is a unit, and P - 1
 or P + 1 has the root delta.  ``delta_rich_sets`` draws such sets, with
-a fixed seed, from the powers of small height; three sets found by hand
-reach the cases it cannot: factors that are no units, two deltas, and a
-double root.
+a fixed seed, from the powers of small height; four sets found by hand
+reach the cases it cannot: factors that are no units, two deltas, a
+double root, and an offset s far past the default scan depth.
 """
 
 import json
@@ -25,6 +25,8 @@ HAND_SETS = {
     ("-1", "-1/8"): ("-9/8",),  # (-9/8 + 1)(8 (-9/8) + 1) = (-1/8)(-8)
     ("-27/8", "-64/27"): ("-91/27", "-19/8"),
     ("25", "27"): ("26",),  # P + 1 = (X - 26)**2
+    # 3**41 = delta -+ 1: k = 4 and s = 127, far past the default --t-max 64
+    ("36472996377170786403",): ("36472996377170786402", "36472996377170786404"),
 }
 
 
@@ -97,3 +99,8 @@ def test_a_corpus_set_constructs_verifies_and_round_trips(capsys, tmp_path, valu
     capsys.readouterr()
     assert main(["verify", "--artifacts", target, "--height", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+
+
+def test_the_power_of_three_needs_an_offset_past_the_default_scan_depth():
+    art = construct(PowerSetInput.from_values([str(3**41)]))
+    assert (art.k, art.s) == (4, 127)

@@ -125,6 +125,14 @@ def test_power_decomposition_validation():
     assert dec.value == Fraction(9, 25)
 
 
+def fresh_residue_caches(monkeypatch):
+    """Empty residue tables, residue sets and groups of first moduli for one test, so that
+    what large values build stays out of the shared caches."""
+    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_RESIDUE_SETS", {})
+    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+
+
 def _signed(rng, base, p):
     return -base if p % 2 and rng.random() < 0.5 else base
 
@@ -167,9 +175,7 @@ def test_decompose_matches_sympy_perfect_power(rng):
 def test_large_small_prime_valuations_match_sympy(rng, monkeypatch):
     # the valuations of 2, 3 and 5 are counted with O(log v) divisions
     sympy = pytest.importorskip("sympy")
-    # keep the residue tables and moduli products these large values build out of the shared caches
-    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
-    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    fresh_residue_caches(monkeypatch)
     values = [2**1997 * (rng.randint(3, 10**6) | 1), 3**1200, 2**1200 * 3**600 * 5**300]
     for _ in range(4):
         a, b, c = rng.randint(1, 900), rng.randint(1, 600), rng.randint(1, 400)
@@ -198,6 +204,13 @@ def test_residue_sieve_passes_every_true_power(rng):
             assert q % p == 1 and cofactor * p == q - 1, (p, q)
             for r in range(40):
                 assert powers._may_be_power(r**p, p)
+    for p, sets in powers._RESIDUE_SETS.items():
+        assert len(sets) in (1, powers._RESIDUE_PRIMES_PER_EXPONENT), p
+        assert [q for _, q, _ in sets] == [q for q, _ in powers._residue_table(p)[: len(sets)]], p
+        for entry_p, q, residues in sets:
+            # as many residues as there are p-th powers, each one by Euler's criterion
+            assert entry_p == p and len(residues) == (q - 1) // p + 1 and 0 in residues, (p, q)
+            assert all(pow(r, (q - 1) // p, q) == 1 for r in residues if r), (p, q)
 
 
 def test_non_powers_extract_almost_no_roots(rng, monkeypatch):
@@ -225,6 +238,7 @@ def test_residue_tables_match_the_miller_rabin_ones(monkeypatch):
     # the moduli read off the sieve are the ones a primality test per candidate
     # finds; trial division here, so the reference shares no code with the sieve
     monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(powers, "_RESIDUE_SETS", {})
     monkeypatch.setattr(powers, "_PRIME_FLAGS", bytearray())
     for p in primes_up_to(1999):
         want, q = [], 1
@@ -232,7 +246,20 @@ def test_residue_tables_match_the_miller_rabin_ones(monkeypatch):
             q += p
             if all(q % d for d in range(2, isqrt(q) + 1)):
                 want.append((q, (q - 1) // p))
+        # the residue sets find their first modulus alone, and the other seven after it
+        assert [q for _, q, _ in powers._residue_sets(p, 1)] == [want[0][0]], p
+        assert [q for _, q, _ in powers._residue_sets(p, len(want))] == [q for q, _ in want], p
         assert powers._residue_table(p) == tuple(want), p
+
+
+def test_residue_sets_are_the_p_th_powers_mod_q(monkeypatch):
+    # by a pass over all of Z/q, which the sets are built without
+    monkeypatch.setattr(powers, "_RESIDUE_SETS", {})
+    for p in primes_up_to(1100):
+        count = powers._RESIDUE_PRIMES_PER_EXPONENT if p <= 100 else 1
+        for entry_p, q, residues in powers._residue_sets(p, count):
+            assert entry_p == p and residues == {pow(x, p, q) for x in range(q)}, (p, q)
+            assert len(residues) == (q - 1) // p + 1, (p, q)
 
 
 def reference_decompose(u, v):
@@ -369,8 +396,7 @@ def big_integer_values(rng):
 
 def test_one_reduction_rejects_what_each_candidate_rejects(rng, monkeypatch):
     # the same decomposition, and a root taken for the same (|n|, p), in the same order
-    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
-    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    fresh_residue_caches(monkeypatch)
     rooted = []
     real_root = powers.integer_nth_root
 
@@ -393,8 +419,7 @@ def test_one_reduction_rejects_what_each_candidate_rejects(rng, monkeypatch):
 
 def test_big_integers_match_sympy_perfect_power(rng, monkeypatch):
     sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(powers, "_RESIDUE_TABLES", {})
-    monkeypatch.setattr(powers, "_FIRST_MODULI", {})
+    fresh_residue_caches(monkeypatch)
     for n in big_integer_values(rng)[::5]:
         got = decompose_integer_power(n)
         want = sympy.perfect_power(n)
@@ -407,14 +432,27 @@ def test_big_integers_match_sympy_perfect_power(rng, monkeypatch):
 def test_the_product_of_first_moduli_is_memoised_and_bounded(monkeypatch):
     monkeypatch.setattr(powers, "_FIRST_MODULI", {})
     monkeypatch.setattr(powers, "_FIRST_MODULI_MEMO_SIZE", 3)
-    for exponents in ((), (2,), (3, 5), (2, 3, 5, 7)):
-        product, firsts = powers._first_moduli(exponents)
+    many = tuple(primes_up_to(1000))
+    for exponents in ((), (2,), (3, 5), (2, 3, 5, 7), many):
+        groups = powers._first_moduli(exponents)
+        firsts = [first for _, group in groups for first in group]
         assert [p for p, _, _ in firsts] == list(exponents)
-        for p, q, cofactor in firsts:
-            assert (q, cofactor) == powers._residue_table(p)[0]
-        assert product == prod(q for _, q, _ in firsts)
-        assert powers._first_moduli(exponents)[0] is product
-    assert list(powers._FIRST_MODULI) == [(2, 3, 5, 7)]  # emptied when full, then refilled
+        for first in firsts:
+            p, q, _ = first
+            assert q == powers._residue_table(p)[0][0]
+            # one entry per prime, shared with _may_be_power's sets: the memo holds references
+            assert first is powers._residue_sets(p, 1)[0]
+        for i, (product, group) in enumerate(groups):
+            assert group and product == prod(q for _, q, _ in group)
+            bits = [q.bit_length() for _, q, _ in group]
+            # every group but the last reaches the width, and only with its last modulus
+            if i < len(groups) - 1:
+                assert sum(bits) - bits[-1] < powers._GROUP_BITS <= sum(bits)
+            else:
+                assert sum(bits) - bits[-1] < powers._GROUP_BITS
+        assert powers._first_moduli(exponents) is groups
+    assert len(powers._first_moduli(many)) > 3  # a few words per group, not one product
+    assert list(powers._FIRST_MODULI) == [(2, 3, 5, 7), many]  # emptied when full, then refilled
 
 
 def test_a_moduli_product_missing_a_modulus_loses_true_powers(rng, request):
@@ -422,3 +460,67 @@ def test_a_moduli_product_missing_a_modulus_loses_true_powers(rng, request):
     assert all(decompose_integer_power(n) is not None for n in squares)
     request.getfixturevalue("mutant_first_modulus_left_out")
     assert any(decompose_integer_power(n) is None for n in squares)
+
+
+# -- grouped remainders and residue lookups against each candidate alone -------
+
+
+def decompose_by_each_candidate(n):
+    """Every candidate p of |n| tried alone: ``_may_be_power(|n|, p)``, then the exact root."""
+    sign, mu = (1, n) if n > 0 else (-1, -n)
+    for p in powers._candidate_prime_exponents(mu):
+        if (sign > 0 or p != 2) and powers._may_be_power(mu, p):
+            root, exact = integer_nth_root(mu, p)
+            if exact:
+                inner = decompose_by_each_candidate(sign * root) if root > 1 else None
+                if inner is None:
+                    return PowerDecomposition(Fraction(sign * root), p)
+                return PowerDecomposition(inner.base, inner.exponent * p)
+    return None
+
+
+def coprime_big_values(rng):
+    """(value, p or None) for integers of 1,000-6,000 bits with no prime factor up to 13:
+    r**p for every prime p <= bits / 4 (r < 0 for half the odd p; r >= 17, so p <= 1,467),
+    r**p + 1 and r**p - 1 where r can be a multiple of 30030, and random values; p is the
+    exponent of a true power."""
+    values = []
+    for p in primes_up_to(1467):
+        lo = integer_nth_root(2 ** max(1000, 4 * p), p)[0] + 1
+        hi = integer_nth_root(2**6000 - 2, p)[0]
+        r = rng.randint(lo, hi)
+        while gcd(r, 30030) != 1:
+            r = rng.randint(lo, hi)
+        values.append((_signed(rng, r, p) ** p, p))
+        if hi // 30030 > lo // 30030:
+            near = 30030 * rng.randint(lo // 30030 + 1, hi // 30030)
+            values += [(near**p + 1, None), (near**p - 1, None)]
+    for _ in range(100):
+        m = rng.getrandbits(rng.randint(1000, 5999)) | 1 << 5999
+        values.append((m - m % 30030 + 1, None))
+    assert all(gcd(v, 30030) == 1 and 1000 <= abs(v).bit_length() <= 6000 for v, _ in values)
+    return values
+
+
+def test_grouped_residues_decompose_like_each_candidate_alone(rng, monkeypatch):
+    fresh_residue_caches(monkeypatch)
+    hits = 0
+    for n, p in coprime_big_values(rng):
+        got = decompose_integer_power(n)
+        assert got == decompose_by_each_candidate(n), n
+        if p is not None:
+            assert got is not None and got.base**got.exponent == n and got.exponent % p == 0, (n, p)
+            hits += 1
+    assert hits == len(primes_up_to(1467))
+
+
+def test_powers_of_the_small_primes_decompose():
+    # which small primes divide m is read from one gcd; a prime it misses is never stripped,
+    # and a power of 13 alone then bounds its exponent below the true one
+    for l in powers._SMALL_PRIMES:
+        for e in range(2, 41):
+            for sign in (1, -1) if e % 2 else (1,):
+                want = PowerDecomposition(Fraction(sign * l), e)
+                assert decompose_integer_power(sign * l**e) == want, (l, e)
+                assert decompose_integer_power((sign * 17 * l) ** e).exponent == e, (l, e)
+    assert decompose_integer_power(2**5 * 13**5) == PowerDecomposition(Fraction(26), 5)

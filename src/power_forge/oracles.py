@@ -559,18 +559,23 @@ def scan_gamma_minus_pow2(gamma: Fraction | int, t_max: int) -> tuple[PowerHit, 
 
     This is the recurrence scan specialized to u_t = gamma*1^t - 1*2^t, kept
     separate because the capacity estimate consumes exactly this sequence.
-    t_max is at most ``MAX_SCAN_BITS // 3`` (see ``check_depth``).
+    t_max is at most ``MAX_SCAN_BITS // 3`` (see ``check_depth``).  With
+    gamma = a/b in lowest terms, u_t = (a - b 2^t) / b, and
+    gcd(a - b 2^t, b) = gcd(a, b) = 1, so each term goes to the decomposer
+    as the integer pair (a - b 2^t, b), and a Fraction is built only at a
+    hit.
     """
     gamma = Fraction(gamma)
     if gamma == 0:
         raise ValidationError("gamma must be nonzero")
     check_depth(t_max)
+    a, b = gamma.numerator, gamma.denominator
     hits = []
-    pw = 1
+    pw = b  # b 2^t
     for t in range(t_max + 1):
-        u = gamma - pw
-        dec = decompose_rational_power(u)
+        num = a - pw
+        dec = decompose_rational_power(num, b)
         if dec is not None:
-            hits.append(PowerHit(index=t, value=u, power=dec))
+            hits.append(PowerHit(index=t, value=Fraction(num, b), power=dec))
         pw <<= 1
     return tuple(hits)

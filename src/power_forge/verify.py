@@ -43,20 +43,27 @@ The tables are read from the exact values f(0), f(1), ... up to the
 period of the largest table built, which the scan's own evaluator gives
 (``_row_values`` on the row v = 1).  The survivors are evaluated the
 same way, so a mask rejects exactly the points whose computed value
-fails a residue test.  A modulus m is used only where its table pays:
-m at most the row length 2H+1, and m (deg f + 1) at most the chunk's
-points.  So the degree-201 and degree-361 scans at heights 8-9 use none
-and read no coefficient's valuation; nor does the integer scan, whose
-one row v = 1 has denominator 1.  Each pattern
-is built once per (table, v mod m) and tiled along the row by one
-multiplication, and a row adds no modulus once no point is left on it.
-The masks only reject, so hits, ``points_scanned`` and every report are
-those of the point-by-point scan.  On the ``scan-lowdeg`` sets as the
-tests fix them, {9/25} at height 110 evaluates 321 of 14,863 points
-(381 before the class tables, 1,600 before the row denominators) and
-169 table values, and the integer {4, 8, 36} to 20,000 evaluates 201 of
-40,001 (2,389 before the class tables) and 169 table values.  A scan is
-refused up front past 10**7 points (``_MAX_POINTS``).
+fails a residue test.  A table is used only where it pays.  A residue
+table of prime period q costs its q values, so it is used where
+q (deg f + 1) is at most the chunk's points, even where q is longer than
+the row: {-1/8, 4/25} at height 40 sieves its 81-point rows by 103 and
+137.  A valuation table (period l**2) or class table (l**E) also keeps
+its period within the row length 2H+1.  So the degree-201 and degree-361
+scans at heights 8-9 use none and read no coefficient's valuation; nor
+does the integer scan, whose one row v = 1 has denominator 1.  A table
+that keeps every class is found when it is built and never used.  Each
+pattern is built once per (table, v mod period) and tiled along the row
+by one multiplication, which cuts a period longer than the row, and a
+row adds no modulus once no point is left on it.  The masks only reject,
+so hits, ``points_scanned`` and every report are those of the
+point-by-point scan.  On the ``scan-lowdeg`` sets as the tests fix them,
+{9/25} at height 110 evaluates 321 of 14,863 points (381 before the
+class tables, 1,600 before the row denominators) and 169 table values,
+{-1/8, 4/25} at height 40 evaluates 167 of 1,959 (720 while residue
+moduli stayed within the row) and 137 table values, and the integer
+{4, 8, 36} to 20,000 evaluates 201 of 40,001 (2,389 before the class
+tables) and 169 table values.  A scan is refused up front past 10**7
+points (``_MAX_POINTS``).
 
 A constructed f is evaluated from its recipe (pairs, k, s) in integers,
 at O(|S| + log k) big-int operations per point instead of the deg f of
@@ -264,8 +271,12 @@ def _prime_powers(v: int) -> list[tuple[int, int]]:
 class _RowSieve:
     """The masks of one chunk's rows over the numerators u in [lo, lo + n).
 
-    The module docstring gives the three kinds of table and when a
-    modulus pays.  The class tables serve row 1 only: l**E is the longest
+    The module docstring gives the three kinds of table and when each
+    pays: a residue table's prime period q is bounded by
+    ``residue_limit``, the chunk's points over deg f + 1, and a valuation
+    or class table's period by ``limit``, which is also at most the row
+    length n.  ``_sift`` returns the mask as it is for a table that keeps
+    every class.  The class tables serve row 1 only: l**E is the longest
     period with E >= 3 under both the limit and ``_CLASS_PERIOD_CAP``,
     whose comment gives the sweep that chose 64.  On row 1 of the integer
     scan of {4, 8, 36} to 20,000 they leave 201 of the 2,389 points that
@@ -283,9 +294,14 @@ class _RowSieve:
         self.f, self.recipe = f, recipe
         self.lo, self.n = lo, n
         self.full = (1 << n) - 1
-        self.limit = min(n, points // (f.degree + 1)) if f.degree >= 0 else 0
-        # (p, m) -> (period, marked classes t, whether a marked class survives)
-        self._tables: dict[tuple[int, int], tuple[int, list[int], bool]] = {}
+        # a residue table of prime period q costs its q values, as _tile cuts a period past
+        # the row; the valuation (l**2) and class tables also keep within the row: without
+        # that cap a scan-lowdeg pass took 5.84 ref, not 5.56 (2 cores, 4 pairs of 8 s runs)
+        self.residue_limit = points // (f.degree + 1) if f.degree >= 0 else 0
+        self.limit = min(n, self.residue_limit)
+        # (p, m) -> (period, marked classes t, whether a marked class survives), or () for a
+        # table that keeps every class, which is never tiled or ANDed
+        self._tables: dict[tuple[int, int], tuple[int, list[int], bool] | tuple[()]] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
         self._values: list[int] = []  # f(0), f(1), ...: what the tables are read from
         self._unit_masks: dict[int, int] = {}  # l -> the mask of the u prime to l
@@ -364,37 +380,37 @@ class _RowSieve:
 
         coprime, when given, is ``self.coprime(v)``, already computed.
         """
-        limit = self.limit
+        limit, residue_limit = self.limit, self.residue_limit
         mask = self.coprime(v) if coprime is None else coprime
         for l in _SMALL_PRIMES:
             if v % l and l * l <= limit:
-                mask &= self._pattern(0, l, v)
+                mask = self._sift(mask, 0, l, v)
         if v == 1:
             # the u whose classes fix no valuation e >= 1 stay (p = m divides no e < E but 0);
             # the others need a prime p | e
             classes, exponents, residue = self._classes, self._class_exponents, mask
             for l, m in classes:
-                residue &= self._pattern(m, m, 1, l)
+                residue = self._sift(residue, m, m, 1, l)
         else:
             # no residue table fits below 3, so the denominator is not read
-            denominator = self.denominator(v) if limit >= 3 else None
+            denominator = self.denominator(v) if residue_limit >= 3 else None
             if denominator is None or denominator == 1:
                 return mask
             classes, exponents, residue = (), [p for p, _ in _denominator_roots(denominator)], 0
         for p in exponents:
             survivors = mask
             for l, m in classes:
-                survivors &= self._pattern(p, m, 1, l)
+                survivors = self._sift(survivors, p, m, 1, l)
             for q, _ in _residue_table(p):
                 if not survivors:
                     break
-                if v % q and q <= limit:
-                    survivors &= self._pattern(p, q, v)
+                if v % q and q <= residue_limit:
+                    survivors = self._sift(survivors, p, q, v)
             residue |= survivors
         return residue
 
-    def _pattern(self, p: int, m: int, v: int, l: int = 0) -> int:
-        """The mask of table (p, m) on row v; l > 0 for a class table (see ``_allowed``)."""
+    def _sift(self, mask: int, p: int, m: int, v: int, l: int = 0) -> int:
+        """mask ANDed with table (p, m) on row v; l > 0 for a class table (see ``_allowed``)."""
         table = self._tables.get((p, m))
         if table is None:
             period = m * m if p == 0 else m
@@ -404,19 +420,21 @@ class _RowSieve:
             allowed = _allowed(self._values, p, m, l)
             kept = [t for t, ok in enumerate(allowed) if ok]
             dropped = [t for t, ok in enumerate(allowed) if not ok]
-            marked = (kept, True) if len(kept) <= len(dropped) else (dropped, False)
-            table = self._tables[p, m] = (len(allowed), *marked)
+            marked, keep = (kept, True) if len(kept) <= len(dropped) else (dropped, False)
+            table = self._tables[p, m] = (len(allowed), marked, keep) if marked or keep else ()
+        if not table:
+            return mask
         period, marked, keep = table
         key = (p, m, v % period)
-        mask = self._masks.get(key)
-        if mask is None:
+        pattern = self._masks.get(key)
+        if pattern is None:
             # u with u * v**-1 = t mod period is u = t v; its bit is u - lo
             lo = self.lo
             bits = sum(1 << (t * v - lo) % period for t in marked)
             if not keep:
                 bits ^= (1 << period) - 1
-            mask = self._masks[key] = _tile(bits, period, self.n)
-        return mask
+            pattern = self._masks[key] = _tile(bits, period, self.n)
+        return mask & pattern
 
 
 def _scan_chunk(payload) -> tuple[int, list[Hit]]:

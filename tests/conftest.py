@@ -183,7 +183,7 @@ def mutant_guard_dropped(monkeypatch):
     from power_forge import verify
 
     _patch_source(monkeypatch, verify, verify._RowSieve, "mask",
-                  "if v % q and q <= limit", "if q <= limit")
+                  "if v % q and q <= residue_limit", "if q <= residue_limit")
 
 
 @pytest.fixture

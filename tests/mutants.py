@@ -97,7 +97,7 @@ MUTANTS = (
            ("tests/test_verify.py",),
            "a class whose f(t) has l-adic valuation E or more is read as fixing that valuation"),
     Mutant("class-valuation-ignored", "verify.py",
-           "survivors &= self._pattern(p, m, 1, l)", "pass",
+           "survivors = self._sift(survivors, p, m, 1, l)", "pass",
            ("tests/test_verify.py",),
            "row 1 keeps a point for a prime p that does not divide a valuation its class fixes"),
     Mutant("class-free-points-dropped", "verify.py",
@@ -105,6 +105,19 @@ MUTANTS = (
            ("tests/test_verify.py",),
            "row 1 drops the points whose classes fix no valuation e >= 1 unless p = 2, 3 or 5 "
            "passes their residues"),
+    Mutant("one-drop-table-skipped", "verify.py",
+           "if marked or keep else ()", "if marked[1:] or keep else ()",
+           ("tests/test_verify.py",),
+           "a table that drops exactly one class is taken as keeping every class, and skipped"),
+    Mutant("tile-copies-floored", "verify.py",
+           "copies = -(-n // m)", "copies = n // m",
+           ("tests/test_verify.py",),
+           "_tile floors its copy count, so a pattern longer than the row tiles to 0"),
+    Mutant("gamma-scan-from-one", "oracles.py",
+           "pw = b  # b 2^t", "pw = 1  # b 2^t",
+           ("tests/test_oracles.py",),
+           "scan_gamma_minus_pow2 starts its walk at a - 1, not a - b, so for b > 1 it scans "
+           "gamma - 2**t / b"),
     Mutant("catalan-other-neighbour", "oracles.py",
            "if v & 3 == 3:", "if v & 3 != 3:",
            ("tests/test_oracles.py",),

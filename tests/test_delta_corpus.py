@@ -4,9 +4,11 @@ Random sets of two or more powers almost never have one, so the corpus
 is built on purpose.  If b_i = a_i / c_i = delta - u_i / c_i with each
 u_i = -+1, every factor c_i delta - a_i of P(delta) is a unit, and P - 1
 or P + 1 has the root delta.  ``delta_rich_sets`` draws such sets, with
-a fixed seed, from the powers of small height; four sets found by hand
+a fixed seed, from the powers of small height; six sets found by hand
 reach the cases it cannot: factors that are no units, two deltas, a
-double root, and an offset s far past the default scan depth.
+double root, an offset s far past the default scan depth, 0 in S, and a
+negative fifth power, whose delta makes the capacity scan's gamma = 4
+delta negative.
 """
 
 import json
@@ -27,6 +29,8 @@ HAND_SETS = {
     ("25", "27"): ("26",),  # P + 1 = (X - 26)**2
     # 3**41 = delta -+ 1: k = 4 and s = 127, far past the default --t-max 64
     ("36472996377170786403",): ("36472996377170786402", "36472996377170786404"),
+    ("0", "25/144"): ("1/16", "1/9"),  # X (144 X - 25) = -1 at 1/16 and at 1/9
+    ("-1/8", "-1/32"): ("-5/32",),  # (-5/4 + 1)(-5 + 1) = 1, with -1/32 = (-1/2)**5
 }
 
 

@@ -719,21 +719,31 @@ def test_a_scan_depth_past_the_cap_is_refused_before_any_term(monkeypatch, scan,
 
 
 def test_scan_gamma_agrees_with_bruteforce(rng):
+    # hit for hit against gamma - 2**t built as a Fraction; the scan walks the pairs (a - b 2^t, b)
     from power_forge.powers import decompose_rational_power
 
-    for _ in range(25):
-        gamma = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        if gamma == 0:
-            continue
-        hits = scan_gamma_minus_pow2(gamma, 16)
-        expected = [
-            t
-            for t in range(17)
-            if decompose_rational_power(gamma - 2**t) is not None
+    def reference(gamma, t_max):
+        terms = ((t, gamma - 2**t) for t in range(t_max + 1))
+        return [(t, y, dec) for t, y in terms if (dec := decompose_rational_power(y)) is not None]
+
+    # hits -27/8, 9/25, 8 and 4, and -8; -5/8, 4 times the corpus delta -5/32, has none
+    gammas = [Fraction(-19, 8), Fraction(34, 25), Fraction(12), Fraction(-7), Fraction(-5, 8)]
+    gammas += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(25)]
+    for _ in range(6):
+        gammas += [
+            Fraction(-rng.randint(1, 10**6)),  # negative, integral
+            Fraction(rng.randint(1, 10**6)),  # positive, integral
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(2, 10**3)),
+            Fraction(2 ** rng.randint(0, 64)),  # gamma - 2**t = 0 at one t
         ]
-        assert [h.index for h in hits] == expected
-        for h in hits:
-            assert h.power.base**h.power.exponent == h.value == gamma - 2**h.index
+    hits = 0
+    for gamma in filter(None, gammas):
+        scanned = scan_gamma_minus_pow2(gamma, 64)
+        assert [(h.index, h.value, h.power) for h in scanned] == reference(gamma, 64), gamma
+        for h in scanned:
+            assert type(h.value) is Fraction and h.power.base**h.power.exponent == h.value
+        hits += len(scanned)
+    assert hits >= 5 + 6
 
 
 def test_scan_recurrence_powers():

@@ -402,8 +402,8 @@ def test_the_sieve_masks_out_no_power_of_a_bench_set(values, variant, window):
 # f(0), f(1), ... only up to the period of the largest one built.
 LOWDEG_EVALUATIONS = [
     (["9/25"], "rational", 110, 14863, 321, 169),
-    (["0", "9/25", "-8"], "rational", 50, 3095, 142, 101),
-    (["-1/8", "4/25"], "rational", 40, 1959, 720, 67),
+    (["0", "9/25", "-8"], "rational", 50, 3095, 102, 151),
+    (["-1/8", "4/25"], "rational", 40, 1959, 167, 137),
     (["1/169"], "rational", 40, 1959, 39, 71),
     (["-1/343", "16/9"], "rational", 24, 719, 344, 23),
     (["4", "8", "36"], "integer", 20000, 40001, 201, 169),
@@ -442,10 +442,13 @@ def _row_one_kept(f, window):
     most with m at most the limit and 64, those not dividing f(u) fix
     valuations e; where one is at least 1, u stays only if some prime p
     divides every such e and f(u) is 0 or a p-th power modulo each modulus
-    of p's table up to the limit.
+    of p's table up to the residue limit.  A residue modulus q is priced by
+    its q values alone, q (deg f + 1) at most the row's points; the other
+    tables also stay within the row.
     """
     n = 2 * window + 1
-    limit = min(n, n // (f.degree + 1))
+    residue_limit = n // (f.degree + 1)
+    limit = min(n, residue_limit)
     cap = min(limit, 64)
     moduli = [max(l**e for e in range(3, 7) if l**e <= cap) for l in _SMALL_PRIMES if l**3 <= cap]
     kept = []
@@ -456,7 +459,8 @@ def _row_one_kept(f, window):
         fixed = [strip_prime(y, l)[0] for l, m in zip(_SMALL_PRIMES, moduli) if y % m]
         if not any(fixed) or any(
             all(e % p == 0 for e in fixed)
-            and all(y % q == 0 or pow(y, c, q) == 1 for q, c in _residue_table(p) if q <= limit)
+            and all(y % q == 0 or pow(y, c, q) == 1
+                    for q, c in _residue_table(p) if q <= residue_limit)
             for p in _SMALL_PRIMES
         ):
             kept.append(u)
@@ -639,4 +643,46 @@ def test_row_patterns_at_the_window_edges(lo, n):
                 continue
             vinv = pow(v, -1, period)
             expected = [u for u in range(lo, lo + n) if table[u * vinv % period]]
-            assert list(verify._set_bits(sieve._pattern(p, m, v), lo)) == expected
+            assert list(verify._set_bits(sieve._sift(sieve.full, p, m, v), lo)) == expected
+
+
+def test_a_table_that_keeps_every_class_leaves_the_mask_as_it_is():
+    # 2 X + 1 is odd, so 2 divides none of its values exactly once
+    odd = verify._RowSieve(IntPoly([1, 2]), None, -10, 21, 21)
+    for v in (1, 3, 5):
+        for mask in (odd.full, 0b1011 << 7):
+            assert odd._sift(mask, 0, 2, v) == mask
+    assert odd._tables[0, 2] == () and not odd._masks  # nothing tiled or kept
+    # X drops one class of the four mod 4, t = 2 where 2 || t: the u = 2 v mod 4
+    x = verify._RowSieve(IntPoly([0, 1]), None, -10, 21, 21)
+    for v in (1, 3, 5):
+        kept = list(verify._set_bits(x._sift(x.full, 0, 2, v), -10))
+        assert kept == [u for u in range(-10, 11) if (u - 2 * v) % 4]
+    assert x._tables[0, 2] == (4, [2], False)
+
+
+# sets whose one-worker scan uses residue moduli q longer than its rows of 2H+1 points
+LONG_MODULUS_SCANS = [
+    (["-1/8", "4/25"], 40, {(17, 103), (17, 137)}),  # degree 17, rows of 81
+    (["8/343"], 30, {(3, 67)}),  # degree 25, rows of 61
+]
+
+
+@pytest.mark.parametrize("values, window, long", LONG_MODULUS_SCANS)
+def test_masked_scan_equals_the_per_point_scan_with_moduli_longer_than_the_row(
+    monkeypatch, values, window, long
+):
+    art = construct(PowerSetInput.from_values(values))
+    built = []
+
+    def recorded(values, p, m, l=0, real=verify._allowed):
+        built.append((p, m, l))
+        return real(values, p, m, l)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_allowed", recorded)
+        masked = verify_construction(art, window)
+    assert {(p, m) for p, m, l in built if p and not l and m > 2 * window + 1} == long
+    assert masked == _reference(monkeypatch, verify_construction, art, window)
+    assert masked.passed
+    assert _masked_out_powers(art.f, "rational", window) == []

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import jsonio, oracles
 from .construct import (_MAX_F_BITS, VARIANTS, PowerSetInput, SelectionPolicy, construct,
-                        element_pairs, text_bits)
+                        text_bits)
 from .errors import CapacityError, ValidationError
 from .powers import decompose_rational_power
 from .verify import trace_quantities, verify_construction
@@ -241,7 +241,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     inp = PowerSetInput.from_values(_parse_set(args.set), variant="rational")
     x = jsonio.parse_rational(args.x)
-    rec = trace_quantities(element_pairs(inp), x, args.k)
+    rec = trace_quantities(inp.pairs, x, args.k)
     used_stdout = _emit(jsonio.trace_to_json(rec), None)
     at = jsonio.rational_text(x)
     if rec.ok:

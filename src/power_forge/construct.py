@@ -18,8 +18,8 @@ for b in S).  Two variants:
   ``ConstructionArtifacts`` checks that exactly, and ``construct`` raises
   kappa past the estimates' floor until it holds.
 
-Both variants are built from the same recipe.  With P = prod (c_i X - a_i)
-(c_i = 1 and k = 2, s = 0 in the integer variant),
+Both variants are built from the same ``Recipe`` (pairs, k, s).  With
+P = prod (c_i X - a_i) (c_i = 1 and k = 2, s = 0 in the integer variant),
 
     f = g h = (X - 2**s) (P**(2k) + 2 P**k + 1) + 2**s (P**k + 1),
 
@@ -31,13 +31,15 @@ and h (``build_g_h_f``), and exact ``decimal.Decimal`` values for the
 text a construction document stores (``recipe_text``), as str() of a
 Decimal is linear where str() of a big int is quadratic.  Ints are built
 when f, g or h is first read, text when a document is written or read.
+The set's own facts (pairs, canonical k, deltas) are computed once per
+``PowerSetInput``, so ``construct`` and the load check share them.
 Each power of both builds is certified against P by multiplication only
 (P Q' = n P' Q, see ``_certify_power``): ``verify`` evaluates the recipe,
 not the stored f, so a wrong power would otherwise go unscanned.
 
 The empty set gets the constant polynomial 2, which is never a perfect
 power; the product formulas degenerate there (they would give a linear f
-hitting every rational).
+hitting every rational), so a ``Recipe`` refuses it.
 
 The capacity estimate is a bounded stand-in for a quantity defined
 through a finiteness theorem without an effective formula: D(gamma) is
@@ -54,7 +56,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, ValidationError
 from .ntheory import factor_integer, primes_up_to
@@ -68,6 +70,7 @@ __all__ = [
     "PowerSetInput",
     "CapacityEstimate",
     "ConstructionArtifacts",
+    "Recipe",
     "element_pairs",
     "compute_k",
     "build_root_product",
@@ -167,6 +170,11 @@ class PowerSetInput:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    # each computed once per input by the module's function (deltas not for the empty set)
+    pairs = cached_property(lambda self: element_pairs(self))
+    canonical_k = cached_property(lambda self: compute_k(self.pairs))
+    deltas = cached_property(lambda self: find_deltas(self.pairs))
 
 
 def element_pairs(inp: PowerSetInput) -> tuple[tuple[int, int], ...]:
@@ -410,16 +418,65 @@ def _delta_refusal(elements: tuple[Fraction, ...], deltas: Iterable[Fraction], s
 
 
 @dataclass(frozen=True)
+class Recipe:
+    """f = g h with g = P**k + 1, h = (X - 2**s) g + 2**s and P = prod (c_i X - a_i).
+
+    The pairs (a_i, c_i) must not be empty.  ``build_g_h_f`` builds g, h
+    and f on the first read of any; the degree and row values need none.
+    A recipe pickles as (pairs, k, s) alone, whatever it has built.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    k: int
+    s: int
+
+    def __post_init__(self) -> None:
+        if not self.pairs:
+            raise ValidationError("the empty set has no recipe: k and s must be null")
+
+    def __reduce__(self):
+        return Recipe, (self.pairs, self.k, self.s)
+
+    degree = property(lambda self: 2 * self.k * len(self.pairs) + 1, doc="2k|S| + 1, unbuilt")
+    _ints = cached_property(lambda self: build_g_h_f(self.pairs, self.k, self.s))
+    g = property(lambda self: self._ints[0], doc="P**k + 1")
+    h = property(lambda self: self._ints[1], doc="(X - 2**s) g + 2**s")
+    f = property(lambda self: self._ints[2], doc="g h")
+    coeffs = property(lambda self: self.f.coeffs, doc="f's coefficients")
+
+    def row_values(self, v: int, us: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """(u, v**deg f(u/v)) for each u of one row v, without building f.
+
+        With A = prod (c_i u - a_i v), W = v**|S| and B = A**k + W**k,
+
+            v**deg f(u/v) = B ((u - 2**s v) B + 2**s v W**k),
+
+        and W**k and 2**s v depend on the row only.
+        """
+        pairs, k = self.pairs, self.k
+        wk = v ** (len(pairs) * k)
+        shift = v << self.s
+        tail = shift * wk
+        for u in us:
+            A = 1
+            for a, c in pairs:
+                A *= c * u - a * v
+            B = A**k + wk
+            yield u, B * ((u - shift) * B + tail)
+
+
+@dataclass(frozen=True)
 class ConstructionArtifacts:
     """Everything construct() decided, sufficient to re-verify every step.
 
-    With a recipe (k and s, which come both or neither), f, g and h are
-    those of (pairs, k, s), built by ``build_g_h_f`` on the first read of
-    any of them (a ``dataclasses.replace`` copy builds its own).  Cheap
-    tests refuse a tampered k or s before anything is built.  The
-    integer variant has k = 2 and s = 0; a rational recipe has s >= 1,
-    and its k must be a positive multiple of ``compute_k``, since the
-    theorem needs p - 1 | k for every prime p in a denominator.
+    With k and s, which come both or neither, ``recipe`` is the
+    ``Recipe`` of (pairs, k, s), and f, g and h are its polynomials,
+    built on the first read of any of them (a ``dataclasses.replace``
+    copy builds its own); the empty set has none.  Cheap tests refuse a
+    tampered k or s before anything is built.  The integer variant has
+    k = 2 and s = 0; a rational recipe has s >= 1, and its k must be a
+    positive multiple of the input's ``canonical_k``, since the theorem
+    needs p - 1 | k for every prime p in a denominator.
     With N = prod (|a_i| + c_i) >= ||P||_1, each coefficient of P**n is
     at most N**n and each of f is below 2**(s + 4) N**(2k), so f holds
     at most (2k|S| + 2)(s + 4 + 2k bits(N)) bits; a recipe whose bound
@@ -429,12 +486,12 @@ class ConstructionArtifacts:
     kappa, deltas and any ``text`` must be None; an integer recipe has
     no deltas either.
 
-    A rational recipe's deltas, if stored, must be ``find_deltas``, all
-    nonzero roots of P -+ 1, ascending.  At each of those roots g = 2 and
-    h = 2 delta - 2**s, so f(delta) = 4 delta - 2**(s + 1), which must be
-    no perfect power outside S; that is decomposed before anything is
-    built.  (In the integer variant f(delta) = 4 delta - 2 has 2-adic
-    valuation 1, so it is never a power.)
+    A rational recipe's deltas, if stored, must be the input's
+    ``deltas``, all nonzero roots of P -+ 1, ascending.  At each of those
+    roots g = 2 and h = 2 delta - 2**s, so f(delta) = 4 delta - 2**(s + 1),
+    which must be no perfect power outside S; that is decomposed before
+    anything is built.  (In the integer variant f(delta) = 4 delta - 2
+    has 2-adic valuation 1, so it is never a power.)
 
     ``text`` (init-only), the one way to hand over stored polynomials,
     maps "f", "g" and "h" to their decimal text, or None.  f's must have
@@ -466,6 +523,7 @@ class ConstructionArtifacts:
             _refuse("artifacts without a recipe", **text, kappa=self.kappa, deltas=self.deltas)
             return
         _refuse("artifacts with a recipe", bare=self.bare)
+        recipe = self.recipe  # which refuses the empty set, before any delta is sought
         if self.input.variant == "integer":
             if (k, s) != (2, 0):
                 raise ValidationError(f"integer-variant artifacts have k=2, s=0, not k={k}, s={s}")
@@ -473,20 +531,20 @@ class ConstructionArtifacts:
         else:
             if s < 1:
                 raise ValidationError(f"s={s} is out of range: a rational recipe has s >= 1")
-            canonical = compute_k(self.pairs)
+            canonical = self.input.canonical_k
             if k < 1 or k % canonical:
                 raise ValidationError(f"stored k={k} is not a positive multiple "
                                       f"of the canonical k={canonical}")
-        recipe, f_text = f"the recipe of k={k}, s={s}", text.get("f")
+        named, f_text = f"the recipe of k={k}, s={s}", text.get("f")
         if f_text is not None:
             degree, bits = len(f_text) - 1, text_bits(f_text)
-            if degree != self.degree:
-                raise ValidationError(f"stored f has degree {degree}, not that of {recipe}")
+            if degree != recipe.degree:
+                raise ValidationError(f"stored f has degree {degree}, not that of {named}")
             if s >= bits:
                 raise ValidationError(f"stored s={s} is out of range: the largest "
                                       f"coefficient of f has {bits} bits")
         n = prod(abs(a) + c for a, c in self.pairs)
-        size = (self.degree + 1) * (s + 4 + 2 * k * n.bit_length())
+        size = (recipe.degree + 1) * (s + 4 + 2 * k * n.bit_length())
         if size > _MAX_F_BITS:
             raise ValidationError(f"s={s} is out of range: f would hold up to {size} bits "
                                   f"with k={k}, over {_MAX_F_BITS}")
@@ -496,42 +554,34 @@ class ConstructionArtifacts:
             raise ValidationError(f"stored kappa={kappa} does not match s={s}: "
                                   "s must be 2**kappa - 1")
         if self.input.variant == "rational":
-            self._check_deltas(s)
+            deltas = self.input.deltas
+            if self.deltas is not None and tuple(self.deltas) != deltas:
+                raise ValidationError(f"stored deltas {_format_values(self.deltas)} are not the "
+                                      "nonzero roots of P - 1 and P + 1, ascending")
+            refusal = _delta_refusal(self.input.elements, deltas, s)
+            if refusal is not None:
+                raise ValidationError(refusal)
         if text:
             made = dict(zip("ghf", recipe_text(self.pairs, k, s)))
             wrong = [name for name in "fgh" if text.get(name) not in (None, made[name])]
             if wrong:
-                raise ValidationError(f"{recipe} does not give the stored {', '.join(wrong)}")
-
-    def _check_deltas(self, s: int) -> None:
-        """Refuse stored deltas other than the recipe's, and a power outside S at a delta."""
-        deltas = find_deltas(self.pairs)
-        if self.deltas is not None and tuple(self.deltas) != deltas:
-            raise ValidationError(f"stored deltas {_format_values(self.deltas)} are not the "
-                                  "nonzero roots of P - 1 and P + 1, ascending")
-        refusal = _delta_refusal(self.input.elements, deltas, s)
-        if refusal is not None:
-            raise ValidationError(refusal)
+                raise ValidationError(f"{named} does not give the stored {', '.join(wrong)}")
 
     @cached_property
-    def _polys(self) -> tuple[Optional[IntPoly], Optional[IntPoly], IntPoly]:
-        """g, h and f: the recipe's, built and certified on first read, or None, None, bare."""
-        if self.k is None:
-            return None, None, self.bare
-        return build_g_h_f(self.pairs, self.k, self.s)
+    def recipe(self) -> Optional[Recipe]:
+        """The ``Recipe`` of (pairs, k, s), or None without k and s."""
+        return None if self.k is None else Recipe(self.pairs, self.k, self.s)
 
-    g = property(lambda self: self._polys[0], doc="P**k + 1, or None without a recipe")
-    h = property(lambda self: self._polys[1], doc="(X - 2**s) g + 2**s, or None without a recipe")
-    f = property(lambda self: self._polys[2], doc="g h, or ``bare`` without a recipe")
-
-    @property
-    def degree(self) -> int:
-        """2k|S| + 1 from the recipe, or that of ``bare``; nothing is built."""
-        return self.bare.degree if self.k is None else 2 * self.k * len(self.input) + 1
+    g = property(lambda self: self.recipe and self.recipe.g, doc="The recipe's g, or None")
+    h = property(lambda self: self.recipe and self.recipe.h, doc="The recipe's h, or None")
+    f = property(lambda self: self.recipe.f if self.recipe else self.bare,
+                 doc="The recipe's f, or ``bare``")
+    degree = property(lambda self: (self.recipe or self.bare).degree,
+                      doc="The degree of the recipe, or of ``bare``; nothing is built")
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return element_pairs(self.input)
+        return self.input.pairs
 
 
 def construct(
@@ -554,7 +604,6 @@ def construct(
             notes="empty set: constant 2 is never a perfect power; "
             "the product construction degenerates to a linear polynomial here",
         )
-    pairs = element_pairs(inp)
     if inp.variant == "integer":
         return ConstructionArtifacts(
             input=inp,
@@ -562,8 +611,7 @@ def construct(
             s=0,
             notes="integer variant: squared factors, offset 2**0 = 1",
         )
-    k = compute_k(pairs)
-    deltas = find_deltas(pairs)
+    k, deltas = inp.canonical_k, inp.deltas
     s, kappa, estimates = select_offset_exponent(deltas, policy)
     # the paper's s is the floor: kappa rises until no f(delta) is a power outside S
     floor = s

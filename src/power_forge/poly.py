@@ -4,8 +4,9 @@ Coefficients are arbitrary-precision ints stored ascending (coeffs[i] is
 the coefficient of X**i).  The zero polynomial is the empty tuple and has
 degree -1.  Evaluation at a rational point uses homogeneous Horner so the
 result is built from integer arithmetic only and lands in ``Fraction``
-exactly.  In the scans, Horner serves bare polynomials only: a
-constructed f is evaluated from its recipe (``verify._row_values``).
+exactly.  In the scans, Horner serves bare polynomials only
+(``IntPoly.row_values``): a constructed f is evaluated from its recipe
+(``construct.Recipe.row_values``).
 
 Powers come from ``power_coeffs``, one Miller recurrence over coefficient
 sequences: ``construct`` runs it on ints and on exact ``decimal.Decimal``
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
-from typing import Iterable, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 __all__ = ["IntPoly", "power_coeffs", "rational_roots"]
 
@@ -180,11 +181,7 @@ class IntPoly:
         return Fraction(num, x.denominator**d)
 
     def eval_pair(self, u: int, v: int) -> int:
-        """Homogenized value v**deg * self(u/v) by Horner, computed without division.
-
-        The scans use it for bare polynomials; a constructed f is scanned
-        through its recipe instead.
-        """
+        """Homogenized value v**deg * self(u/v) by Horner, computed without division."""
         if not self.coeffs:
             return 0
         acc = 0
@@ -193,6 +190,11 @@ class IntPoly:
             acc = acc * u + c * vp
             vp *= v
         return acc
+
+    def row_values(self, v: int, us: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """(u, v**deg self(u/v)) for each u of one row v, by ``eval_pair``."""
+        for u in us:
+            yield u, self.eval_pair(u, v)
 
 
 def power_coeffs(coeffs: Sequence[_N], n: int) -> list[_N]:

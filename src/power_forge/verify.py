@@ -41,7 +41,7 @@ only the survivors are evaluated and decomposed (``_RowSieve``):
 
 The tables are read from the exact values f(0), f(1), ... up to the
 period of the largest table built, which the scan's own evaluator gives
-(``_row_values`` on the row v = 1).  The survivors are evaluated the
+(``row_values`` on the row v = 1).  The survivors are evaluated the
 same way, so a mask rejects exactly the points whose computed value
 fails a residue test.  A table is used only where it pays.  A residue
 table of prime period q costs its q values, so it is used where
@@ -65,13 +65,12 @@ moduli stayed within the row) and 137 table values, and the integer
 tables) and 169 table values.  A scan is refused up front past 10**7
 points (``_MAX_POINTS``).
 
-A constructed f is evaluated from its recipe (pairs, k, s) in integers,
-at O(|S| + log k) big-int operations per point instead of the deg f of
-Horner's rule.  Its degree comes from the recipe too, and its certified
-coefficients (``ConstructionArtifacts.f``) are built, once per process,
-only where a row denominator reads their valuations.  Bare
-polynomials (``verify_polynomial``, the empty set's constant 2) are
-evaluated by Horner from their coefficients.
+The scan reads f's ``degree``, ``coeffs`` and ``row_values`` only.  A
+constructed f is scanned as its ``construct.Recipe``, which evaluates
+in integers at O(|S| + log k) big-int operations per point instead of
+Horner's deg f, and builds f's coefficients, once per process, only
+where a row denominator reads them.  A bare f (``verify_polynomial``,
+the empty set's constant 2) is an ``IntPoly``, evaluated by Horner.
 
 Independently of the scan, ``trace_quantities`` recomputes the value of
 g at each hit through its own integer bookkeeping (the quantities A, B,
@@ -96,7 +95,7 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Optional
 
-from .construct import _MAX_F_BITS, VARIANTS, ConstructionArtifacts, compute_k
+from .construct import _MAX_F_BITS, VARIANTS, ConstructionArtifacts, Recipe, compute_k
 from .errors import ValidationError
 from .ntheory import strip_prime
 from .oracles import map_chunks
@@ -174,41 +173,6 @@ _MAX_POINTS = 10**7
 # alone (2,857) took 12.7 ms, as its tables evaluate 2,400 values
 _CLASS_PERIOD_CAP = 64
 
-# (pairs, k, s): f = g h with g = P**k + 1, h = (X - 2**s) g + 2**s and
-# P = prod (c_i X - a_i) over the pairs (a_i, c_i)
-_Recipe = tuple[tuple[tuple[int, int], ...], int, int]
-
-_Scanned = IntPoly | ConstructionArtifacts  # a bare f, or the artifacts of a recipe
-
-
-def _row_values(
-    f: _Scanned, recipe: Optional[_Recipe], v: int, us: Iterable[int]
-) -> Iterator[tuple[int, int]]:
-    """(u, v**deg f(u/v)) for each u of one row v, from the recipe if there is one.
-
-    With A = prod (c_i u - a_i v), W = v**|S| and B = A**k + W**k,
-
-        v**deg f(u/v) = B ((u - 2**s v) B + 2**s v W**k),
-
-    and W**k and 2**s v depend on the row only.  Without a recipe, f is
-    evaluated by Horner from its coefficients.
-    """
-    if recipe is None:
-        for u in us:
-            yield u, f.eval_pair(u, v)
-        return
-    pairs, k, s = recipe
-    wk = v ** (len(pairs) * k)
-    shift = v << s
-    tail = shift * wk
-    for u in us:
-        A = 1
-        for a, c in pairs:
-            A *= c * u - a * v
-        B = A**k + wk
-        yield u, B * ((u - shift) * B + tail)
-
-
 # -- the row sieve ---------------------------------------------------------
 
 
@@ -278,20 +242,17 @@ class _RowSieve:
     length n.  ``_sift`` returns the mask as it is for a table that keeps
     every class.  The class tables serve row 1 only: l**E is the longest
     period with E >= 3 under both the limit and ``_CLASS_PERIOD_CAP``,
-    whose comment gives the sweep that chose 64.  On row 1 of the integer
-    scan of {4, 8, 36} to 20,000 they leave 201 of the 2,389 points that
-    the valuation masks pass.  Only ``_exponent`` reads f's coefficients
-    (a recipe's through ``ConstructionArtifacts.f``), so a sieve that
-    reads no row denominator builds none.  A table is read from the
-    values f(0), f(1), ... that ``_row_values`` gives, from the recipe
-    that evaluates the survivors or by Horner without one, built only up
-    to the period of the largest table yet; it is indexed by the class t
-    of u/v = u * v**-1 modulo its period, and on a row v the u of class t
+    whose comment gives the sweep that chose 64.  Only ``_exponent``
+    reads ``f.coeffs``, so a sieve that reads no row denominator builds
+    no recipe's f.  A table is read from the values f(0), f(1), ... that
+    ``f.row_values`` gives, as it gives the survivors' values, up to the
+    period of the largest table yet; it is indexed by the class t of
+    u/v = u * v**-1 modulo its period, and on a row v the u of class t
     are those with u = t v modulo the period.
     """
 
-    def __init__(self, f: _Scanned, recipe: Optional[_Recipe], lo: int, n: int, points: int):
-        self.f, self.recipe = f, recipe
+    def __init__(self, f: Recipe | IntPoly, lo: int, n: int, points: int):
+        self.f = f
         self.lo, self.n = lo, n
         self.full = (1 << n) - 1
         # a residue table of prime period q costs its q values, as _tile cuts a period past
@@ -356,8 +317,7 @@ class _RowSieve:
         Valuations are read from the top coefficient down, and only while
         a (deg - i) can still reach the least value so far.
         """
-        f = self.f.f if isinstance(self.f, ConstructionArtifacts) else self.f
-        coeffs, deg = f.coeffs, f.degree
+        coeffs, deg = self.f.coeffs, self.f.degree
         full = a * deg
         least = min(strip_prime(coeffs[-1], l)[0], full)
         tied = False
@@ -416,7 +376,7 @@ class _RowSieve:
             period = m * m if p == 0 else m
             if len(self._values) < period:
                 more = range(len(self._values), period)
-                self._values += [y for _, y in _row_values(self.f, self.recipe, 1, more)]
+                self._values += [y for _, y in self.f.row_values(1, more)]
             allowed = _allowed(self._values, p, m, l)
             kept = [t for t, ok in enumerate(allowed) if ok]
             dropped = [t for t, ok in enumerate(allowed) if not ok]
@@ -445,15 +405,15 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
     gcd(num, v**deg) have the same primes, so the gcd with the long
     v**deg is taken only where the short one is not 1.
     """
-    f, recipe, rows, lo, n = payload
-    sieve = _RowSieve(f, recipe, lo, n, len(rows) * n)
+    f, rows, lo, n = payload
+    sieve = _RowSieve(f, lo, n, len(rows) * n)
     count = 0
     hits: list[Hit] = []
     for v in rows:
         vd = v ** max(f.degree, 0)
         coprime = sieve.coprime(v)
         count += coprime.bit_count()
-        for u, num in _row_values(f, recipe, v, _set_bits(sieve.mask(v, coprime), lo)):
+        for u, num in f.row_values(v, _set_bits(sieve.mask(v, coprime), lo)):
             den = vd
             if gcd(num, v) != 1:
                 common = gcd(num, vd)
@@ -464,16 +424,9 @@ def _scan_chunk(payload) -> tuple[int, list[Hit]]:
     return count, hits
 
 
-def _scan(
-    f: _Scanned,
-    recipe: Optional[_Recipe],
-    elements: Iterable[Fraction],
-    variant: str,
-    bound: int,
-    workers: int,
-    progress: bool,
-) -> VerificationReport:
-    """The scan behind both entry points; ``recipe`` None means Horner on f."""
+def _scan(f: Recipe | IntPoly, elements: Iterable[Fraction], variant: str, bound: int,
+          workers: int, progress: bool) -> VerificationReport:
+    """The scan behind both entry points: f is a recipe, or a bare polynomial."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if bound < 1:
@@ -497,7 +450,7 @@ def _scan(
         n = min(max(workers, 1), 2 * bound + 1)
         size, extra = divmod(2 * bound + 1, n)
         chunks = [((1,), -bound + i * size + min(i, extra), size + (i < extra)) for i in range(n)]
-    payloads = [(f, recipe, *chunk) for chunk in chunks]
+    payloads = [(f, *chunk) for chunk in chunks]
     in_window = [b for b in targets if rational_height(b) <= bound]
     results = []
     for i, res in enumerate(map_chunks(_scan_chunk, payloads, workers), 1):
@@ -547,7 +500,7 @@ def verify_polynomial(
     The verdict is PASS when the perfect-power values are exactly the
     elements inside the window.
     """
-    return _scan(f, None, elements, variant, bound, workers, progress)
+    return _scan(f, elements, variant, bound, workers, progress)
 
 
 def verify_construction(
@@ -556,24 +509,19 @@ def verify_construction(
     workers: int = 1,
     progress: bool = False,
 ) -> VerificationReport:
-    """Scan a construct() result through its recipe, then trace every rational hit.
+    """Scan a construct() result through its recipe (or bare f), then trace every rational hit.
 
-    f is evaluated from (pairs, k, s) when the artifacts carry them, and
-    its coefficients are built only if the row sieve reads their
-    valuations.  Artifacts without a recipe (the empty set's constant 2)
-    are evaluated by Horner.  When a rational recipe is stored, every
-    hit additionally goes through the six trace invariants; a failure
-    there raises InvariantViolation rather than merely flipping the
-    verdict, since it means the construction itself is broken.
+    With a rational recipe every hit also goes through the six trace
+    invariants; a failure there raises InvariantViolation rather than
+    merely flipping the verdict, since it means the construction itself
+    is broken.
     """
-    inp = artifacts.input
-    pairs, k = artifacts.pairs, artifacts.k
-    recipe = None if k is None else (pairs, k, artifacts.s)
-    scanned = artifacts.bare if recipe is None else artifacts
-    report = _scan(scanned, recipe, inp.elements, inp.variant, bound, workers, progress)
+    inp, recipe = artifacts.input, artifacts.recipe
+    scanned = artifacts.bare if recipe is None else recipe
+    report = _scan(scanned, inp.elements, inp.variant, bound, workers, progress)
     if inp.variant == "rational" and recipe is not None:
         for h in report.hits:
-            ensure_trace(pairs, h.x, k)
+            ensure_trace(recipe.pairs, h.x, recipe.k)
     return report
 
 

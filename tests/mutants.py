@@ -41,9 +41,31 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("degree-off-by-two", "construct.py",
-           "2 * self.k * len(self.input) + 1", "2 * self.k * len(self.input) + 3",
+           "2 * self.k * len(self.pairs) + 1", "2 * self.k * len(self.pairs) + 3",
            ("tests/test_construct.py", "tests/test_verify.py"),
-           "ConstructionArtifacts.degree reads 2k|S| + 3 from the recipe"),
+           "Recipe.degree reads 2k|S| + 3 from the recipe"),
+    Mutant("row-tail-without-wk", "construct.py",
+           "tail = shift * wk", "tail = shift",
+           ("tests/test_verify.py",),
+           "Recipe.row_values drops W**k from its tail 2**s v W**k, which only row 1 hides"),
+    Mutant("empty-recipe-admitted", "construct.py",
+           "if not self.pairs:", "if False:",
+           ("tests/test_cli.py",),
+           "a Recipe takes the empty set, whose P - 1 = 0 has every root: a rational document "
+           "fails with a ValueError (exit 3), and an integer one loads with a linear f"),
+    Mutant("stored-k-multiple-unchecked", "construct.py",
+           "if k < 1 or k % canonical:", "if k < 1:",
+           ("tests/test_cli.py",),
+           "ConstructionArtifacts takes a stored k that is no multiple of the canonical k"),
+    Mutant("stored-deltas-unchecked", "construct.py",
+           "if self.deltas is not None and tuple(self.deltas) != deltas:", "if False:",
+           ("tests/test_cli.py",),
+           "ConstructionArtifacts takes stored deltas other than the roots of P -+ 1"),
+    Mutant("stored-text-unchecked", "construct.py",
+           'wrong = [name for name in "fgh" if text.get(name) not in (None, made[name])]',
+           "wrong = []",
+           ("tests/test_cli.py",),
+           "ConstructionArtifacts takes stored f, g and h text that its recipe does not give"),
     Mutant("delta-power-check-skipped", "construct.py",
            "if power is not None and value not in elements:", "if False:",
            ("tests/test_cli.py",),

@@ -12,7 +12,8 @@ import pytest
 from power_forge import cli, jsonio, oracles, powers
 from power_forge.cli import _expectation_gate, main
 from power_forge.construct import (_ADMISSIBLE_PRIMES, _MAX_F_BITS, ConstructionArtifacts,
-                                   PowerSetInput, build_g_h_f, construct, select_offset_exponent)
+                                   PowerSetInput, build_g_h_f, construct, recipe_text,
+                                   select_offset_exponent)
 from power_forge.errors import ValidationError
 from power_forge.jsonio import artifacts_to_json, dumps, poly_to_json
 from power_forge.ntheory import primes_up_to
@@ -796,6 +797,20 @@ def _refused(capsys, tmp_path, doc):
     return error["message"]
 
 
+@pytest.mark.parametrize("variant, k, s, kappa, deltas", [
+    ("rational", 4, 1, 1, []),
+    ("integer", 2, 0, None, None),
+], ids=["rational", "integer"])
+def test_an_empty_set_with_a_recipe_is_bad_input(capsys, tmp_path, variant, k, s, kappa, deltas):
+    # P = 1, so the recipe's text is that of a linear f (4X - 2 in the integer variant, never
+    # a power, so only the refusal stops a passing scan), and P - 1 = 0 has every rational root
+    g, h, f = recipe_text((), k, s)
+    assert len(f) == 2
+    doc = dict(artifacts_to_json(construct(PowerSetInput.from_values([], variant))),
+               k=k, s=s, kappa=kappa, deltas=deltas, g=g, h=h, f=f, degree=1)
+    assert _refused(capsys, tmp_path, doc) == "the empty set has no recipe: k and s must be null"
+
+
 @pytest.mark.parametrize("value, named", [
     ("4", "at delta = 3: 8 = 2**3"),
     ("9", "at delta = 10: 36 = 6**2"),
@@ -939,7 +954,7 @@ def test_the_largest_constructible_denominator_prime_is_admitted(request, monkey
     assert (art.k, art.s) == (lcm(4, p - 1), 1)
     request.getfixturevalue("mutant_half_prime_bound")
     with pytest.raises(ValidationError, match=f"denominator {p * p} has a prime factor over"):
-        construct(inp)
+        construct(PowerSetInput.from_values([f"1/{p * p}"]))  # an input keeps its first k
 
 
 @pytest.fixture
@@ -1002,7 +1017,7 @@ def test_a_scan_that_reads_no_valuation_builds_nothing(capsys, tmp_path, monkeyp
                         (construct(PowerSetInput.from_values([4, 8, 36], "integer")), 20000),
                         (loaded, 1)):
         assert verify_construction(art, window).passed
-        assert "_polys" not in art.__dict__
+        assert "_ints" not in art.recipe.__dict__
 
 
 def test_a_document_larger_than_the_bound_on_f_allows_is_refused_unread(capsys, tmp_path,

@@ -453,3 +453,25 @@ def test_dumps_of_a_construction_document_peaks_below_one_and_a_half_outputs():
     assert text == json.dumps(doc, indent=2) + "\n"
     # json.dumps peaks at about 2.06 outputs: its chunks and their joined copy
     assert peak <= 1.5 * len(text), peak / len(text)
+
+
+def test_each_construct_and_each_load_seeks_the_deltas_and_k_once(monkeypatch):
+    # wrapped in the module, as the benchmark's tracer wraps them
+    module, calls = sys.modules["power_forge.construct"], {}
+    for name in ("find_deltas", "compute_k"):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    once = {"find_deltas": 1, "compute_k": 1}
+    for values in (["9/25"], ["-1/8", "4/25"], ["1/49", "8/27", "4/121"]):
+        calls.clear()
+        inp = PowerSetInput.from_values(values)
+        art = construct(inp)
+        assert calls == once, values
+        construct(inp)
+        assert calls == once, values
+        doc = jsonio.artifacts_to_json(art)
+        calls.clear()
+        jsonio.artifacts_from_json(doc)
+        assert calls == once, values

@@ -1,10 +1,11 @@
+import pickle
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 
 from power_forge import verify
-from power_forge.construct import PowerSetInput, construct, element_pairs
+from power_forge.construct import PowerSetInput, Recipe, construct, element_pairs
 from power_forge.errors import ValidationError
 from power_forge.poly import IntPoly
 from power_forge.ntheory import strip_prime
@@ -12,7 +13,6 @@ from power_forge.powers import _SMALL_PRIMES, _residue_table, decompose_rational
 from power_forge.verify import (
     Hit,
     InvariantViolation,
-    _row_values,
     ensure_trace,
     rational_height,
     trace_quantities,
@@ -236,31 +236,31 @@ BENCH_SCANS = [
 @pytest.mark.parametrize("values, variant, window", BENCH_SCANS)
 def test_recipe_values_equal_horner_values(values, variant, window):
     art = construct(PowerSetInput.from_values(values, variant=variant))
-    f, recipe = art.f, (art.pairs, art.k, art.s)
+    f, recipe = art.f, art.recipe
     if variant == "integer":
         xs = range(-window, window + 1)
-        assert list(_row_values(f, recipe, 1, xs)) == [(x, f(x)) for x in xs]
+        assert list(recipe.row_values(1, xs)) == [(x, f(x)) for x in xs]
         return
     # the sieve's tables read f(0), f(1), ... below the row length from row 1
     ts = range(2 * window + 1)
-    assert list(_row_values(f, recipe, 1, ts)) == [(t, f(t)) for t in ts]
+    assert list(recipe.row_values(1, ts)) == [(t, f(t)) for t in ts]
     for v in range(1, window + 1):
         us = [u for u in range(-window, window + 1) if gcd(u, v) == 1]
-        assert list(_row_values(f, recipe, v, us)) == [(u, f.eval_pair(u, v)) for u in us]
+        assert list(recipe.row_values(v, us)) == [(u, f.eval_pair(u, v)) for u in us]
 
 
 # -- the row sieve ------------------------------------------------------------
 
 def _reference_chunk(payload):
     """One chunk of the scan point by point, as before the row sieve."""
-    f, recipe, rows, lo, n = payload
+    f, rows, lo, n = payload
     count = 0
     hits = []
     for v in rows:
         vd = v ** max(f.degree, 0)
         us = [u for u in range(lo, lo + n) if gcd(u, v) == 1]
         count += len(us)
-        for u, num in _row_values(f, recipe, v, us):
+        for u, num in f.row_values(v, us):
             y = Fraction(num, vd)
             dec = decompose_rational_power(y)
             if dec is not None:
@@ -283,7 +283,7 @@ def _masked_out_powers(f, variant, window):
     """
     n = 2 * window + 1
     rows = range(1, window + 1) if variant == "rational" else (1,)
-    sieve = verify._RowSieve(f, None, -window, n, len(rows) * n)
+    sieve = verify._RowSieve(f, -window, n, len(rows) * n)
     found = []
     for v in rows:
         for u in verify._set_bits(sieve.coprime(v) & ~sieve.mask(v), -window):
@@ -413,17 +413,17 @@ LOWDEG_EVALUATIONS = [
 def test_the_sieve_leaves_few_points_to_evaluate(monkeypatch):
     evaluated, survivors = [], []
 
-    def counting(f, recipe, v, us, real=verify._row_values):
+    def counting(recipe, v, us, real=Recipe.row_values):
         us = list(us)
         evaluated.extend(us)
-        return real(f, recipe, v, us)
+        return real(recipe, v, us)
 
     def surviving(mask, lo, real=verify._set_bits):
         us = list(real(mask, lo))
         survivors.extend(us)
         return iter(us)
 
-    monkeypatch.setattr(verify, "_row_values", counting)
+    monkeypatch.setattr(Recipe, "row_values", counting)
     monkeypatch.setattr(verify, "_set_bits", surviving)
     for values, variant, window, points, evaluations, tables in LOWDEG_EVALUATIONS:
         art = construct(PowerSetInput.from_values(values, variant=variant))
@@ -475,7 +475,7 @@ def _row_one_kept(f, window):
 ])
 def test_row_one_keeps_the_points_its_classes_and_residues_allow(f, window):
     n = 2 * window + 1
-    sieve = verify._RowSieve(f, None, -window, n, n)
+    sieve = verify._RowSieve(f, -window, n, n)
     assert list(verify._set_bits(sieve.mask(1), -window)) == _row_one_kept(f, window)
 
 
@@ -485,7 +485,7 @@ def _check_row_denominators(f, window):
     Returns the rows v > 1 where it gives one.
     """
     n = 2 * window + 1
-    sieve = verify._RowSieve(f, None, -window, n, window * n)
+    sieve = verify._RowSieve(f, -window, n, window * n)
     rows = []
     for v in range(2, window + 1):
         denominator = sieve.denominator(v)
@@ -514,7 +514,7 @@ def test_the_row_denominator_of_a_scan_lowdeg_set():
     # f of degree 9 with lead 5**16: on the rows 5 || v one 5 of v**9 is left,
     # so no value there is a power; on the rows 25 || v two terms tie
     f = construct(PowerSetInput.from_values(["9/25"])).f
-    sieve = verify._RowSieve(f, None, -50, 101, 50 * 101)
+    sieve = verify._RowSieve(f, -50, 101, 50 * 101)
     assert [sieve.denominator(v) for v in (5, 10, 25, 50)] == [5, 2**9 * 5, None, None]
     assert len(_check_row_denominators(f, 50)) == 49 - 2
 
@@ -586,7 +586,7 @@ CANCELLING_SCANS = [
 def test_the_scan_decomposes_each_value_as_its_pair_in_lowest_terms(monkeypatch, values, window,
                                                                     cancelling):
     art = construct(PowerSetInput.from_values(values))
-    recipe, deg = (art.pairs, art.k, art.s), art.degree
+    recipe, deg = art.recipe, art.degree
     rows, pairs = [], []
 
     def surviving(mask, lo, real=verify._set_bits):
@@ -604,7 +604,7 @@ def test_the_scan_decomposes_each_value_as_its_pair_in_lowest_terms(monkeypatch,
     assert len(points) == len(pairs) and report.passed
     reduced = set()
     for (u, v), (num, den) in zip(points, pairs):
-        [(_, value)] = _row_values(art, recipe, v, [u])
+        [(_, value)] = recipe.row_values(v, [u])
         assert type(num) is int and den >= 1 and gcd(num, den) == 1, (u, v)
         assert Fraction(num, den) == Fraction(value, v**deg), (u, v)
         if den != v**deg:
@@ -633,7 +633,7 @@ def test_tile_repeats_the_pattern_to_the_last_bit(m, n):
 def test_row_patterns_at_the_window_edges(lo, n):
     # bit i stands for u = lo + i: a negative lo and a length n that no period divides
     f = IntPoly([3, -1, 0, 2, 5])
-    sieve = verify._RowSieve(f, None, lo, n, 10**6)
+    sieve = verify._RowSieve(f, lo, n, 10**6)
     for p, m in ((0, 2), (0, 3), (2, 5), (3, 7), (2, 11)):
         table = verify._allowed([f(t) for t in range(m * m)], p, m)
         period = len(table)
@@ -648,13 +648,13 @@ def test_row_patterns_at_the_window_edges(lo, n):
 
 def test_a_table_that_keeps_every_class_leaves_the_mask_as_it_is():
     # 2 X + 1 is odd, so 2 divides none of its values exactly once
-    odd = verify._RowSieve(IntPoly([1, 2]), None, -10, 21, 21)
+    odd = verify._RowSieve(IntPoly([1, 2]), -10, 21, 21)
     for v in (1, 3, 5):
         for mask in (odd.full, 0b1011 << 7):
             assert odd._sift(mask, 0, 2, v) == mask
     assert odd._tables[0, 2] == () and not odd._masks  # nothing tiled or kept
     # X drops one class of the four mod 4, t = 2 where 2 || t: the u = 2 v mod 4
-    x = verify._RowSieve(IntPoly([0, 1]), None, -10, 21, 21)
+    x = verify._RowSieve(IntPoly([0, 1]), -10, 21, 21)
     for v in (1, 3, 5):
         kept = list(verify._set_bits(x._sift(x.full, 0, 2, v), -10))
         assert kept == [u for u in range(-10, 11) if (u - 2 * v) % 4]
@@ -686,3 +686,19 @@ def test_masked_scan_equals_the_per_point_scan_with_moduli_longer_than_the_row(
     assert masked == _reference(monkeypatch, verify_construction, art, window)
     assert masked.passed
     assert _masked_out_powers(art.f, "rational", window) == []
+
+
+def test_a_scan_payload_pickles_the_same_before_and_after_f_is_read(monkeypatch):
+    # a recipe's payload is (pairs, k, s) and the chunk, never the f of degree 361
+    art = construct(PowerSetInput.from_values(["1/49", "8/27", "4/121"]))
+    sizes = []
+
+    def pickled(worker, payloads, workers):
+        sizes.append([len(pickle.dumps(p)) for p in payloads])
+        return map(worker, payloads)
+
+    monkeypatch.setattr(verify, "map_chunks", pickled)
+    assert verify_construction(art, 2, workers=2).passed
+    assert art.f.degree == 361
+    assert verify_construction(art, 2, workers=2).passed
+    assert sizes[0] == sizes[1] and len(sizes[0]) == 2 and max(sizes[0]) < 1000
